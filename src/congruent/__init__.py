@@ -9,13 +9,13 @@ an independent classification.
 """
 
 from .arith import FactoredSquarefree, NotSquarefree, factor_squarefree, hilbert, jacobi, legendre, quartic_symbol
-from .classgroup import ClassNumberResult, Discriminant, class_number, fundamental_discriminant, genus_two_rank
+from .classgroup import ClassNumberResult, ClassNumberStore, Discriminant, class_number, fundamental_discriminant, genus_two_rank
 from .criteria import CriterionReport, InvariantViolation, Verdict, evaluate, evaluate_prime_pair
 from .descent import DivisorPair, PairNotInKernel, TorsorWitness, find_witness, kernel_K, phi_p
 from .gf2 import BitMatrix, block_compose, rank_f2
 from .norms import NormRepresentation, NoRepresentation, parity_criterion, rep_2e2_f2, rep_u2_2v2, represent
 from .redei import HypothesisN, HypothesisNotMet, WrongResidueShape, build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank, redei_matrix
-from .scan import ClassNumberCache, ScanRow, emit, read_rows, scan
+from .scan import ScanRow, emit, read_rows, scan
 from .selmer import MonskyDecomposition, monsky, selmer_rank
 from .tunnell import Classification, ThetaCounts, TunnellTable, classify, theta_counts
 

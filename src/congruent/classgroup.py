@@ -5,18 +5,20 @@ discriminant D < 0: b^2 - 4ac = D, |b| <= a <= c, gcd(a, b, c) = 1, and b >= 0
 whenever |b| = a or a = c.  Counting is exact integer work; the inner sweep is
 vectorized with numpy (int64 is exact throughout the supported range).
 
-Results are memoized by discriminant: a scan revisits the same D many times.
-Under CPython the dict update is atomic, so concurrent readers are fine.
+A scan asks for the same D many times; it passes one ClassNumberStore to
+class_number, which keeps every h it has seen and can persist them to a file.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import isqrt
+from typing import Optional, Union
 
 import numpy as np
 
-from .arith import NotSquarefree, factor_squarefree
+from .arith import FactoredSquarefree, NotSquarefree, factor_squarefree
 
 
 @dataclass(frozen=True)
@@ -34,27 +36,17 @@ class ClassNumberResult:
     v2: int
 
 
-def fundamental_discriminant(m: int) -> Discriminant:
-    """D = -m when -m = 1 (mod 4), else -4m.  m must be squarefree."""
-    if m < 1:
+def fundamental_discriminant(m: Union[int, FactoredSquarefree]) -> Discriminant:
+    """D = -m when -m = 1 (mod 4), else -4m.  An int m is factored: NotSquarefree if it is not."""
+    if isinstance(m, FactoredSquarefree):
+        m = m.value
+    elif m < 1:
         raise ValueError(f"expected positive m, got {m}")
-    factor_squarefree(m)  # raises NotSquarefree otherwise
+    else:
+        factor_squarefree(m)
     if (-m) % 4 == 1:
         return Discriminant(m=m, D=-m)
     return Discriminant(m=m, D=-4 * m)
-
-
-_memo: dict[int, int] = {}
-
-
-def seed_cache(entries: dict[int, int]) -> None:
-    """Preload memoized class numbers, e.g. from a scan cache file."""
-    _memo.update(entries)
-
-
-def cached_discriminants() -> dict[int, int]:
-    """Snapshot of the memo (discriminant -> h)."""
-    return dict(_memo)
 
 
 def _count_reduced_forms(D: int) -> int:
@@ -87,15 +79,77 @@ def _count_reduced_forms(D: int) -> int:
     return int(weights[primitive].sum())
 
 
-def class_number(d: Discriminant) -> ClassNumberResult:
-    """Exact h and its 2-adic valuation for a fundamental discriminant D < 0."""
+def _load(path: str) -> dict[int, int]:
+    """The entries of a cache file; a torn or corrupt tail is truncated away."""
+    entries: dict[int, int] = {}
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            good_bytes = 0
+            for line in fh:
+                parts = line.split()
+                if len(parts) != 2 or not line.endswith("\n"):
+                    break
+                try:
+                    d, h = int(parts[0]), int(parts[1])
+                except ValueError:
+                    break
+                entries[d] = h
+                good_bytes += len(line)
+    except FileNotFoundError:
+        return {}
+    try:
+        if os.path.getsize(path) != good_bytes:
+            with open(path, "r+", encoding="ascii") as fh:
+                fh.truncate(good_bytes)
+    except OSError:
+        pass
+    return entries
+
+
+class ClassNumberStore:
+    """Class numbers by discriminant, optionally kept in an append-only file.
+
+    The file holds "discriminant h" lines; a torn or corrupt tail is truncated
+    on load, and each h computed afterwards is appended once.  Lookups are
+    counted three ways: `fresh` (computed here), `file_hits` (an entry loaded
+    from the file) and `memo_hits` (an h computed earlier in this run).
+    """
+
+    def __init__(self, path: Optional[str] = None):
+        self.path = path
+        self._h = _load(path) if path is not None else {}
+        self._from_file = set(self._h)
+        self.fresh = 0
+        self.file_hits = 0
+        self.memo_hits = 0
+
+    def get(self, D: int) -> int:
+        """h(D): kept from before, or counted now, kept and appended to the file."""
+        h = self._h.get(D)
+        if h is not None:
+            if D in self._from_file:
+                self.file_hits += 1
+            else:
+                self.memo_hits += 1
+            return h
+        h = self._h[D] = _count_reduced_forms(D)
+        self.fresh += 1
+        if self.path is not None:
+            with open(self.path, "a", encoding="ascii") as fh:
+                fh.write(f"{D} {h}\n")
+        return h
+
+
+def class_number(d: Discriminant, store: Optional[ClassNumberStore] = None) -> ClassNumberResult:
+    """Exact h and its 2-adic valuation for a fundamental discriminant D < 0.
+
+    Without a store h is counted afresh; with one it is looked up or counted
+    and kept there.
+    """
     D = d.D
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"not a negative discriminant: {D}")
-    h = _memo.get(D)
-    if h is None:
-        h = _count_reduced_forms(D)
-        _memo[D] = h
+    h = _count_reduced_forms(D) if store is None else store.get(D)
     v2 = (h & -h).bit_length() - 1
     return ClassNumberResult(D=d, h=h, v2=v2)
 
@@ -111,10 +165,9 @@ def genus_two_rank(d: Discriminant) -> int:
 __all__ = [
     "Discriminant",
     "ClassNumberResult",
+    "ClassNumberStore",
     "NotSquarefree",
     "fundamental_discriminant",
     "class_number",
     "genus_two_rank",
-    "seed_cache",
-    "cached_discriminants",
 ]

@@ -2,7 +2,7 @@
 
 Every subcommand maps onto one library operation so each object in the
 pipeline is independently inspectable.  Exit codes: 0 success, 1 usage error,
-2 computation error, 3 invariant violation detected during a scan.
+2 computation error, 3 invariant violation detected by check or scan.
 """
 
 from __future__ import annotations
@@ -12,12 +12,12 @@ import json
 import sys
 
 from .arith import NotSquarefree, factor_squarefree
-from .classgroup import class_number, fundamental_discriminant, genus_two_rank
+from .classgroup import ClassNumberStore, class_number, fundamental_discriminant, genus_two_rank
 from .criteria import CriterionReport, InvariantViolation, evaluate
 from .descent import DivisorPair, find_witness, kernel_K
 from .norms import parity_criterion, represent
 from .redei import build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank, redei_matrix
-from .scan import ClassNumberCache, emit, scan
+from .scan import emit, scan
 from .selmer import monsky
 from .tunnell import theta_counts
 
@@ -64,12 +64,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    cache = ClassNumberCache(args.cache)
-    rows = list(scan(args.max, t_filter=args.t, cache=cache))
+    store = ClassNumberStore(args.cache)
+    rows = list(scan(args.max, t_filter=args.t, store=store))
     target = args.out if args.out is not None else sys.stdout
     emit(rows, args.format, target)
     if args.verbose:
-        print(f"scan: {len(rows)} rows, {cache.hits} class-number cache hits", file=sys.stderr)
+        counts = f"{store.fresh} computed, {store.file_hits} cache hits, {store.memo_hits} memo hits"
+        print(f"scan: {len(rows)} rows; class numbers: {counts}", file=sys.stderr)
     return 0
 
 

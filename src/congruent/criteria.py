@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import NotSquarefree, is_prime
-from .classgroup import class_number, fundamental_discriminant
+from .classgroup import ClassNumberStore, class_number, fundamental_discriminant
 from .redei import HypothesisN, WrongResidueShape, build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank
 from .selmer import selmer_rank
 from .tunnell import Classification, TunnellTable, classify
@@ -72,8 +72,10 @@ def _tunnell_label(n: int, table: Optional[TunnellTable]) -> Classification:
     return classify(n)
 
 
-def evaluate(v: int, table: Optional[TunnellTable] = None) -> CriterionReport:
-    """Full evidence bundle for one candidate n.
+def evaluate(
+    v: int, table: Optional[TunnellTable] = None, store: Optional[ClassNumberStore] = None
+) -> CriterionReport:
+    """Full evidence bundle for one candidate n; every report passes the invariant checks.
 
     A shared TunnellTable avoids re-enumerating theta counts during scans.
     """
@@ -82,50 +84,58 @@ def evaluate(v: int, table: Optional[TunnellTable] = None) -> CriterionReport:
     try:
         h = build_hypothesis(v)
     except NotSquarefree as exc:
-        return CriterionReport(n=v, verdict=Verdict.HYPOTHESIS_FAILED, reason=str(exc))
+        report = CriterionReport(n=v, verdict=Verdict.HYPOTHESIS_FAILED, reason=str(exc))
     except WrongResidueShape as exc:
-        return CriterionReport(
+        report = CriterionReport(
             n=v,
             verdict=Verdict.HYPOTHESIS_FAILED,
             reason=str(exc),
             tunnell_label=_tunnell_label(v, table),
         )
+    else:
+        return evaluate_hypothesis(h, table, store)
+    check_report_invariants(report)
+    return report
+
+
+def evaluate_hypothesis(
+    h: HypothesisN, table: Optional[TunnellTable] = None, store: Optional[ClassNumberStore] = None
+) -> CriterionReport:
+    """The report for an n already factored into h; it passes the invariant checks.
+
+    Nothing is factored again: both discriminants come from h.  The store, if
+    given, serves and keeps the class numbers.
+    """
+    v = h.n.value
     label = _tunnell_label(v, table)
-    hn = class_number(fundamental_discriminant(v)).h
-    hnq = class_number(fundamental_discriminant(h.n_q)).h
+    hn = class_number(fundamental_discriminant(h.n), store).h
+    hnq = class_number(fundamental_discriminant(h.n_q_factored), store).h
     modulus = h.modulus
     congruence = (hn - hnq) % modulus == 0
-    if not h.holds():
-        failed = "q is a non-residue mod some p_i" if not h.qr_condition else "rank A_n != t - 1"
-        return CriterionReport(
-            n=v,
-            verdict=Verdict.HYPOTHESIS_FAILED,
-            reason=failed,
-            hypothesis=h,
-            s_n=selmer_rank(h.n),
-            r4=four_rank(h),
-            r8_nq=eight_rank_neg_nq(h) if h.rank_condition else None,
-            h_n=hn,
-            h_nq=hnq,
-            modulus=modulus,
-            congruence_holds=congruence,
-            tunnell_label=label,
-        )
-    verdict = Verdict.CONSISTENT_WITH_CONGRUENT if congruence else Verdict.NON_CONGRUENT_CERTIFICATE
-    return CriterionReport(
+    holds = h.holds()
+    if holds:
+        verdict = Verdict.CONSISTENT_WITH_CONGRUENT if congruence else Verdict.NON_CONGRUENT_CERTIFICATE
+        reason = None
+    else:
+        verdict = Verdict.HYPOTHESIS_FAILED
+        reason = "q is a non-residue mod some p_i" if not h.qr_condition else "rank A_n != t - 1"
+    report = CriterionReport(
         n=v,
         verdict=verdict,
+        reason=reason,
         hypothesis=h,
         s_n=selmer_rank(h.n),
         r4=four_rank(h),
-        r8_n=eight_rank_neg_n(h),
-        r8_nq=eight_rank_neg_nq(h),
+        r8_n=eight_rank_neg_n(h) if holds else None,
+        r8_nq=eight_rank_neg_nq(h) if h.rank_condition else None,
         h_n=hn,
         h_nq=hnq,
         modulus=modulus,
         congruence_holds=congruence,
         tunnell_label=label,
     )
+    check_report_invariants(report)
+    return report
 
 
 def evaluate_prime_pair(p: int, q: int) -> CriterionReport:

@@ -77,17 +77,16 @@ def phi_p(pair: DivisorPair, p: int, m: FactoredSquarefree) -> tuple[int, int]:
     return (s1 * anchor_1m[0], s2 * anchor_1m[1])
 
 
+def _in_kernel(pair: DivisorPair, m: FactoredSquarefree) -> bool:
+    return all(phi_p(pair, p, m) == (1, 1) for p in m.primes)
+
+
 def kernel_K(m: FactoredSquarefree) -> set[DivisorPair]:
     """Pairs sent to (+1, +1) by every phi_p.  Cardinality is 2**s_m (tested)."""
     if m.value % 2 == 0:
         raise ValueError("descent layer handles odd m only")
-    divs = divisors(m)
-    kernel = set()
-    for a, b in product(divs, repeat=2):
-        pair = DivisorPair(a, b)
-        if all(phi_p(pair, p, m) == (1, 1) for p in m.primes):
-            kernel.add(pair)
-    return kernel
+    pairs = (DivisorPair(a, b) for a, b in product(divisors(m), repeat=2))
+    return {pair for pair in pairs if _in_kernel(pair, m)}
 
 
 def find_witness(m: FactoredSquarefree, pair: DivisorPair, bound: int = 10000) -> Optional[TorsorWitness]:
@@ -96,10 +95,10 @@ def find_witness(m: FactoredSquarefree, pair: DivisorPair, bound: int = 10000) -
     Absence within the bound proves nothing; any returned witness satisfies
     both equations exactly.  Only pairs in the kernel can carry witnesses.
     """
-    if pair not in kernel_K(m):
-        raise PairNotInKernel(f"{tuple(pair)} is not in the kernel for m = {m.value}")
     a, b = pair
     mv = m.value
+    if a < 1 or b < 1 or mv % a or mv % b or not _in_kernel(pair, m):
+        raise PairNotInKernel(f"{tuple(pair)} is not in the kernel for m = {mv}")
     # dividing the system by a and b forces z^2 = b x^2 + (m/a) y^2 and
     # w^2 = a x^2 - (m/b) y^2; any solution scales down to gcd(x, y) = 1
     ma, mb = mv // a, mv // b

@@ -118,7 +118,8 @@ def rep_2e2_f2(P: FactoredSquarefree) -> tuple[int, int]:
     for r in _crt_roots(P, 2):
         # (n, 2r, (r^2-2)/n) has discriminant 8 and represents n at (1, 0)
         x, y = _reduce_disc8(n, 2 * r, (r * r - 2) // n)
-        assert x * x + 2 * x * y - y * y == n
+        if x * x + 2 * x * y - y * y != n:
+            raise ArithmeticError(f"form reduction produced a bad point for {n}")
         big_x, big_y = x + y, y  # X^2 - 2Y^2 = n
         f, e = big_x + 2 * big_y, big_x + big_y  # now f^2 - 2e^2 = -n
         f, e = abs(f), abs(e)

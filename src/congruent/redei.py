@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .arith import FactoredSquarefree, factor_squarefree, hilbert, jacobi, legendre, quartic_symbol
 from .gf2 import BitMatrix, rank_f2
 from .norms import rep_2e2_f2
+from .selmer import legendre_matrix
 
 
 class WrongResidueShape(ValueError):
@@ -48,28 +49,13 @@ class HypothesisN:
         return 1 << (self.t + 2)
 
 
-def _matrix_a(p_list: tuple[int, ...]) -> BitMatrix:
-    t = len(p_list)
-    rows = []
-    for i, p in enumerate(p_list):
-        row = [0] * t
-        for j, pj in enumerate(p_list):
-            if j != i:
-                row[j] = 0 if legendre(pj, p) == 1 else 1
-        row[i] = sum(row) % 2
-        rows.append(row)
-    return BitMatrix.from_rows(rows)
+def hypothesis_from_factored(n: FactoredSquarefree) -> HypothesisN:
+    """Validate n = p_1 ... p_t * q and fill in the matrix and both conditions.
 
-
-def build_hypothesis(v: int) -> HypothesisN:
-    """Validate v = p_1 ... p_t * q and fill in the matrix and both conditions.
-
-    Raises NotSquarefree or WrongResidueShape (with the failing condition)
-    when v is not of that shape.
+    Raises WrongResidueShape (with the failing condition) when n is not of
+    that shape.
     """
-    if v < 3:
-        raise ValueError(f"need v >= 3, got {v}")
-    n = factor_squarefree(v)
+    v = n.value
     qs = [p for p in n.primes if p % 8 == 3]
     ps = [p for p in n.primes if p % 8 == 1]
     if len(qs) != 1:
@@ -82,7 +68,7 @@ def build_hypothesis(v: int) -> HypothesisN:
     q = qs[0]
     p_list = tuple(ps)
     t = len(p_list)
-    a = _matrix_a(p_list)
+    a = legendre_matrix(p_list)
     return HypothesisN(
         n=n,
         q=q,
@@ -93,6 +79,13 @@ def build_hypothesis(v: int) -> HypothesisN:
         A=a,
         rank_condition=rank_f2(a) == t - 1,
     )
+
+
+def build_hypothesis(v: int) -> HypothesisN:
+    """Factor v, then hypothesis_from_factored; NotSquarefree if v is not squarefree."""
+    if v < 3:
+        raise ValueError(f"need v >= 3, got {v}")
+    return hypothesis_from_factored(factor_squarefree(v))
 
 
 def redei_matrix(h: HypothesisN) -> BitMatrix:

@@ -6,25 +6,26 @@ survivor in increasing n.  Rows carry the exact table columns: class numbers,
 the Legendre triple, the congruence verdict, and the independent Tunnell
 label.
 
+The sieve factors every candidate, and that factorisation is the only one a
+row needs.  One ClassNumberStore, passed in, serves the class numbers; backed
+by its file it lets a re-scan skip every class-number computation.
+
 CSV is the 7-bit machine format (prime product joined by "*"); the pretty
-printer uses the dot separator.  A flat append-only cache file of
-"discriminant class_number" lines makes a re-scan skip every class-number
-recomputation; corrupt trailing records are dropped on load.
+printer uses the dot separator.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, TextIO
 
-from . import classgroup
-from .arith import NotSquarefree, legendre
-from .criteria import CriterionReport, check_report_invariants, evaluate
-from .redei import WrongResidueShape, build_hypothesis
+from .arith import FactoredSquarefree, legendre
+from .classgroup import ClassNumberStore
+from .criteria import CriterionReport, evaluate_hypothesis
+from .redei import hypothesis_from_factored
 from .tunnell import TunnellTable
 
 CSV_COLUMNS = (
@@ -111,11 +112,12 @@ def _smallest_prime_factors(limit: int) -> list[int]:
     return spf
 
 
-def _shape_candidates(limit: int) -> Iterator[int]:
-    """Squarefree n <= limit with exactly one prime = 3 and the rest = 1 (mod 8)."""
+def _shape_candidates(limit: int) -> Iterator[FactoredSquarefree]:
+    """Squarefree n <= limit with exactly one prime = 3 and the rest = 1 (mod 8), factored."""
     spf = _smallest_prime_factors(limit)
     for n in range(3, limit + 1, 8):
         v = n
+        primes = []
         seen_q = 0
         ok = True
         while v > 1:
@@ -133,69 +135,16 @@ def _shape_candidates(limit: int) -> Iterator[int]:
             elif r != 1:
                 ok = False
                 break
+            primes.append(p)
         if ok and seen_q == 1 and n != spf[n]:
-            yield n
-
-
-class ClassNumberCache:
-    """Append-only file of "discriminant h" lines, tolerant of a torn tail."""
-
-    def __init__(self, path: Optional[str] = None):
-        self.path = path
-        self.known: set[int] = set()
-        self.hits = 0
-        if path is not None:
-            entries = self._load(path)
-            classgroup.seed_cache(entries)
-            self.known = set(entries)
-
-    @staticmethod
-    def _load(path: str) -> dict[int, int]:
-        entries: dict[int, int] = {}
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                good_bytes = 0
-                for line in fh:
-                    parts = line.split()
-                    if len(parts) != 2 or not line.endswith("\n"):
-                        break
-                    try:
-                        d, h = int(parts[0]), int(parts[1])
-                    except ValueError:
-                        break
-                    entries[d] = h
-                    good_bytes += len(line)
-        except FileNotFoundError:
-            return {}
-        try:
-            if os.path.getsize(path) != good_bytes:
-                with open(path, "r+", encoding="ascii") as fh:
-                    fh.truncate(good_bytes)
-        except OSError:
-            pass
-        return entries
-
-    def note(self, discriminant: int) -> None:
-        if discriminant in self.known:
-            self.hits += 1
-
-    def record_new(self, discriminant: int) -> None:
-        if discriminant in self.known:
-            return
-        h = classgroup.cached_discriminants().get(discriminant)
-        if h is None:
-            return
-        self.known.add(discriminant)
-        if self.path is not None:
-            with open(self.path, "a", encoding="ascii") as fh:
-                fh.write(f"{discriminant} {h}\n")
+            yield FactoredSquarefree(n, tuple(primes))
 
 
 def scan(
     limit: int,
     t_filter: Optional[int] = None,
     table: Optional[TunnellTable] = None,
-    cache: Optional[ClassNumberCache] = None,
+    store: Optional[ClassNumberStore] = None,
     on_error=None,
 ) -> Iterator[ScanRow]:
     """Yield a ScanRow for every hypothesis n <= limit, in increasing n.
@@ -207,33 +156,21 @@ def scan(
         raise ValueError(f"need limit >= 3, got {limit}")
     if table is None:
         table = TunnellTable(limit)
-    if cache is None:
-        cache = ClassNumberCache(None)
+    if store is None:
+        store = ClassNumberStore()
     if on_error is None:
         on_error = lambda n, exc: print(f"scan: n = {n} skipped: {exc}", file=sys.stderr)
     for n in _shape_candidates(limit):
-        try:
-            h = build_hypothesis(n)
-        except (NotSquarefree, WrongResidueShape):
-            continue
+        h = hypothesis_from_factored(n)
         if not h.holds():
             continue
         if t_filter is not None and h.t != t_filter:
             continue
-        discs = (
-            classgroup.fundamental_discriminant(n).D,
-            classgroup.fundamental_discriminant(h.n_q).D,
-        )
-        for d in discs:
-            cache.note(d)
         try:
-            report = evaluate(n, table=table)
+            report = evaluate_hypothesis(h, table=table, store=store)
         except (ValueError, ArithmeticError) as exc:
-            on_error(n, exc)
+            on_error(n.value, exc)
             continue
-        check_report_invariants(report)
-        for d in discs:
-            cache.record_new(d)
         yield row_from_report(report)
 
 

@@ -29,6 +29,16 @@ def _eps(sign: int) -> int:
     return 0 if sign == 1 else 1
 
 
+def legendre_matrix(primes: tuple[int, ...]) -> BitMatrix:
+    """eps((p_j / p_i)) at (i, j) off the diagonal; each diagonal entry is its row sum."""
+    rows = []
+    for i, p in enumerate(primes):
+        row = [0 if j == i else _eps(legendre(q, p)) for j, q in enumerate(primes)]
+        row[i] = sum(row) % 2
+        rows.append(row)
+    return BitMatrix.from_rows(rows)
+
+
 def monsky(m: FactoredSquarefree) -> MonskyDecomposition:
     """Build the block matrix [[C+D2, D2], [D2, C+D-2]] and the rank 2r - rank(M)."""
     if m.value % 2 == 0:
@@ -39,15 +49,7 @@ def monsky(m: FactoredSquarefree) -> MonskyDecomposition:
     r = len(primes)
     d2 = BitMatrix.diagonal(_eps(legendre(2, p)) for p in primes)
     dm2 = BitMatrix.diagonal(_eps(legendre(-2, p)) for p in primes)
-    c_rows = []
-    for i, p in enumerate(primes):
-        row = [0] * r
-        for j, q in enumerate(primes):
-            if j != i:
-                row[j] = _eps(legendre(q, p))
-        row[i] = sum(row) % 2
-        c_rows.append(row)
-    c = BitMatrix.from_rows(c_rows)
+    c = legendre_matrix(primes)
     m_matrix = block_compose([[c ^ d2, d2], [d2, c ^ dm2]])
     s = 2 * r - rank_f2(m_matrix)
     return MonskyDecomposition(m=m, C=c, D2=d2, Dm2=dm2, M=m_matrix, s=s)

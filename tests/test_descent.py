@@ -92,6 +92,23 @@ def test_witness_outside_kernel():
         find_witness(factor_squarefree(3), DivisorPair(3, 1), bound=10)
 
 
+def test_witness_rejects_non_divisor_pair():
+    with pytest.raises(PairNotInKernel):
+        find_witness(factor_squarefree(3), DivisorPair(2, 1), bound=10)
+
+
+def test_witness_kernel_check_matches_kernel_K():
+    for m in odd_squarefree(255):
+        kernel = kernel_K(m)
+        for a, b in product(divisors(m), repeat=2):
+            pair = DivisorPair(a, b)
+            if pair in kernel:
+                find_witness(m, pair, bound=1)
+            else:
+                with pytest.raises(PairNotInKernel):
+                    find_witness(m, pair, bound=1)
+
+
 def test_witness_bound_is_semi_decision():
     # a tiny bound returning None proves nothing and must not raise
     m5 = factor_squarefree(5)

@@ -65,6 +65,14 @@ def test_rejects_out_of_domain():
             rep_2e2_f2(factor_squarefree(bad))
 
 
+def test_rep_2e2_f2_rejects_a_bad_reduction(monkeypatch):
+    import congruent.norms as norms_mod
+
+    monkeypatch.setattr(norms_mod, "_reduce_disc8", lambda a, b, c: (1, 1))
+    with pytest.raises(ArithmeticError):
+        rep_2e2_f2(factor_squarefree(17))
+
+
 def test_reconstruction_parity_and_primitivity():
     for fp in eligible_p(20000):
         rep = represent(fp)

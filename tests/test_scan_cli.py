@@ -2,14 +2,17 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import congruent.arith
+from congruent.classgroup import ClassNumberStore
 from congruent.cli import main
-from congruent.scan import CSV_COLUMNS, ClassNumberCache, ScanRow, emit, read_rows, row_from_report, scan
-from congruent.criteria import evaluate
+from congruent.scan import CSV_COLUMNS, ScanRow, emit, read_rows, row_from_report, scan
+from congruent.criteria import evaluate, evaluate_hypothesis
 
 GOLDEN_ROW = ScanRow(
     n=52779,
@@ -113,23 +116,44 @@ def test_scan_deterministic(tmp_path):
 
 def test_cache_resumability(tmp_path):
     path = str(tmp_path / "classnum.cache")
-    first = ClassNumberCache(path)
-    rows = list(scan(20000, cache=first))
-    assert first.hits < 2 * len(rows)
-    assert len(first.known) > 0
-    second = ClassNumberCache(path)
-    rows2 = list(scan(20000, cache=second))
+    first = ClassNumberStore(path)
+    rows = list(scan(20000, store=first))
+    # a cold run serves nothing from the file; every lookup is fresh or a repeat
+    assert first.file_hits == 0
+    assert first.fresh > 0
+    assert first.fresh + first.memo_hits == 2 * len(rows)
+    lines = open(path).read().splitlines()
+    assert len(lines) == len({line.split()[0] for line in lines}) == first.fresh
+    second = ClassNumberStore(path)
+    rows2 = list(scan(20000, store=second))
     assert rows2 == rows
     # every discriminant of the second scan was served from the cache file
-    assert second.hits == 2 * len(rows2)
+    assert second.fresh == 0 and second.memo_hits == 0
+    assert second.file_hits == 2 * len(rows2)
+    assert open(path).read().splitlines() == lines
 
 
 def test_cache_truncates_corrupt_tail(tmp_path):
     path = tmp_path / "classnum.cache"
     path.write_text("-3 1\n-4 1\n-8 1 junk\n-7")
-    cache = ClassNumberCache(str(path))
-    assert cache.known == {-3, -4}
+    store = ClassNumberStore(str(path))
     assert path.read_text() == "-3 1\n-4 1\n"
+    assert (store.get(-3), store.get(-4)) == (1, 1)
+    assert store.file_hits == 2 and store.fresh == 0
+    # the dropped records are recomputed, not read from the torn tail
+    assert store.get(-8) == 1 and store.get(-7) == 1
+    assert store.fresh == 2
+    assert path.read_text() == "-3 1\n-4 1\n-8 1\n-7 1\n"
+
+
+def test_scan_factors_nothing_beyond_the_sieve(monkeypatch):
+    expected = list(scan(20000))
+
+    def no_factoring(v):
+        raise AssertionError(f"{v} factored again")
+
+    monkeypatch.setattr(congruent.arith, "_factor", no_factoring)
+    assert list(scan(20000)) == expected
 
 
 def test_cli_exit_codes(capsys):
@@ -182,44 +206,68 @@ def test_cli_scan_csv(tmp_path, capsys):
     assert "cache hits" in capsys.readouterr().err
 
 
+def test_cli_cold_scan_reports_no_cache_hits(tmp_path, capsys):
+    cache = tmp_path / "h.cache"
+    cache.write_text("")
+    out = str(tmp_path / "rows.csv")
+    args = ["scan", "--max", "60000", "--t", "2", "--out", out, "--cache", str(cache), "--verbose"]
+    assert main(args) == 0
+    err = capsys.readouterr().err
+    computed = len(cache.read_text().splitlines())
+    assert f"6 rows; class numbers: {computed} computed, 0 cache hits, {12 - computed} memo hits" in err
+    assert main(args) == 0
+    assert "6 rows; class numbers: 0 computed, 12 cache hits, 0 memo hits" in capsys.readouterr().err
+
+
 def test_scan_row_errors_do_not_abort(monkeypatch):
     import importlib
 
     scan_mod = importlib.import_module("congruent.scan")
-    real_evaluate = evaluate
+    real_evaluate = evaluate_hypothesis
 
-    def flaky(v, table=None):
-        if v == 42267:
+    def flaky(h, table=None, store=None):
+        if h.n.value == 42267:
             raise ArithmeticError("injected")
-        return real_evaluate(v, table=table)
+        return real_evaluate(h, table=table, store=store)
 
     seen = []
-    monkeypatch.setattr(scan_mod, "evaluate", flaky)
+    monkeypatch.setattr(scan_mod, "evaluate_hypothesis", flaky)
     rows = list(scan(60000, t_filter=2, on_error=lambda n, exc: seen.append(n)))
     assert seen == [42267]
     assert 52779 in {r.n for r in rows} and 42267 not in {r.n for r in rows}
 
 
-def test_cli_exit_code_3_on_invariant_violation(monkeypatch, capsys, tmp_path):
-    import importlib
-
-    scan_mod = importlib.import_module("congruent.scan")
+def _fail_invariants(monkeypatch):
+    import congruent.criteria as criteria_mod
     from congruent.criteria import InvariantViolation
 
     def always_fail(report):
         raise InvariantViolation("injected")
 
-    monkeypatch.setattr(scan_mod, "check_report_invariants", always_fail)
+    monkeypatch.setattr(criteria_mod, "check_report_invariants", always_fail)
+
+
+def test_cli_exit_code_3_on_invariant_violation(monkeypatch, capsys, tmp_path):
+    _fail_invariants(monkeypatch)
     rc = main(["scan", "--max", "60000", "--t", "2", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "INVARIANT VIOLATION" in capsys.readouterr().err
 
 
+def test_cli_check_exit_code_3_on_invariant_violation(monkeypatch, capsys):
+    _fail_invariants(monkeypatch)
+    assert main(["check", "-n", "52779"]) == 3
+    assert "INVARIANT VIOLATION" in capsys.readouterr().err
+
+
 def test_console_entry_point():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "congruent.cli", "tunnell", "-n", "5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert "congruent_under_bsd" in proc.stdout
