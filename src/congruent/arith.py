@@ -30,9 +30,6 @@ class FactoredSquarefree:
         if any(not is_prime(p) for p in self.primes):
             raise ValueError(f"non-prime entry in {self.primes}")
 
-    def residues_mod8(self) -> tuple[int, ...]:
-        return tuple(p % 8 for p in self.primes)
-
 
 # Witnesses giving a deterministic strong-pseudoprime test for n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -2,7 +2,7 @@
 
 Every subcommand maps onto one library operation so each object in the
 pipeline is independently inspectable.  Exit codes: 0 success, 1 usage error,
-2 computation error, 3 invariant violation detected by check or scan.
+2 computation error or skipped scan rows, 3 invariant violation detected.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .norms import parity_criterion, represent
 from .redei import build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank, redei_matrix
 from .scan import emit, scan
 from .selmer import monsky
-from .tunnell import theta_counts
+from .tunnell import Classification, theta_counts
 
 USAGE_ERROR = 1
 COMPUTATION_ERROR = 2
@@ -45,7 +45,7 @@ def _print_report(report: CriterionReport, as_json: bool) -> None:
     if report.hypothesis is not None:
         h = report.hypothesis
         p_product = "·".join(str(p) for p in h.p_list)
-        print(f"  q = {h.q}, p = {p_product}, t = {h.t}, n_q = {h.n_q}")
+        print(f"  q = {h.q}, p = {p_product}, t = {h.t}, n_q = {h.n_q.value}")
         print(f"  hypothesis: q residue mod all p_i: {h.qr_condition}, rank A = t-1: {h.rank_condition}")
     if report.s_n is not None:
         print(f"  s_n = {report.s_n}, r4 = {report.r4}, r8(-n) = {report.r8_n}, r8(-n_q) = {report.r8_nq}")
@@ -65,12 +65,21 @@ def _cmd_check(args) -> int:
 
 def _cmd_scan(args) -> int:
     store = ClassNumberStore(args.cache)
-    rows = list(scan(args.max, t_filter=args.t, store=store))
+    skipped = []
+
+    def on_error(n, exc):
+        print(f"scan: n = {n} skipped: {exc}", file=sys.stderr)
+        skipped.append(n)
+
+    rows = list(scan(args.max, t_filter=args.t, store=store, on_error=on_error))
     target = args.out if args.out is not None else sys.stdout
     emit(rows, args.format, target)
     if args.verbose:
         counts = f"{store.fresh} computed, {store.file_hits} cache hits, {store.memo_hits} memo hits"
         print(f"scan: {len(rows)} rows; class numbers: {counts}", file=sys.stderr)
+    if skipped:
+        print(f"scan: {len(skipped)} rows skipped", file=sys.stderr)
+        return COMPUTATION_ERROR
     return 0
 
 
@@ -141,9 +150,9 @@ def _cmd_descent(args) -> int:
 
 def _cmd_tunnell(args) -> int:
     counts = theta_counts(args.n)
-    label = "congruent_under_bsd" if counts.congruent_consistent() else "non_congruent_unconditional"
+    label = counts.label
     print(f"n = {args.n} ({counts.parity_form} branch): c32 = {counts.c32}, c8 = {counts.c8}")
-    print(f"2*c32 {'=' if 2 * counts.c32 == counts.c8 else '!='} c8 -> {label}")
+    print(f"2*c32 {'=' if label == Classification.CONGRUENT_UNDER_BSD else '!='} c8 -> {label.value}")
     return 0
 
 

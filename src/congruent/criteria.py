@@ -62,23 +62,12 @@ class CriterionReport:
             out["q"] = self.hypothesis.q
             out["p_list"] = list(self.hypothesis.p_list)
             out["t"] = self.hypothesis.t
-            out["n_q"] = self.hypothesis.n_q
+            out["n_q"] = self.hypothesis.n_q.value
         return out
 
 
-def _tunnell_label(n: int, table: Optional[TunnellTable]) -> Classification:
-    if table is not None and n <= table.limit:
-        return table.classify(n)
-    return classify(n)
-
-
-def evaluate(
-    v: int, table: Optional[TunnellTable] = None, store: Optional[ClassNumberStore] = None
-) -> CriterionReport:
-    """Full evidence bundle for one candidate n; every report passes the invariant checks.
-
-    A shared TunnellTable avoids re-enumerating theta counts during scans.
-    """
+def evaluate(v: int, store: Optional[ClassNumberStore] = None) -> CriterionReport:
+    """Full evidence bundle for one candidate n; every report passes the invariant checks."""
     if v < 3:
         raise ValueError(f"need v >= 3, got {v}")
     try:
@@ -90,10 +79,10 @@ def evaluate(
             n=v,
             verdict=Verdict.HYPOTHESIS_FAILED,
             reason=str(exc),
-            tunnell_label=_tunnell_label(v, table),
+            tunnell_label=classify(v),
         )
     else:
-        return evaluate_hypothesis(h, table, store)
+        return evaluate_hypothesis(h, store=store)
     check_report_invariants(report)
     return report
 
@@ -103,13 +92,14 @@ def evaluate_hypothesis(
 ) -> CriterionReport:
     """The report for an n already factored into h; it passes the invariant checks.
 
-    Nothing is factored again: both discriminants come from h.  The store, if
-    given, serves and keeps the class numbers.
+    Nothing is factored again: both discriminants come from h.  A scan's
+    TunnellTable, if given, supplies the theta counts; the store, if given,
+    serves and keeps the class numbers.
     """
     v = h.n.value
-    label = _tunnell_label(v, table)
+    label = table.counts(v).label if table is not None else classify(v)
     hn = class_number(fundamental_discriminant(h.n), store).h
-    hnq = class_number(fundamental_discriminant(h.n_q_factored), store).h
+    hnq = class_number(fundamental_discriminant(h.n_q), store).h
     modulus = h.modulus
     congruence = (hn - hnq) % modulus == 0
     holds = h.holds()

@@ -31,7 +31,7 @@ class HypothesisN:
     n: FactoredSquarefree
     q: int
     p_list: tuple[int, ...]
-    n_q: int
+    n_q: FactoredSquarefree
     t: int
     qr_condition: bool
     A: BitMatrix
@@ -39,10 +39,6 @@ class HypothesisN:
 
     def holds(self) -> bool:
         return self.qr_condition and self.rank_condition
-
-    @property
-    def n_q_factored(self) -> FactoredSquarefree:
-        return FactoredSquarefree(self.n_q, self.p_list)
 
     @property
     def modulus(self) -> int:
@@ -73,7 +69,7 @@ def hypothesis_from_factored(n: FactoredSquarefree) -> HypothesisN:
         n=n,
         q=q,
         p_list=p_list,
-        n_q=v // q,
+        n_q=FactoredSquarefree(v // q, p_list),
         t=t,
         qr_condition=all(legendre(q, p) == 1 for p in p_list),
         A=a,
@@ -104,12 +100,12 @@ def eight_rank_neg_n(h: HypothesisN) -> int:
     """1 iff the quartic symbol (q / n_q)_4 is +1.  Needs both conditions."""
     if not h.holds():
         raise HypothesisNotMet(f"{h.n.value}: qr={h.qr_condition}, rank={h.rank_condition}")
-    return 1 if quartic_symbol(h.q, h.n_q_factored) == 1 else 0
+    return 1 if quartic_symbol(h.q, h.n_q) == 1 else 0
 
 
 def eight_rank_neg_nq(h: HypothesisN) -> int:
     """1 iff (-1/e) = +1 for n_q = 2e^2 - f^2.  Needs the rank condition."""
     if not h.rank_condition:
         raise HypothesisNotMet(f"{h.n.value}: rank A != t - 1")
-    e, _ = rep_2e2_f2(h.n_q_factored)
+    e, _ = rep_2e2_f2(h.n_q)
     return 1 if jacobi(-1, e) == 1 else 0

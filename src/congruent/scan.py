@@ -20,7 +20,10 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Iterator, Optional, TextIO
+
+import numpy as np
 
 from .arith import FactoredSquarefree, legendre
 from .classgroup import ClassNumberStore
@@ -103,13 +106,15 @@ def row_from_report(report: CriterionReport) -> ScanRow:
 
 
 def _smallest_prime_factors(limit: int) -> list[int]:
-    spf = [0] * (limit + 1)
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            for j in range(i, limit + 1, i):
-                if spf[j] == 0:
-                    spf[j] = i
-    return spf
+    """spf[i] for i = 0..limit (0 at 0 and 1), as Python ints for the candidate walk."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    primes = np.flatnonzero(spf == 0)[2:]
+    spf[primes] = primes
+    return spf.tolist()
 
 
 def _shape_candidates(limit: int) -> Iterator[FactoredSquarefree]:
@@ -143,7 +148,6 @@ def _shape_candidates(limit: int) -> Iterator[FactoredSquarefree]:
 def scan(
     limit: int,
     t_filter: Optional[int] = None,
-    table: Optional[TunnellTable] = None,
     store: Optional[ClassNumberStore] = None,
     on_error=None,
 ) -> Iterator[ScanRow]:
@@ -154,8 +158,7 @@ def scan(
     """
     if limit < 3:
         raise ValueError(f"need limit >= 3, got {limit}")
-    if table is None:
-        table = TunnellTable(limit)
+    table = TunnellTable(limit)
     if store is None:
         store = ClassNumberStore()
     if on_error is None:

@@ -7,8 +7,10 @@ For odd squarefree n the two counts are over 2x^2 + y^2 + 32z^2 = n and
 converse direction holds only under BSD, and the labels say so.
 
 Two independent paths: theta_counts enumerates the lattice box per n;
-TunnellTable builds coefficient arrays for a whole range at once by convolving
-the three one-variable theta series (exact int64 throughout).
+TunnellTable keeps the binary counts r(m) = #{a x^2 + y^2 = m} for a whole
+range and writes each ternary count as the sum over z of w_z * r(n - c z^2),
+with w_z = 1 at z = 0 and 2 otherwise (exact int64 throughout).
+ThetaCounts.label is the one place the label rule is written.
 """
 
 from __future__ import annotations
@@ -34,8 +36,12 @@ class ThetaCounts:
     c8: int
     parity_form: str  # "odd" or "even"
 
-    def congruent_consistent(self) -> bool:
-        return 2 * self.c32 == self.c8
+    @property
+    def label(self) -> Classification:
+        """A congruent n forces 2*c32 = c8; an inequality certifies non-congruence."""
+        if 2 * self.c32 == self.c8:
+            return Classification.CONGRUENT_UNDER_BSD
+        return Classification.NON_CONGRUENT_UNCONDITIONAL
 
 
 def _count_form(a: int, c: int, target: int) -> int:
@@ -63,64 +69,56 @@ def theta_counts(n: int) -> ThetaCounts:
 
 
 def classify(n: int) -> Classification:
-    counts = theta_counts(n)
-    if counts.congruent_consistent():
-        return Classification.CONGRUENT_UNDER_BSD
-    return Classification.NON_CONGRUENT_UNCONDITIONAL
+    return theta_counts(n).label
 
 
 def _theta_weights(coeff: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices coeff*k^2 <= limit and their theta weights (1 at k=0, else 2)."""
     ks = np.arange(isqrt(limit // coeff) + 1, dtype=np.int64)
-    idx = coeff * ks * ks
     w = np.full(ks.size, 2, dtype=np.int64)
-    if w.size:
-        w[0] = 1
-    return idx, w
+    w[0] = 1
+    return coeff * ks * ks, w
 
 
-def _convolve_three(a_coeff: int, c_coeff: int, limit: int) -> np.ndarray:
-    """Coefficient array of #{a x^2 + y^2 + c z^2 = m} for m = 0..limit."""
-    out = np.zeros(limit + 1, dtype=np.int64)
-    x_idx, x_w = _theta_weights(a_coeff, limit)
+def _binary_counts(a_coeff: int, limit: int) -> np.ndarray:
+    """r(m) = #{(x, y) in Z^2 : a x^2 + y^2 = m} for m = 0..limit."""
+    r = np.zeros(limit + 1, dtype=np.int64)
     y_idx, y_w = _theta_weights(1, limit)
-    ab = np.zeros(limit + 1, dtype=np.int64)
-    for xi, xw in zip(x_idx, x_w):
-        room = limit - xi
-        cut = np.searchsorted(y_idx, room, side="right")
+    for xi, xw in zip(*_theta_weights(a_coeff, limit)):
+        cut = np.searchsorted(y_idx, limit - xi, side="right")
         # indices xi + y^2 are distinct within one x, so fancy += is safe
-        ab[xi + y_idx[:cut]] += xw * y_w[:cut]
-    z_idx, z_w = _theta_weights(c_coeff, limit)
-    for zi, zw in zip(z_idx, z_w):
-        out[zi:] += zw * ab[: limit + 1 - zi]
-    return out
+        r[xi + y_idx[:cut]] += xw * y_w[:cut]
+    return r
 
 
 class TunnellTable:
-    """Bulk representation counts for every n up to a limit.
+    """Representation counts for every n up to a limit.
 
-    Built once in O(limit^1.5 / limit) vectorized passes; queries are O(1).
+    Holds the binary counts r(m) = #{a x^2 + y^2 = m}: a = 2 up to the limit
+    for odd n, a = 4 up to half of it for even n, each built in one O(limit)
+    pass.  A query sums w_z * r(n' - c z^2) over z for c = 32 and 8, with n'
+    = n or n/2: O(sqrt(n)) per n.
     """
 
     def __init__(self, limit: int):
         if limit < 1:
             raise ValueError("limit must be positive")
         self.limit = limit
-        self._odd32 = _convolve_three(2, 32, limit)
-        self._odd8 = _convolve_three(2, 8, limit)
-        half = limit // 2
-        self._even32 = _convolve_three(4, 32, half)
-        self._even8 = _convolve_three(4, 8, half)
+        self._odd = _binary_counts(2, limit)
+        self._even = _binary_counts(4, limit // 2)
+        self._z = {c: _theta_weights(c, limit) for c in (32, 8)}
 
     def counts(self, n: int) -> ThetaCounts:
         if not 1 <= n <= self.limit:
             raise ValueError(f"n = {n} outside table range 1..{self.limit}")
         if n % 2 == 1:
-            return ThetaCounts(n=n, c32=int(self._odd32[n]), c8=int(self._odd8[n]), parity_form="odd")
-        half = n // 2
-        return ThetaCounts(n=n, c32=int(self._even32[half]), c8=int(self._even8[half]), parity_form="even")
+            r, m, parity_form = self._odd, n, "odd"
+        else:
+            r, m, parity_form = self._even, n // 2, "even"
+        return ThetaCounts(n=n, c32=self._sum_over_z(r, m, 32), c8=self._sum_over_z(r, m, 8), parity_form=parity_form)
 
-    def classify(self, n: int) -> Classification:
-        if self.counts(n).congruent_consistent():
-            return Classification.CONGRUENT_UNDER_BSD
-        return Classification.NON_CONGRUENT_UNCONDITIONAL
+    def _sum_over_z(self, r: np.ndarray, m: int, c_coeff: int) -> int:
+        """#{a x^2 + y^2 + c z^2 = m} as the sum over z of w_z * r(m - c z^2)."""
+        z_idx, z_w = self._z[c_coeff]
+        k = isqrt(m // c_coeff) + 1
+        return int(np.dot(z_w[:k], r[m - z_idx[:k]]))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from congruent.arith import NotSquarefree, factor_squarefree, quartic_symbol
+from congruent.arith import FactoredSquarefree, NotSquarefree, factor_squarefree, quartic_symbol
 from congruent.classgroup import class_number, fundamental_discriminant
 from congruent.gf2 import rank_f2
 from congruent.redei import (
@@ -21,7 +21,7 @@ def test_build_hypothesis_52779():
     assert h.q == 3
     assert h.p_list == (73, 241)
     assert h.t == 2
-    assert h.n_q == 17593
+    assert h.n_q == FactoredSquarefree(17593, (73, 241))
     assert h.qr_condition and h.rank_condition
     assert h.modulus == 16
     assert h.A.to_rows() == [[1, 1], [1, 1]]
@@ -103,6 +103,6 @@ def test_residue_class_invariants():
     for n in (219, 4539, 51, 52779, 42267):
         h = build_hypothesis(n)
         assert h.n.value % 8 == 3
-        assert h.n_q % 8 == 1
+        assert h.n_q.value % 8 == 1
         assert h.q % 8 == 3
         assert all(p % 8 == 1 for p in h.p_list)

@@ -1,5 +1,6 @@
 """Tests for the scanner, the CSV/JSON round-trip, caching, and the CLI."""
 
+import importlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 import congruent.arith
 from congruent.classgroup import ClassNumberStore
 from congruent.cli import main
-from congruent.scan import CSV_COLUMNS, ScanRow, emit, read_rows, row_from_report, scan
+from congruent.scan import CSV_COLUMNS, ScanRow, _smallest_prime_factors, emit, read_rows, row_from_report, scan
 from congruent.criteria import evaluate, evaluate_hypothesis
 
 GOLDEN_ROW = ScanRow(
@@ -146,6 +147,21 @@ def test_cache_truncates_corrupt_tail(tmp_path):
     assert path.read_text() == "-3 1\n-4 1\n-8 1\n-7 1\n"
 
 
+def reference_smallest_prime_factors(limit):
+    spf = [0] * (limit + 1)
+    for i in range(2, limit + 1):
+        if spf[i] == 0:
+            for j in range(i, limit + 1, i):
+                if spf[j] == 0:
+                    spf[j] = i
+    return spf
+
+
+@pytest.mark.parametrize("limit", [3, 4, 100, 9973, 200000])
+def test_smallest_prime_factors_match_reference(limit):
+    assert _smallest_prime_factors(limit) == reference_smallest_prime_factors(limit)
+
+
 def test_scan_factors_nothing_beyond_the_sieve(monkeypatch):
     expected = list(scan(20000))
 
@@ -219,9 +235,7 @@ def test_cli_cold_scan_reports_no_cache_hits(tmp_path, capsys):
     assert "6 rows; class numbers: 0 computed, 12 cache hits, 0 memo hits" in capsys.readouterr().err
 
 
-def test_scan_row_errors_do_not_abort(monkeypatch):
-    import importlib
-
+def _fail_42267(monkeypatch):
     scan_mod = importlib.import_module("congruent.scan")
     real_evaluate = evaluate_hypothesis
 
@@ -230,11 +244,26 @@ def test_scan_row_errors_do_not_abort(monkeypatch):
             raise ArithmeticError("injected")
         return real_evaluate(h, table=table, store=store)
 
-    seen = []
     monkeypatch.setattr(scan_mod, "evaluate_hypothesis", flaky)
+
+
+def test_scan_row_errors_do_not_abort(monkeypatch):
+    _fail_42267(monkeypatch)
+    seen = []
     rows = list(scan(60000, t_filter=2, on_error=lambda n, exc: seen.append(n)))
     assert seen == [42267]
     assert 52779 in {r.n for r in rows} and 42267 not in {r.n for r in rows}
+
+
+def test_cli_scan_exit_code_2_on_skipped_rows(monkeypatch, capsys, tmp_path):
+    _fail_42267(monkeypatch)
+    out = str(tmp_path / "rows.csv")
+    assert main(["scan", "--max", "60000", "--t", "2", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "n = 42267 skipped: injected" in err
+    assert "scan: 1 rows skipped" in err
+    # every good row is still written
+    assert [r.n for r in read_rows(out, "csv")] == [23579, 29971, 41123, 52779, 57851]
 
 
 def _fail_invariants(monkeypatch):
