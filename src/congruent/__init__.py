@@ -9,7 +9,7 @@ an independent classification.
 """
 
 from .arith import FactoredSquarefree, NotSquarefree, factor_squarefree, hilbert, jacobi, legendre, quartic_symbol
-from .classgroup import ClassNumberResult, ClassNumberStore, Discriminant, class_number, fundamental_discriminant, genus_two_rank
+from .classgroup import ClassNumberStore, class_number, fundamental_discriminant, genus_two_rank
 from .criteria import CriterionReport, InvariantViolation, Verdict, evaluate, evaluate_prime_pair
 from .descent import DivisorPair, PairNotInKernel, TorsorWitness, find_witness, kernel_K, phi_p
 from .gf2 import BitMatrix, block_compose, rank_f2

@@ -12,31 +12,20 @@ class_number, which keeps every h it has seen and can persist them to a file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import isqrt
 from typing import Optional, Union
 
 import numpy as np
 
-from .arith import FactoredSquarefree, NotSquarefree, factor_squarefree
+from .arith import FactoredSquarefree, factor_squarefree
 
 
-@dataclass(frozen=True)
-class Discriminant:
-    """Fundamental discriminant of Q(sqrt(-m)) for squarefree m."""
-
-    m: int
-    D: int
+# |D| above this is refused before anything is allocated: the reduced-form
+# sweep holds O(|D|) int64 entries, about 246 MiB of peak RSS at |D| = 10^8.
+MAX_ABS_DISCRIMINANT = 10**8
 
 
-@dataclass(frozen=True)
-class ClassNumberResult:
-    D: Discriminant
-    h: int
-    v2: int
-
-
-def fundamental_discriminant(m: Union[int, FactoredSquarefree]) -> Discriminant:
+def fundamental_discriminant(m: Union[int, FactoredSquarefree]) -> int:
     """D = -m when -m = 1 (mod 4), else -4m.  An int m is factored: NotSquarefree if it is not."""
     if isinstance(m, FactoredSquarefree):
         m = m.value
@@ -44,9 +33,7 @@ def fundamental_discriminant(m: Union[int, FactoredSquarefree]) -> Discriminant:
         raise ValueError(f"expected positive m, got {m}")
     else:
         factor_squarefree(m)
-    if (-m) % 4 == 1:
-        return Discriminant(m=m, D=-m)
-    return Discriminant(m=m, D=-4 * m)
+    return -m if (-m) % 4 == 1 else -4 * m
 
 
 def _count_reduced_forms(D: int) -> int:
@@ -80,29 +67,35 @@ def _count_reduced_forms(D: int) -> int:
 
 
 def _load(path: str) -> dict[int, int]:
-    """The entries of a cache file; a torn or corrupt tail is truncated away."""
-    entries: dict[int, int] = {}
+    """The entries of a cache file; a torn or corrupt tail is truncated away.
+
+    The file is read as bytes, so no byte fails to decode and offsets are file
+    offsets.  Only bytes this read saw are truncated: lines another process
+    appended after it are kept.
+    """
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            good_bytes = 0
-            for line in fh:
-                parts = line.split()
-                if len(parts) != 2 or not line.endswith("\n"):
-                    break
-                try:
-                    d, h = int(parts[0]), int(parts[1])
-                except ValueError:
-                    break
-                entries[d] = h
-                good_bytes += len(line)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         return {}
-    try:
-        if os.path.getsize(path) != good_bytes:
-            with open(path, "r+", encoding="ascii") as fh:
-                fh.truncate(good_bytes)
-    except OSError:
-        pass
+    entries: dict[int, int] = {}
+    good_bytes = 0
+    for line in data.splitlines(keepends=True):
+        parts = line.split()
+        if len(parts) != 2 or not line.endswith(b"\n"):
+            break
+        try:
+            entries[int(parts[0])] = int(parts[1])
+        except ValueError:
+            break
+        good_bytes += len(line)
+    if good_bytes < len(data):
+        try:
+            with open(path, "r+b") as fh:
+                if os.fstat(fh.fileno()).st_size == len(data):
+                    fh.truncate(good_bytes)
+        except OSError:
+            pass
     return entries
 
 
@@ -140,34 +133,21 @@ class ClassNumberStore:
         return h
 
 
-def class_number(d: Discriminant, store: Optional[ClassNumberStore] = None) -> ClassNumberResult:
-    """Exact h and its 2-adic valuation for a fundamental discriminant D < 0.
+def class_number(D: int, store: Optional[ClassNumberStore] = None) -> int:
+    """Exact h(D) for a fundamental discriminant D < 0 with |D| <= MAX_ABS_DISCRIMINANT.
 
     Without a store h is counted afresh; with one it is looked up or counted
     and kept there.
     """
-    D = d.D
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"not a negative discriminant: {D}")
-    h = _count_reduced_forms(D) if store is None else store.get(D)
-    v2 = (h & -h).bit_length() - 1
-    return ClassNumberResult(D=d, h=h, v2=v2)
+    if -D > MAX_ABS_DISCRIMINANT:
+        raise ValueError(f"|D| = {-D} exceeds the supported bound {MAX_ABS_DISCRIMINANT}")
+    return _count_reduced_forms(D) if store is None else store.get(D)
 
 
-def genus_two_rank(d: Discriminant) -> int:
+def genus_two_rank(D: int) -> int:
     """Gauss genus theory: r_2 = (number of distinct primes dividing D) - 1."""
-    primes = set(factor_squarefree(d.m).primes)
-    if d.D == -4 * d.m:
-        primes.add(2)
-    return len(primes) - 1
-
-
-__all__ = [
-    "Discriminant",
-    "ClassNumberResult",
-    "ClassNumberStore",
-    "NotSquarefree",
-    "fundamental_discriminant",
-    "class_number",
-    "genus_two_rank",
-]
+    if D % 4:
+        return len(factor_squarefree(-D).primes) - 1
+    return len(set(factor_squarefree(-D // 4).primes) | {2}) - 1

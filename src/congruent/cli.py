@@ -84,9 +84,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_classnum(args) -> int:
-    d = fundamental_discriminant(args.m)
-    result = class_number(d)
-    print(f"m = {args.m}: D = {d.D}, h = {result.h}, v2 = {result.v2}, r2 = {genus_two_rank(d)}")
+    D = fundamental_discriminant(args.m)
+    h = class_number(D)
+    v2 = (h & -h).bit_length() - 1
+    print(f"m = {args.m}: D = {D}, h = {h}, v2 = {v2}, r2 = {genus_two_rank(D)}")
     return 0
 
 
@@ -151,7 +152,7 @@ def _cmd_descent(args) -> int:
 def _cmd_tunnell(args) -> int:
     counts = theta_counts(args.n)
     label = counts.label
-    print(f"n = {args.n} ({counts.parity_form} branch): c32 = {counts.c32}, c8 = {counts.c8}")
+    print(f"n = {args.n} ({'odd' if args.n % 2 else 'even'} branch): c32 = {counts.c32}, c8 = {counts.c8}")
     print(f"2*c32 {'=' if label == Classification.CONGRUENT_UNDER_BSD else '!='} c8 -> {label.value}")
     return 0
 

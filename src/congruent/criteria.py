@@ -98,8 +98,8 @@ def evaluate_hypothesis(
     """
     v = h.n.value
     label = table.counts(v).label if table is not None else classify(v)
-    hn = class_number(fundamental_discriminant(h.n), store).h
-    hnq = class_number(fundamental_discriminant(h.n_q), store).h
+    hn = class_number(fundamental_discriminant(h.n), store)
+    hnq = class_number(fundamental_discriminant(h.n_q), store)
     modulus = h.modulus
     congruence = (hn - hnq) % modulus == 0
     holds = h.holds()

@@ -34,7 +34,6 @@ class TorsorWitness:
     y: int
     z: int
     w: int
-    normalized: bool
 
 
 def star(a: int, b: int) -> int:
@@ -116,7 +115,7 @@ def find_witness(m: FactoredSquarefree, pair: DivisorPair, bound: int = 10000) -
             w = isqrt(w2)
             if w * w != w2:
                 continue
-            witness = TorsorWitness(pair=pair, x=x, y=y, z=z, w=w, normalized=True)
+            witness = TorsorWitness(pair=pair, x=x, y=y, z=z, w=w)
             _verify_witness(witness, mv)
             return witness
     return None

@@ -63,10 +63,6 @@ class ScanRow:
         return "*".join(str(p) for p in self.p_list)
 
     @property
-    def p_product_pretty(self) -> str:
-        return "·".join(str(p) for p in self.p_list)
-
-    @property
     def triple_str(self) -> str:
         return "(" + ",".join(str(s) for s in self.legendre_triple) + ")"
 
@@ -177,8 +173,11 @@ def scan(
         yield row_from_report(report)
 
 
-def _bool_str(b: bool) -> str:
-    return "true" if b else "false"
+def _csv_cell(value):
+    """Booleans as the lowercase words JSON uses; every other value as is."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
 
 
 def emit(rows: Iterable[ScanRow], fmt: str, target) -> None:
@@ -204,20 +203,7 @@ def _emit_to(rows: Iterable[ScanRow], fmt: str, fh: TextIO) -> None:
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             d = row.to_dict()
-            writer.writerow(
-                [
-                    d["n"],
-                    d["q"],
-                    d["p_product"],
-                    d["legendre_triple"],
-                    d["h_n"],
-                    d["h_nq"],
-                    d["modulus"],
-                    _bool_str(d["congruence_holds"]),
-                    d["tunnell_label"],
-                    d["verdict"],
-                ]
-            )
+            writer.writerow([_csv_cell(d[c]) for c in CSV_COLUMNS])
     else:
         json.dump([row.to_dict() for row in rows], fh, indent=2)
         fh.write("\n")

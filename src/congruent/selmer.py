@@ -18,8 +18,6 @@ from .gf2 import BitMatrix, block_compose, rank_f2
 class MonskyDecomposition:
     m: FactoredSquarefree
     C: BitMatrix
-    D2: BitMatrix
-    Dm2: BitMatrix
     M: BitMatrix
     s: int
 
@@ -52,7 +50,7 @@ def monsky(m: FactoredSquarefree) -> MonskyDecomposition:
     c = legendre_matrix(primes)
     m_matrix = block_compose([[c ^ d2, d2], [d2, c ^ dm2]])
     s = 2 * r - rank_f2(m_matrix)
-    return MonskyDecomposition(m=m, C=c, D2=d2, Dm2=dm2, M=m_matrix, s=s)
+    return MonskyDecomposition(m=m, C=c, M=m_matrix, s=s)
 
 
 def selmer_rank(m: FactoredSquarefree) -> int:

@@ -7,9 +7,9 @@ For odd squarefree n the two counts are over 2x^2 + y^2 + 32z^2 = n and
 converse direction holds only under BSD, and the labels say so.
 
 Two independent paths: theta_counts enumerates the lattice box per n;
-TunnellTable keeps the binary counts r(m) = #{a x^2 + y^2 = m} for a whole
-range and writes each ternary count as the sum over z of w_z * r(n - c z^2),
-with w_z = 1 at z = 0 and 2 otherwise (exact int64 throughout).
+TunnellTable keeps r(m) = #{2x^2 + y^2 = m} for a whole range and writes each
+ternary count for odd n as the sum over z of w_z * r(n - c z^2), with w_z = 1
+at z = 0 and 2 otherwise (exact int64 throughout).
 ThetaCounts.label is the one place the label rule is written.
 """
 
@@ -34,7 +34,6 @@ class ThetaCounts:
     n: int
     c32: int
     c8: int
-    parity_form: str  # "odd" or "even"
 
     @property
     def label(self) -> Classification:
@@ -63,9 +62,9 @@ def theta_counts(n: int) -> ThetaCounts:
     """Exhaustive representation counts for one squarefree n >= 1."""
     factor_squarefree(n)  # raises NotSquarefree otherwise
     if n % 2 == 1:
-        return ThetaCounts(n=n, c32=_count_form(2, 32, n), c8=_count_form(2, 8, n), parity_form="odd")
+        return ThetaCounts(n=n, c32=_count_form(2, 32, n), c8=_count_form(2, 8, n))
     half = n // 2
-    return ThetaCounts(n=n, c32=_count_form(4, 32, half), c8=_count_form(4, 8, half), parity_form="even")
+    return ThetaCounts(n=n, c32=_count_form(4, 32, half), c8=_count_form(4, 8, half))
 
 
 def classify(n: int) -> Classification:
@@ -80,11 +79,11 @@ def _theta_weights(coeff: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
     return coeff * ks * ks, w
 
 
-def _binary_counts(a_coeff: int, limit: int) -> np.ndarray:
-    """r(m) = #{(x, y) in Z^2 : a x^2 + y^2 = m} for m = 0..limit."""
+def _binary_counts(limit: int) -> np.ndarray:
+    """r(m) = #{(x, y) in Z^2 : 2x^2 + y^2 = m} for m = 0..limit."""
     r = np.zeros(limit + 1, dtype=np.int64)
     y_idx, y_w = _theta_weights(1, limit)
-    for xi, xw in zip(*_theta_weights(a_coeff, limit)):
+    for xi, xw in zip(*_theta_weights(2, limit)):
         cut = np.searchsorted(y_idx, limit - xi, side="right")
         # indices xi + y^2 are distinct within one x, so fancy += is safe
         r[xi + y_idx[:cut]] += xw * y_w[:cut]
@@ -92,33 +91,27 @@ def _binary_counts(a_coeff: int, limit: int) -> np.ndarray:
 
 
 class TunnellTable:
-    """Representation counts for every n up to a limit.
+    """Representation counts for every odd n up to a limit.
 
-    Holds the binary counts r(m) = #{a x^2 + y^2 = m}: a = 2 up to the limit
-    for odd n, a = 4 up to half of it for even n, each built in one O(limit)
-    pass.  A query sums w_z * r(n' - c z^2) over z for c = 32 and 8, with n'
-    = n or n/2: O(sqrt(n)) per n.
+    Holds the binary counts r(m) = #{2x^2 + y^2 = m} up to the limit, built
+    in one O(limit) pass.  A query sums w_z * r(n - c z^2) over z for c = 32
+    and 8: O(sqrt(n)) per n.
     """
 
     def __init__(self, limit: int):
         if limit < 1:
             raise ValueError("limit must be positive")
         self.limit = limit
-        self._odd = _binary_counts(2, limit)
-        self._even = _binary_counts(4, limit // 2)
+        self._r = _binary_counts(limit)
         self._z = {c: _theta_weights(c, limit) for c in (32, 8)}
 
     def counts(self, n: int) -> ThetaCounts:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n = {n} outside table range 1..{self.limit}")
-        if n % 2 == 1:
-            r, m, parity_form = self._odd, n, "odd"
-        else:
-            r, m, parity_form = self._even, n // 2, "even"
-        return ThetaCounts(n=n, c32=self._sum_over_z(r, m, 32), c8=self._sum_over_z(r, m, 8), parity_form=parity_form)
+        if not 1 <= n <= self.limit or n % 2 == 0:
+            raise ValueError(f"n = {n} is not an odd n in the table range 1..{self.limit}")
+        return ThetaCounts(n=n, c32=self._sum_over_z(n, 32), c8=self._sum_over_z(n, 8))
 
-    def _sum_over_z(self, r: np.ndarray, m: int, c_coeff: int) -> int:
-        """#{a x^2 + y^2 + c z^2 = m} as the sum over z of w_z * r(m - c z^2)."""
+    def _sum_over_z(self, n: int, c_coeff: int) -> int:
+        """#{2x^2 + y^2 + c z^2 = n} as the sum over z of w_z * r(n - c z^2)."""
         z_idx, z_w = self._z[c_coeff]
-        k = isqrt(m // c_coeff) + 1
-        return int(np.dot(z_w[:k], r[m - z_idx[:k]]))
+        k = isqrt(n // c_coeff) + 1
+        return int(np.dot(z_w[:k], self._r[n - z_idx[:k]]))

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from congruent.arith import factor_squarefree, jacobi
-from congruent.classgroup import Discriminant, class_number
+from congruent.classgroup import class_number
 from congruent.descent import DivisorPair, kernel_K
 from congruent.redei import build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank, redei_matrix
 from congruent.scan import scan
@@ -177,9 +177,9 @@ def test_criterion_10_soundness_sweep(full_scan):
 
 
 def test_criterion_11_class_number_oracle():
-    assert class_number(Discriminant(m=0, D=-4)).h == 1
-    assert class_number(Discriminant(m=0, D=-20)).h == 2
+    assert class_number(-4) == 1
+    assert class_number(-20) == 2
     discs = fundamental_discs(10_000)
     for D in discs:
-        assert class_number(Discriminant(m=0, D=D)).h == brute_force_h(D), D
+        assert class_number(D) == brute_force_h(D), D
     print(f"PASS criterion 11: both reduced-form counters agree on {len(discs)} fundamental D")

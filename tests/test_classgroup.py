@@ -4,8 +4,10 @@ from math import gcd, isqrt
 
 import pytest
 
-from congruent.arith import NotSquarefree
-from congruent.classgroup import Discriminant, class_number, fundamental_discriminant, genus_two_rank
+import congruent.classgroup
+from congruent.arith import NotSquarefree, factor_squarefree
+from congruent.classgroup import MAX_ABS_DISCRIMINANT, ClassNumberStore, class_number, fundamental_discriminant, genus_two_rank
+from congruent.cli import main
 
 
 def brute_force_h(D):
@@ -47,42 +49,56 @@ def fundamental_discs(limit):
 
 
 def test_fundamental_discriminant_values():
-    assert fundamental_discriminant(17593).D == -70372
-    assert fundamental_discriminant(52779).D == -52779
-    assert fundamental_discriminant(1).D == -4
-    assert fundamental_discriminant(3).D == -3
+    assert fundamental_discriminant(17593) == -70372
+    assert fundamental_discriminant(52779) == -52779
+    assert fundamental_discriminant(1) == -4
+    assert fundamental_discriminant(3) == -3
+    assert fundamental_discriminant(factor_squarefree(17593)) == -70372
     with pytest.raises(NotSquarefree):
         fundamental_discriminant(12)
 
 
 def test_class_number_spot_values():
     for D, h in ((-4, 1), (-8, 1), (-3, 1), (-20, 2), (-24, 2), (-23, 3), (-47, 5), (-71, 7)):
-        assert class_number(Discriminant(m=0, D=D)).h == h
+        assert class_number(D) == h
 
 
 def test_class_number_table_values():
-    assert class_number(fundamental_discriminant(52779)).h == 80
-    assert class_number(fundamental_discriminant(17593)).h == 48
+    assert class_number(fundamental_discriminant(52779)) == 80
+    assert class_number(fundamental_discriminant(17593)) == 48
 
 
-def test_v2_field():
-    r = class_number(fundamental_discriminant(52779))
-    assert r.h == 80 and r.v2 == 4
-    r = class_number(Discriminant(m=0, D=-3))
-    assert r.h == 1 and r.v2 == 0
+def test_v2_field(capsys):
+    # v2(h) is computed where `classnum` prints it
+    assert main(["classnum", "-m", "52779"]) == 0
+    assert "D = -52779, h = 80, v2 = 4," in capsys.readouterr().out
+    assert main(["classnum", "-m", "3"]) == 0
+    assert "D = -3, h = 1, v2 = 0," in capsys.readouterr().out
 
 
 def test_class_number_rejects_bad_disc():
     with pytest.raises(ValueError):
-        class_number(Discriminant(m=0, D=-6))  # -6 = 2 (mod 4)
+        class_number(-6)  # -6 = 2 (mod 4)
     with pytest.raises(ValueError):
-        class_number(Discriminant(m=0, D=5))
+        class_number(5)
+
+
+def test_class_number_refuses_discriminants_beyond_the_bound(monkeypatch):
+    def no_counting(D):
+        raise AssertionError(f"h({D}) counted")
+
+    # the bound is checked before the count allocates anything, store or not
+    monkeypatch.setattr(congruent.classgroup, "_count_reduced_forms", no_counting)
+    D = -(MAX_ABS_DISCRIMINANT + 3)  # = 1 (mod 4)
+    for store in (None, ClassNumberStore()):
+        with pytest.raises(ValueError, match=f"bound {MAX_ABS_DISCRIMINANT}"):
+            class_number(D, store)
 
 
 def test_oracle_equivalence_small():
     # the acceptance suite pushes this to |D| <= 10^4
     for D in fundamental_discs(2000):
-        assert class_number(Discriminant(m=0, D=D)).h == brute_force_h(D), D
+        assert class_number(D) == brute_force_h(D), D
 
 
 def test_genus_two_rank():
@@ -93,6 +109,6 @@ def test_genus_two_rank():
 
 def test_genus_bound_divides_h():
     for m in (3, 5, 15, 21, 35, 105, 219, 697, 17593, 52779):
-        d = fundamental_discriminant(m)
-        h = class_number(d).h
-        assert h % (1 << genus_two_rank(d)) == 0, m
+        D = fundamental_discriminant(m)
+        h = class_number(D)
+        assert h % (1 << genus_two_rank(D)) == 0, m

@@ -2,7 +2,7 @@
 
 import pytest
 
-from congruent.classgroup import Discriminant, class_number
+from congruent.classgroup import class_number
 from congruent.criteria import (
     InvariantViolation,
     Verdict,
@@ -70,8 +70,8 @@ def test_report_to_dict():
 def test_evaluate_prime_pair_73_3():
     r = evaluate_prime_pair(73, 3)
     assert r.n == 219 and r.modulus == 8
-    assert r.h_n == class_number(Discriminant(m=0, D=-219)).h
-    assert r.h_nq == class_number(Discriminant(m=0, D=-4 * 73)).h
+    assert r.h_n == class_number(-219)
+    assert r.h_nq == class_number(-4 * 73)
     # verdict must not contradict the independent label
     if r.verdict == Verdict.NON_CONGRUENT_CERTIFICATE:
         assert r.tunnell_label == Classification.NON_CONGRUENT_UNCONDITIONAL

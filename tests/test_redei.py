@@ -74,7 +74,7 @@ def test_eight_rank_neg_n():
     expected = 1 if quartic_symbol(3, factor_squarefree(73)) == 1 else 0
     assert eight_rank_neg_n(h) == expected
     # cross-check against the 2-part of the class number
-    assert (eight_rank_neg_n(h) == 1) == (class_number(fundamental_discriminant(219)).h % 8 == 0)
+    assert (eight_rank_neg_n(h) == 1) == (class_number(fundamental_discriminant(219)) % 8 == 0)
 
 
 def test_eight_rank_neg_nq():

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import congruent.arith
+import congruent.classgroup
 from congruent.classgroup import ClassNumberStore
 from congruent.cli import main
 from congruent.scan import CSV_COLUMNS, ScanRow, _smallest_prime_factors, emit, read_rows, row_from_report, scan
@@ -32,7 +33,6 @@ GOLDEN_ROW = ScanRow(
 def test_row_from_report():
     assert row_from_report(evaluate(52779)) == GOLDEN_ROW
     assert GOLDEN_ROW.p_product == "73*241"
-    assert GOLDEN_ROW.p_product_pretty == "73·241"
     assert GOLDEN_ROW.triple_str == "(1,1,-1)"
 
 
@@ -147,6 +147,57 @@ def test_cache_truncates_corrupt_tail(tmp_path):
     assert path.read_text() == "-3 1\n-4 1\n-8 1\n-7 1\n"
 
 
+def test_cache_truncates_a_non_ascii_tail(tmp_path):
+    path = tmp_path / "classnum.cache"
+    path.write_bytes(b"-3 1\n-4 1\n-8 \xff\xfe\n-7 1\n")
+    store = ClassNumberStore(str(path))
+    assert path.read_bytes() == b"-3 1\n-4 1\n"
+    assert (store.get(-3), store.get(-4)) == (1, 1)
+    assert store.file_hits == 2 and store.fresh == 0
+
+
+def test_cache_keeps_crlf_lines(tmp_path):
+    path = tmp_path / "classnum.cache"
+    path.write_bytes(b"-3 1\r\n-4 1\r\n-7 1\r\n")
+    store = ClassNumberStore(str(path))
+    assert path.read_bytes() == b"-3 1\r\n-4 1\r\n-7 1\r\n"
+    assert (store.get(-3), store.get(-4), store.get(-7)) == (1, 1, 1)
+    assert store.file_hits == 3 and store.fresh == 0
+
+
+@pytest.mark.parametrize("before, appended", [(b"-3 1\n-4 1\n", b"-7 1\n"), (b"-3 1\n-4 1\n-7", b" 1\n")])
+def test_cache_keeps_bytes_appended_after_its_read(tmp_path, monkeypatch, before, appended):
+    # another scan appends after this load has read the file: a whole line, or
+    # the rest of the line it was writing; no byte the load did not read is cut
+    path = tmp_path / "classnum.cache"
+    path.write_bytes(before)
+    real_open = open
+    done = []
+
+    class AppendAfterRead:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self.fh.__enter__()
+
+        def __exit__(self, *exc):
+            self.fh.__exit__(*exc)
+            with real_open(path, "ab") as other:
+                other.write(appended)
+            done.append(True)
+
+    def open_then_append(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return fh if done else AppendAfterRead(fh)
+
+    monkeypatch.setattr(congruent.classgroup, "open", open_then_append, raising=False)
+    store = ClassNumberStore(str(path))
+    assert done
+    assert path.read_bytes() == b"-3 1\n-4 1\n-7 1\n"
+    assert (store.get(-3), store.get(-4)) == (1, 1) and store.file_hits == 2
+
+
 def reference_smallest_prime_factors(limit):
     spf = [0] * (limit + 1)
     for i in range(2, limit + 1):
@@ -179,6 +230,8 @@ def test_cli_exit_codes(capsys):
     assert main(["classnum", "-m", "12"]) == 2  # not squarefree
     assert main(["scan", "--max", "2"]) == 2
     capsys.readouterr()
+    assert main(["classnum", "-m", "1000000007"]) == 2  # |D| beyond the supported bound
+    assert "exceeds the supported bound 100000000" in capsys.readouterr().err
 
 
 def test_cli_check_json(capsys):
@@ -211,7 +264,21 @@ def test_cli_subcommands_smoke(capsys):
     assert main(["descent", "-m", "5", "--pair", "5,5", "--bound", "100"]) == 0
     assert "(1,2,3,1)" in capsys.readouterr().out
     assert main(["tunnell", "-n", "41"]) == 0
-    assert "congruent_under_bsd" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "(odd branch)" in out and "congruent_under_bsd" in out
+    assert main(["tunnell", "-n", "6"]) == 0
+    assert "n = 6 (even branch): c32 = 0, c8 = 0" in capsys.readouterr().out
+
+
+def test_readme_examples_match_cli(capsys):
+    readme = open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")).read()
+    check_block = readme.split("`congruent check -n 52779` prints:\n\n```\n", 1)[1].split("```", 1)[0]
+    assert main(["check", "-n", "52779"]) == 0
+    assert capsys.readouterr().out == check_block
+    classnum_line = "m = 52779: D = -52779, h = 80, v2 = 4, r2 = 2"
+    assert f"`congruent classnum -m 52779` prints `{classnum_line}`" in readme
+    assert main(["classnum", "-m", "52779"]) == 0
+    assert capsys.readouterr().out == classnum_line + "\n"
 
 
 def test_cli_scan_csv(tmp_path, capsys):

@@ -41,8 +41,8 @@ def squarefree_up_to(limit):
 
 
 def test_counts_examples():
-    assert theta_counts(1) == ThetaCounts(n=1, c32=2, c8=2, parity_form="odd")
-    assert theta_counts(2) == ThetaCounts(n=2, c32=2, c8=2, parity_form="even")
+    assert theta_counts(1) == ThetaCounts(n=1, c32=2, c8=2)
+    assert theta_counts(2) == ThetaCounts(n=2, c32=2, c8=2)
 
 
 def test_classify_small_known():
@@ -73,11 +73,16 @@ def test_against_signed_brute_force():
 
 def test_table_matches_per_n():
     # every squarefree n <= 4000, then a seeded sample of the n = 3 (mod 8)
-    # that a scan reads, far enough out for the long z-ranges
+    # that a scan reads, far enough out for the long z-ranges; the table
+    # holds odd n only, so every even n is refused
     table = TunnellTable(200_000)
     far = [n for n in random.Random(4).sample(range(4003, 200_001, 8), 60) if is_squarefree(n)]
     assert len(far) >= 40
     for n in squarefree_up_to(4000) + far[:40]:
+        if n % 2 == 0:
+            with pytest.raises(ValueError, match="odd"):
+                table.counts(n)
+            continue
         a, b = theta_counts(n), table.counts(n)
         assert a == b, n
         assert b.label == a.label == classify(n), n
