@@ -12,7 +12,7 @@ from .arith import FactoredSquarefree, NotSquarefree, factor_squarefree, hilbert
 from .classgroup import ClassNumberStore, class_number, fundamental_discriminant, genus_two_rank
 from .criteria import CriterionReport, InvariantViolation, Verdict, evaluate, evaluate_prime_pair
 from .descent import DivisorPair, PairNotInKernel, TorsorWitness, find_witness, kernel_K, phi_p
-from .gf2 import BitMatrix, block_compose, rank_f2
+from .gf2 import pack, rank_f2, unpack
 from .norms import NormRepresentation, NoRepresentation, parity_criterion, rep_2e2_f2, rep_u2_2v2, represent
 from .redei import HypothesisN, HypothesisNotMet, WrongResidueShape, build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank, redei_matrix
 from .scan import ScanRow, emit, read_rows, scan

@@ -133,16 +133,21 @@ class ClassNumberStore:
         return h
 
 
+def check_discriminant(D: int) -> None:
+    """ValueError unless D < 0 is a discriminant with |D| <= MAX_ABS_DISCRIMINANT."""
+    if D >= 0 or D % 4 not in (0, 1):
+        raise ValueError(f"not a negative discriminant: {D}")
+    if -D > MAX_ABS_DISCRIMINANT:
+        raise ValueError(f"|D| = {-D} exceeds the supported bound {MAX_ABS_DISCRIMINANT}")
+
+
 def class_number(D: int, store: Optional[ClassNumberStore] = None) -> int:
     """Exact h(D) for a fundamental discriminant D < 0 with |D| <= MAX_ABS_DISCRIMINANT.
 
     Without a store h is counted afresh; with one it is looked up or counted
     and kept there.
     """
-    if D >= 0 or D % 4 not in (0, 1):
-        raise ValueError(f"not a negative discriminant: {D}")
-    if -D > MAX_ABS_DISCRIMINANT:
-        raise ValueError(f"|D| = {-D} exceeds the supported bound {MAX_ABS_DISCRIMINANT}")
+    check_discriminant(D)
     return _count_reduced_forms(D) if store is None else store.get(D)
 
 

@@ -15,6 +15,7 @@ from .arith import NotSquarefree, factor_squarefree
 from .classgroup import ClassNumberStore, class_number, fundamental_discriminant, genus_two_rank
 from .criteria import CriterionReport, InvariantViolation, evaluate
 from .descent import DivisorPair, find_witness, kernel_K
+from .gf2 import unpack
 from .norms import parity_criterion, represent
 from .redei import build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank, redei_matrix
 from .scan import emit, scan
@@ -33,8 +34,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _matrix_lines(matrix) -> str:
-    return "\n".join("  " + " ".join(str(e) for e in row) for row in matrix.to_rows())
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _int_pair(text: str) -> tuple[int, int]:
+    try:
+        a, b = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two integers a,b, got {text!r}") from None
+    return a, b
+
+
+def _matrix_lines(rows: tuple[int, ...]) -> str:
+    return "\n".join("  " + " ".join(str(e) for e in unpack(row, len(rows))) for row in rows)
 
 
 def _print_report(report: CriterionReport, as_json: bool) -> None:
@@ -47,7 +62,6 @@ def _print_report(report: CriterionReport, as_json: bool) -> None:
         p_product = "·".join(str(p) for p in h.p_list)
         print(f"  q = {h.q}, p = {p_product}, t = {h.t}, n_q = {h.n_q.value}")
         print(f"  hypothesis: q residue mod all p_i: {h.qr_condition}, rank A = t-1: {h.rank_condition}")
-    if report.s_n is not None:
         print(f"  s_n = {report.s_n}, r4 = {report.r4}, r8(-n) = {report.r8_n}, r8(-n_q) = {report.r8_nq}")
     if report.h_n is not None:
         rel = "=" if report.congruence_holds else "!="
@@ -140,7 +154,7 @@ def _cmd_descent(args) -> int:
     kernel = sorted(kernel_K(m))
     print(f"m = {args.m}: kernel of all phi_p has {len(kernel)} pairs: {[tuple(p) for p in kernel]}")
     if args.pair is not None:
-        a, b = (int(x) for x in args.pair.split(","))
+        a, b = args.pair
         witness = find_witness(m, DivisorPair(a, b), bound=args.bound)
         if witness is None:
             print(f"pair ({a},{b}): no witness with max(|x|,|y|) <= {args.bound} (proves nothing)")
@@ -168,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="scan all hypothesis n up to a bound")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=_positive_int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.add_argument("--cache", default=None)
@@ -197,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("descent", help="kernel pairs and torsor witnesses")
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--pair", default=None, help="a,b")
+    p.add_argument("--pair", type=_int_pair, default=None, help="a,b")
     p.add_argument("--bound", type=int, default=10000)
     p.set_defaults(func=_cmd_descent)
 

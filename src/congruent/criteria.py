@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import NotSquarefree, is_prime
-from .classgroup import ClassNumberStore, class_number, fundamental_discriminant
+from .classgroup import ClassNumberStore, check_discriminant, class_number, fundamental_discriminant
 from .redei import HypothesisN, WrongResidueShape, build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank
 from .selmer import selmer_rank
 from .tunnell import Classification, TunnellTable, classify
@@ -33,8 +33,6 @@ class CriterionReport:
     verdict: Verdict
     reason: Optional[str] = None
     hypothesis: Optional[HypothesisN] = None
-    s_n: Optional[int] = None
-    r4: Optional[int] = None
     r8_n: Optional[int] = None
     r8_nq: Optional[int] = None
     h_n: Optional[int] = None
@@ -42,6 +40,15 @@ class CriterionReport:
     modulus: Optional[int] = None
     congruence_holds: Optional[bool] = None
     tunnell_label: Optional[Classification] = None
+
+    # s_n and r4 are built when read, so a scan builds no Monsky or Hilbert-symbol matrix
+    @property
+    def s_n(self) -> Optional[int]:
+        return None if self.hypothesis is None else selmer_rank(self.hypothesis.n)
+
+    @property
+    def r4(self) -> Optional[int]:
+        return None if self.hypothesis is None else four_rank(self.hypothesis)
 
     def to_dict(self) -> dict:
         out = {
@@ -92,14 +99,16 @@ def evaluate_hypothesis(
 ) -> CriterionReport:
     """The report for an n already factored into h; it passes the invariant checks.
 
-    Nothing is factored again: both discriminants come from h.  A scan's
-    TunnellTable, if given, supplies the theta counts; the store, if given,
-    serves and keeps the class numbers.
+    Nothing is factored again, and both discriminants, taken from h, are
+    checked against the bound before any count.  A scan's TunnellTable, if
+    given, supplies the theta counts; a store serves and keeps the class numbers.
     """
     v = h.n.value
+    discriminants = fundamental_discriminant(h.n), fundamental_discriminant(h.n_q)
+    for d in discriminants:
+        check_discriminant(d)
     label = table.counts(v).label if table is not None else classify(v)
-    hn = class_number(fundamental_discriminant(h.n), store)
-    hnq = class_number(fundamental_discriminant(h.n_q), store)
+    hn, hnq = (class_number(d, store) for d in discriminants)
     modulus = h.modulus
     congruence = (hn - hnq) % modulus == 0
     holds = h.holds()
@@ -114,8 +123,6 @@ def evaluate_hypothesis(
         verdict=verdict,
         reason=reason,
         hypothesis=h,
-        s_n=selmer_rank(h.n),
-        r4=four_rank(h),
         r8_n=eight_rank_neg_n(h) if holds else None,
         r8_nq=eight_rank_neg_nq(h) if h.rank_condition else None,
         h_n=hn,

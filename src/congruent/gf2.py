@@ -1,120 +1,33 @@
-"""Dense linear algebra over GF(2) with bit-packed rows.
+"""Linear algebra over GF(2) on bit-packed rows.
 
-Rows are stored as Python ints (bit j = column j), so XOR of whole rows is a
-single word-level operation.  Matrices are treated as immutable; rank works on
-a copy.
+A matrix is a tuple of Python ints, one per row, with bit j holding column j,
+so XOR of whole rows is a single word-level operation.  Every matrix the
+package builds is square, so its size is the number of rows.
 """
 
 from __future__ import annotations
 
-
-class BitMatrix:
-    __slots__ = ("rows", "cols", "_rows")
-
-    def __init__(self, rows: int, cols: int, packed_rows=None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative shape")
-        self.rows = rows
-        self.cols = cols
-        if packed_rows is None:
-            self._rows = [0] * rows
-        else:
-            packed_rows = list(packed_rows)
-            if len(packed_rows) != rows:
-                raise ValueError("wrong number of rows")
-            mask = (1 << cols) - 1
-            if any(r & ~mask for r in packed_rows):
-                raise ValueError("row has bits beyond the column count")
-            self._rows = packed_rows
-
-    @classmethod
-    def from_rows(cls, entries) -> "BitMatrix":
-        """Build from a list of 0/1 lists."""
-        entries = [list(r) for r in entries]
-        rows = len(entries)
-        cols = len(entries[0]) if entries else 0
-        if any(len(r) != cols for r in entries):
-            raise ValueError("ragged rows")
-        packed = [sum((e & 1) << j for j, e in enumerate(r)) for r in entries]
-        return cls(rows, cols, packed)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, entries) -> "BitMatrix":
-        entries = list(entries)
-        n = len(entries)
-        return cls(n, n, [(e & 1) << i for i, e in enumerate(entries)])
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return (self._rows[i] >> j) & 1
-
-    def to_rows(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self._rows]
-
-    def transpose(self) -> "BitMatrix":
-        packed = [
-            sum(((self._rows[i] >> j) & 1) << i for i in range(self.rows))
-            for j in range(self.cols)
-        ]
-        return BitMatrix(self.cols, self.rows, packed)
-
-    def __xor__(self, other: "BitMatrix") -> "BitMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return BitMatrix(self.rows, self.cols, [a ^ b for a, b in zip(self._rows, other._rows)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self._rows == other._rows
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self._rows)))
-
-    def __repr__(self):
-        body = "; ".join("".join(str((r >> j) & 1) for j in range(self.cols)) for r in self._rows)
-        return f"BitMatrix({self.rows}x{self.cols}: {body})"
+from typing import Iterable, Sequence
 
 
-def rank_f2(m: BitMatrix) -> int:
-    """Rank over GF(2) by Gaussian elimination on bit-packed rows."""
-    work = list(m._rows)
+def pack(bits: Iterable[int]) -> int:
+    """One row from its 0/1 entries, column 0 first."""
+    return sum((b & 1) << j for j, b in enumerate(bits))
+
+
+def unpack(row: int, n: int) -> list[int]:
+    """The first n entries of a packed row, column 0 first."""
+    return [(row >> j) & 1 for j in range(n)]
+
+
+def rank_f2(rows: Sequence[int]) -> int:
+    """Rank over GF(2) by Gaussian elimination; each pivot clears its lowest bit from the rest."""
+    work = list(rows)
     rank = 0
-    for col in range(m.cols):
-        bit = 1 << col
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r] & bit:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and work[r] & bit:
-                work[r] ^= work[rank]
-        rank += 1
-        if rank == len(work):
-            break
+    while work:
+        pivot = work.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            work = [r ^ pivot if r & low else r for r in work]
     return rank
-
-
-def block_compose(blocks) -> BitMatrix:
-    """Assemble a 2x2 grid of conformant blocks into one matrix."""
-    (a, b), (c, d) = blocks
-    if a.rows != b.rows or c.rows != d.rows:
-        raise ValueError("row mismatch within a block row")
-    if a.cols != c.cols or b.cols != d.cols:
-        raise ValueError("column mismatch within a block column")
-    top = [ra | (rb << a.cols) for ra, rb in zip(a._rows, b._rows)]
-    bottom = [rc | (rd << c.cols) for rc, rd in zip(c._rows, d._rows)]
-    return BitMatrix(a.rows + c.rows, a.cols + b.cols, top + bottom)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import FactoredSquarefree, factor_squarefree, hilbert, jacobi, legendre, quartic_symbol
-from .gf2 import BitMatrix, rank_f2
+from .gf2 import pack, rank_f2
 from .norms import rep_2e2_f2
 from .selmer import legendre_matrix
 
@@ -34,7 +34,7 @@ class HypothesisN:
     n_q: FactoredSquarefree
     t: int
     qr_condition: bool
-    A: BitMatrix
+    A: tuple[int, ...]
     rank_condition: bool
 
     def holds(self) -> bool:
@@ -84,12 +84,9 @@ def build_hypothesis(v: int) -> HypothesisN:
     return hypothesis_from_factored(factor_squarefree(v))
 
 
-def redei_matrix(h: HypothesisN) -> BitMatrix:
-    """t x t matrix of eps(hilbert(p_i, -n, p_j)), diagonal included."""
-    rows = []
-    for p_i in h.p_list:
-        rows.append([0 if hilbert(p_i, -h.n.value, p_j) == 1 else 1 for p_j in h.p_list])
-    return BitMatrix.from_rows(rows)
+def redei_matrix(h: HypothesisN) -> tuple[int, ...]:
+    """Packed rows of the t x t matrix of eps(hilbert(p_i, -n, p_j)), diagonal included."""
+    return tuple(pack(0 if hilbert(p_i, -h.n.value, p_j) == 1 else 1 for p_j in h.p_list) for p_i in h.p_list)
 
 
 def four_rank(h: HypothesisN) -> int:

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, TextIO
 import numpy as np
 
 from .arith import FactoredSquarefree, legendre
-from .classgroup import ClassNumberStore
+from .classgroup import MAX_ABS_DISCRIMINANT, ClassNumberStore
 from .criteria import CriterionReport, evaluate_hypothesis
 from .redei import hypothesis_from_factored
 from .tunnell import TunnellTable
@@ -154,6 +154,8 @@ def scan(
     """
     if limit < 3:
         raise ValueError(f"need limit >= 3, got {limit}")
+    if 4 * limit > 3 * MAX_ABS_DISCRIMINANT:
+        raise ValueError(f"limit {limit} needs |D| up to 4*limit/3, beyond the supported bound {MAX_ABS_DISCRIMINANT}")
     table = TunnellTable(limit)
     if store is None:
         store = ClassNumberStore()

@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import FactoredSquarefree, legendre
-from .gf2 import BitMatrix, block_compose, rank_f2
+from .gf2 import pack, rank_f2
 
 
 @dataclass(frozen=True)
 class MonskyDecomposition:
     m: FactoredSquarefree
-    C: BitMatrix
-    M: BitMatrix
+    M: tuple[int, ...]
     s: int
 
 
@@ -27,14 +26,14 @@ def _eps(sign: int) -> int:
     return 0 if sign == 1 else 1
 
 
-def legendre_matrix(primes: tuple[int, ...]) -> BitMatrix:
-    """eps((p_j / p_i)) at (i, j) off the diagonal; each diagonal entry is its row sum."""
+def legendre_matrix(primes: tuple[int, ...]) -> tuple[int, ...]:
+    """Packed rows: eps((p_j / p_i)) at (i, j) off the diagonal; each diagonal entry is its row sum."""
     rows = []
     for i, p in enumerate(primes):
         row = [0 if j == i else _eps(legendre(q, p)) for j, q in enumerate(primes)]
         row[i] = sum(row) % 2
-        rows.append(row)
-    return BitMatrix.from_rows(rows)
+        rows.append(pack(row))
+    return tuple(rows)
 
 
 def monsky(m: FactoredSquarefree) -> MonskyDecomposition:
@@ -45,12 +44,14 @@ def monsky(m: FactoredSquarefree) -> MonskyDecomposition:
         raise ValueError(f"need m >= 3, got {m.value}")
     primes = m.primes
     r = len(primes)
-    d2 = BitMatrix.diagonal(_eps(legendre(2, p)) for p in primes)
-    dm2 = BitMatrix.diagonal(_eps(legendre(-2, p)) for p in primes)
-    c = legendre_matrix(primes)
-    m_matrix = block_compose([[c ^ d2, d2], [d2, c ^ dm2]])
-    s = 2 * r - rank_f2(m_matrix)
-    return MonskyDecomposition(m=m, C=c, M=m_matrix, s=s)
+    top, bottom = [], []
+    for i, (c, p) in enumerate(zip(legendre_matrix(primes), primes)):
+        d2 = _eps(legendre(2, p)) << i
+        dm2 = _eps(legendre(-2, p)) << i
+        top.append((c ^ d2) | (d2 << r))
+        bottom.append(d2 | ((c ^ dm2) << r))
+    m_matrix = tuple(top + bottom)
+    return MonskyDecomposition(m=m, M=m_matrix, s=2 * r - rank_f2(m_matrix))
 
 
 def selmer_rank(m: FactoredSquarefree) -> int:

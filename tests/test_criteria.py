@@ -2,7 +2,9 @@
 
 import pytest
 
-from congruent.classgroup import class_number
+import congruent.classgroup
+import congruent.criteria
+from congruent.classgroup import MAX_ABS_DISCRIMINANT, class_number
 from congruent.criteria import (
     InvariantViolation,
     Verdict,
@@ -97,3 +99,14 @@ def test_invariant_checker_fires_on_forged_report():
     )
     with pytest.raises(InvariantViolation):
         check_report_invariants(forged)
+
+
+def test_evaluate_refuses_an_out_of_range_n_before_any_count(monkeypatch):
+    # n = 3 * 25000009: h(-n) is in range, but D = -4 * 25000009 for n_q is not
+    def no_work(*args):
+        raise AssertionError("counted before the bound was checked")
+
+    monkeypatch.setattr(congruent.criteria, "classify", no_work)
+    monkeypatch.setattr(congruent.classgroup, "_count_reduced_forms", no_work)
+    with pytest.raises(ValueError, match=f"100000036 exceeds the supported bound {MAX_ABS_DISCRIMINANT}"):
+        evaluate(75000027)

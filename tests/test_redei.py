@@ -15,6 +15,8 @@ from congruent.redei import (
     redei_matrix,
 )
 
+from test_gf2 import entries
+
 
 def test_build_hypothesis_52779():
     h = build_hypothesis(52779)
@@ -24,7 +26,7 @@ def test_build_hypothesis_52779():
     assert h.n_q == FactoredSquarefree(17593, (73, 241))
     assert h.qr_condition and h.rank_condition
     assert h.modulus == 16
-    assert h.A.to_rows() == [[1, 1], [1, 1]]
+    assert entries(h.A) == [[1, 1], [1, 1]]
 
 
 def test_build_hypothesis_shape_errors():
@@ -41,7 +43,7 @@ def test_build_hypothesis_shape_errors():
 def test_build_hypothesis_t1():
     h = build_hypothesis(219)
     assert h.t == 1
-    assert h.A.to_rows() == [[0]]
+    assert entries(h.A) == [[0]]
     assert h.rank_condition  # rank 0 = t - 1
     assert h.qr_condition
     assert h.modulus == 8

@@ -11,6 +11,7 @@ import pytest
 
 import congruent.arith
 import congruent.classgroup
+import congruent.criteria
 from congruent.classgroup import ClassNumberStore
 from congruent.cli import main
 from congruent.scan import CSV_COLUMNS, ScanRow, _smallest_prime_factors, emit, read_rows, row_from_report, scan
@@ -221,6 +222,88 @@ def test_scan_factors_nothing_beyond_the_sieve(monkeypatch):
 
     monkeypatch.setattr(congruent.arith, "_factor", no_factoring)
     assert list(scan(20000)) == expected
+
+
+def test_scan_builds_no_monsky_or_hilbert_matrix(monkeypatch):
+    # s_n and r4 are computed only when a report is asked for them; a row reads neither
+    expected = list(scan(60000, t_filter=2))
+
+    def no_rank(arg):
+        raise AssertionError("a scan row needs no s_n or r4")
+
+    monkeypatch.setattr(congruent.criteria, "selmer_rank", no_rank)
+    monkeypatch.setattr(congruent.criteria, "four_rank", no_rank)
+    assert list(scan(60000, t_filter=2)) == expected
+
+
+class _Built(Exception):
+    """Raised in place of the first large allocation of a scan."""
+
+
+def test_scan_refuses_a_limit_beyond_the_class_number_bound(monkeypatch, capsys):
+    scan_mod = importlib.import_module("congruent.scan")
+
+    def built(limit):
+        raise _Built(limit)
+
+    monkeypatch.setattr(scan_mod, "TunnellTable", built)
+    monkeypatch.setattr(scan_mod, "_smallest_prime_factors", built)
+    with pytest.raises(ValueError, match="beyond the supported bound 100000000"):
+        list(scan(75_000_001))
+    with pytest.raises(_Built):
+        list(scan(75_000_000))  # 4 * 75_000_000 / 3 is the bound itself
+    assert main(["scan", "--max", "75000001"]) == 2
+    assert "beyond the supported bound 100000000" in capsys.readouterr().err
+
+
+def test_cli_descent_pair_must_be_two_integers(capsys):
+    for pair in ("5", "5,x", "1,5,5"):
+        assert main(["descent", "-m", "5", "--pair", pair]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before the kernel is printed
+        assert "expected two integers a,b" in captured.err
+
+
+def test_cli_scan_t_must_be_positive(capsys, tmp_path):
+    out = tmp_path / "rows.csv"
+    for t in ("0", "-1", "x"):
+        assert main(["scan", "--max", "60000", "--t", t, "--out", str(out)]) == 1
+        assert "expected an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+MONSKY_1155 = """\
+m = 1155, primes = (3, 5, 7, 11)
+M =
+  1 1 0 1 1 0 0 0
+  1 1 1 0 0 1 0 0
+  1 1 0 0 0 0 0 0
+  0 0 1 0 0 0 0 1
+  1 0 0 0 0 1 0 1
+  0 1 0 0 1 1 1 0
+  0 0 0 0 1 1 1 0
+  0 0 0 1 0 0 1 1
+s = 2
+"""
+
+REDEI_52779 = """\
+n = 52779: q = 3, p = (73, 241)
+A_n =
+  1 1
+  1 1
+R_n (Hilbert-symbol construction) =
+  1 1
+  1 1
+equal: True, r4 = 1
+"""
+
+
+def test_cli_prints_matrix_entries(capsys):
+    # M for 1155 is not symmetric, so a transposed or reversed packing shows
+    assert main(["monsky", "-m", "1155"]) == 0
+    assert capsys.readouterr().out == MONSKY_1155
+    assert main(["redei", "-n", "52779"]) == 0
+    assert capsys.readouterr().out == REDEI_52779
 
 
 def test_cli_exit_codes(capsys):

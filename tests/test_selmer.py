@@ -4,9 +4,9 @@ import pytest
 
 from congruent.arith import factor_squarefree
 from congruent.descent import kernel_K
-from congruent.selmer import monsky, selmer_rank
+from congruent.selmer import legendre_matrix, monsky, selmer_rank
 
-from test_gf2 import naive_rank
+from test_gf2 import entries, naive_rank
 
 
 def squarefree_odd(limit):
@@ -21,21 +21,21 @@ def squarefree_odd(limit):
 
 def test_monsky_m3():
     dec = monsky(factor_squarefree(3))
-    assert dec.M.to_rows() == [[1, 1], [1, 0]]
+    assert entries(dec.M) == [[1, 1], [1, 0]]
     assert dec.s == 0
 
 
 def test_monsky_m5():
     dec = monsky(factor_squarefree(5))
-    assert dec.M.to_rows() == [[1, 1], [1, 1]]
+    assert entries(dec.M) == [[1, 1], [1, 1]]
     assert dec.s == 1
 
 
 def test_monsky_m41():
     # 2 and -2 are both residues mod 41, so M is the 2x2 zero matrix
     dec = monsky(factor_squarefree(41))
-    assert dec.M.to_rows() == [[0, 0], [0, 0]]
-    assert naive_rank(dec.M.to_rows()) == 0
+    assert entries(dec.M) == [[0, 0], [0, 0]]
+    assert naive_rank(entries(dec.M)) == 0
     assert dec.s == 2
     # independent confirmation through the divisor-pair kernel
     assert len(kernel_K(factor_squarefree(41))) == 2**2
@@ -52,18 +52,27 @@ def test_block_structure_consistency():
     for m in squarefree_odd(200):
         dec = monsky(m)
         r = len(m.primes)
-        assert dec.M.rows == dec.M.cols == 2 * r
+        assert len(dec.M) == 2 * r
+        assert all(row >> (2 * r) == 0 for row in dec.M)
         # diagonal of C is the mod-2 row sum of its off-diagonal entries
-        c = dec.C.to_rows()
+        c = entries(legendre_matrix(m.primes))
         for i in range(r):
             assert c[i][i] == sum(c[i][j] for j in range(r) if j != i) % 2
+        # [[C+D2, D2], [D2, C+D-2]]: off the diagonal, each block of M is C or zero
+        M = entries(dec.M)
+        for i in range(r):
+            for j in range(r):
+                if i != j:
+                    assert M[i][j] == M[r + i][r + j] == c[i][j]
+                    assert M[i][r + j] == M[r + i][j] == 0
+            assert M[i][r + i] == M[r + i][i] == M[i][i] ^ c[i][i]
         assert dec.s == selmer_rank(m) >= 0
 
 
 def test_monsky_rank_against_naive_oracle():
     for m in squarefree_odd(300):
         dec = monsky(m)
-        assert 2 * len(m.primes) - naive_rank(dec.M.to_rows()) == dec.s
+        assert 2 * len(m.primes) - naive_rank(entries(dec.M)) == dec.s
 
 
 def test_parity_law_small():
