@@ -3,13 +3,13 @@
 Certifies non-congruence of squarefree n = p_1 ... p_t * q (p_i = 1, q = 3
 mod 8) through the class-number congruence h(-n) = h(-n_q) (mod 2^(t+2)),
 with the full supporting pipeline: Monsky matrices and 2-Selmer ranks,
-Redei-style 4-/8-rank criteria, exact class numbers by reduced-form counting,
-norm-form representations, divisor-pair descent, and Tunnell theta counts as
-an independent classification.
+Redei-style 4-/8-rank criteria, exact class numbers by three-square theta
+counts and by reduced-form counting, norm-form representations, divisor-pair
+descent, and Tunnell theta counts as an independent classification.
 """
 
 from .arith import FactoredSquarefree, NotSquarefree, factor_squarefree, hilbert, jacobi, legendre, quartic_symbol
-from .classgroup import ClassNumberStore, class_number, fundamental_discriminant, genus_two_rank
+from .classgroup import class_number, fundamental_discriminant, genus_two_rank
 from .criteria import CriterionReport, InvariantViolation, Verdict, evaluate, evaluate_prime_pair
 from .descent import DivisorPair, PairNotInKernel, TorsorWitness, find_witness, kernel_K, phi_p
 from .gf2 import pack, rank_f2, unpack

@@ -5,15 +5,14 @@ discriminant D < 0: b^2 - 4ac = D, |b| <= a <= c, gcd(a, b, c) = 1, and b >= 0
 whenever |b| = a or a = c.  Counting is exact integer work; the inner sweep is
 vectorized with numpy (int64 is exact throughout the supported range).
 
-A scan asks for the same D many times; it passes one ClassNumberStore to
-class_number, which keeps every h it has seen and can persist them to a file.
+A scan reads its class numbers from tunnell.TunnellTable instead; this count
+serves every other D and is the reference the table is tested against.
 """
 
 from __future__ import annotations
 
-import os
 from math import isqrt
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .arith import FactoredSquarefree, factor_squarefree
 
 # |D| above this is refused before anything is allocated: the reduced-form
 # sweep holds O(|D|) int64 entries, about 246 MiB of peak RSS at |D| = 10^8.
+# tunnell.theta_counts refuses n above it too, its O(n) count taking seconds.
 MAX_ABS_DISCRIMINANT = 10**8
 
 
@@ -66,73 +66,6 @@ def _count_reduced_forms(D: int) -> int:
     return int(weights[primitive].sum())
 
 
-def _load(path: str) -> dict[int, int]:
-    """The entries of a cache file; a torn or corrupt tail is truncated away.
-
-    The file is read as bytes, so no byte fails to decode and offsets are file
-    offsets.  Only bytes this read saw are truncated: lines another process
-    appended after it are kept.
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        return {}
-    entries: dict[int, int] = {}
-    good_bytes = 0
-    for line in data.splitlines(keepends=True):
-        parts = line.split()
-        if len(parts) != 2 or not line.endswith(b"\n"):
-            break
-        try:
-            entries[int(parts[0])] = int(parts[1])
-        except ValueError:
-            break
-        good_bytes += len(line)
-    if good_bytes < len(data):
-        try:
-            with open(path, "r+b") as fh:
-                if os.fstat(fh.fileno()).st_size == len(data):
-                    fh.truncate(good_bytes)
-        except OSError:
-            pass
-    return entries
-
-
-class ClassNumberStore:
-    """Class numbers by discriminant, optionally kept in an append-only file.
-
-    The file holds "discriminant h" lines; a torn or corrupt tail is truncated
-    on load, and each h computed afterwards is appended once.  Lookups are
-    counted three ways: `fresh` (computed here), `file_hits` (an entry loaded
-    from the file) and `memo_hits` (an h computed earlier in this run).
-    """
-
-    def __init__(self, path: Optional[str] = None):
-        self.path = path
-        self._h = _load(path) if path is not None else {}
-        self._from_file = set(self._h)
-        self.fresh = 0
-        self.file_hits = 0
-        self.memo_hits = 0
-
-    def get(self, D: int) -> int:
-        """h(D): kept from before, or counted now, kept and appended to the file."""
-        h = self._h.get(D)
-        if h is not None:
-            if D in self._from_file:
-                self.file_hits += 1
-            else:
-                self.memo_hits += 1
-            return h
-        h = self._h[D] = _count_reduced_forms(D)
-        self.fresh += 1
-        if self.path is not None:
-            with open(self.path, "a", encoding="ascii") as fh:
-                fh.write(f"{D} {h}\n")
-        return h
-
-
 def check_discriminant(D: int) -> None:
     """ValueError unless D < 0 is a discriminant with |D| <= MAX_ABS_DISCRIMINANT."""
     if D >= 0 or D % 4 not in (0, 1):
@@ -141,14 +74,10 @@ def check_discriminant(D: int) -> None:
         raise ValueError(f"|D| = {-D} exceeds the supported bound {MAX_ABS_DISCRIMINANT}")
 
 
-def class_number(D: int, store: Optional[ClassNumberStore] = None) -> int:
-    """Exact h(D) for a fundamental discriminant D < 0 with |D| <= MAX_ABS_DISCRIMINANT.
-
-    Without a store h is counted afresh; with one it is looked up or counted
-    and kept there.
-    """
+def class_number(D: int) -> int:
+    """Exact h(D) for a fundamental discriminant D < 0 with |D| <= MAX_ABS_DISCRIMINANT."""
     check_discriminant(D)
-    return _count_reduced_forms(D) if store is None else store.get(D)
+    return _count_reduced_forms(D)
 
 
 def genus_two_rank(D: int) -> int:

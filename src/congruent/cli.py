@@ -12,7 +12,7 @@ import json
 import sys
 
 from .arith import NotSquarefree, factor_squarefree
-from .classgroup import ClassNumberStore, class_number, fundamental_discriminant, genus_two_rank
+from .classgroup import class_number, fundamental_discriminant, genus_two_rank
 from .criteria import CriterionReport, InvariantViolation, evaluate
 from .descent import DivisorPair, find_witness, kernel_K
 from .gf2 import unpack
@@ -78,19 +78,19 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    store = ClassNumberStore(args.cache)
+    if args.cache is not None:
+        print("scan: --cache is ignored: class numbers come from the theta table", file=sys.stderr)
     skipped = []
 
     def on_error(n, exc):
         print(f"scan: n = {n} skipped: {exc}", file=sys.stderr)
         skipped.append(n)
 
-    rows = list(scan(args.max, t_filter=args.t, store=store, on_error=on_error))
+    rows = list(scan(args.max, t_filter=args.t, on_error=on_error))
     target = args.out if args.out is not None else sys.stdout
     emit(rows, args.format, target)
     if args.verbose:
-        counts = f"{store.fresh} computed, {store.file_hits} cache hits, {store.memo_hits} memo hits"
-        print(f"scan: {len(rows)} rows; class numbers: {counts}", file=sys.stderr)
+        print(f"scan: {len(rows)} rows", file=sys.stderr)
     if skipped:
         print(f"scan: {len(skipped)} rows skipped", file=sys.stderr)
         return COMPUTATION_ERROR

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import NotSquarefree, is_prime
-from .classgroup import ClassNumberStore, check_discriminant, class_number, fundamental_discriminant
+from .classgroup import check_discriminant, class_number, fundamental_discriminant
 from .redei import HypothesisN, WrongResidueShape, build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank
 from .selmer import selmer_rank
 from .tunnell import Classification, TunnellTable, classify
@@ -73,7 +73,7 @@ class CriterionReport:
         return out
 
 
-def evaluate(v: int, store: Optional[ClassNumberStore] = None) -> CriterionReport:
+def evaluate(v: int) -> CriterionReport:
     """Full evidence bundle for one candidate n; every report passes the invariant checks."""
     if v < 3:
         raise ValueError(f"need v >= 3, got {v}")
@@ -89,26 +89,29 @@ def evaluate(v: int, store: Optional[ClassNumberStore] = None) -> CriterionRepor
             tunnell_label=classify(v),
         )
     else:
-        return evaluate_hypothesis(h, store=store)
+        return evaluate_hypothesis(h)
     check_report_invariants(report)
     return report
 
 
-def evaluate_hypothesis(
-    h: HypothesisN, table: Optional[TunnellTable] = None, store: Optional[ClassNumberStore] = None
-) -> CriterionReport:
+def evaluate_hypothesis(h: HypothesisN, table: Optional[TunnellTable] = None) -> CriterionReport:
     """The report for an n already factored into h; it passes the invariant checks.
 
     Nothing is factored again, and both discriminants, taken from h, are
     checked against the bound before any count.  A scan's TunnellTable, if
-    given, supplies the theta counts; a store serves and keeps the class numbers.
+    given, supplies the theta counts and both class numbers; without one they
+    are counted for this n alone, the class numbers by reduced forms.
     """
     v = h.n.value
     discriminants = fundamental_discriminant(h.n), fundamental_discriminant(h.n_q)
     for d in discriminants:
         check_discriminant(d)
-    label = table.counts(v).label if table is not None else classify(v)
-    hn, hnq = (class_number(d, store) for d in discriminants)
+    if table is None:
+        label = classify(v)
+        hn, hnq = (class_number(d) for d in discriminants)
+    else:
+        label = table.counts(v).label
+        hn, hnq = table.class_number(v), table.class_number(h.n_q.value)
     modulus = h.modulus
     congruence = (hn - hnq) % modulus == 0
     holds = h.holds()

@@ -7,8 +7,8 @@ the Legendre triple, the congruence verdict, and the independent Tunnell
 label.
 
 The sieve factors every candidate, and that factorisation is the only one a
-row needs.  One ClassNumberStore, passed in, serves the class numbers; backed
-by its file it lets a re-scan skip every class-number computation.
+row needs.  One TunnellTable serves every row: the Tunnell label and both
+class numbers.
 
 CSV is the 7-bit machine format (prime product joined by "*"); the pretty
 printer uses the dot separator.
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, TextIO
 import numpy as np
 
 from .arith import FactoredSquarefree, legendre
-from .classgroup import MAX_ABS_DISCRIMINANT, ClassNumberStore
+from .classgroup import MAX_ABS_DISCRIMINANT
 from .criteria import CriterionReport, evaluate_hypothesis
 from .redei import hypothesis_from_factored
 from .tunnell import TunnellTable
@@ -141,12 +141,7 @@ def _shape_candidates(limit: int) -> Iterator[FactoredSquarefree]:
             yield FactoredSquarefree(n, tuple(primes))
 
 
-def scan(
-    limit: int,
-    t_filter: Optional[int] = None,
-    store: Optional[ClassNumberStore] = None,
-    on_error=None,
-) -> Iterator[ScanRow]:
+def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Iterator[ScanRow]:
     """Yield a ScanRow for every hypothesis n <= limit, in increasing n.
 
     Computation errors abort the offending row via on_error (default: stderr
@@ -157,8 +152,6 @@ def scan(
     if 4 * limit > 3 * MAX_ABS_DISCRIMINANT:
         raise ValueError(f"limit {limit} needs |D| up to 4*limit/3, beyond the supported bound {MAX_ABS_DISCRIMINANT}")
     table = TunnellTable(limit)
-    if store is None:
-        store = ClassNumberStore()
     if on_error is None:
         on_error = lambda n, exc: print(f"scan: n = {n} skipped: {exc}", file=sys.stderr)
     for n in _shape_candidates(limit):
@@ -168,7 +161,7 @@ def scan(
         if t_filter is not None and h.t != t_filter:
             continue
         try:
-            report = evaluate_hypothesis(h, table=table, store=store)
+            report = evaluate_hypothesis(h, table=table)
         except (ValueError, ArithmeticError) as exc:
             on_error(n.value, exc)
             continue

@@ -183,3 +183,10 @@ def test_criterion_11_class_number_oracle():
     for D in discs:
         assert class_number(D) == brute_force_h(D), D
     print(f"PASS criterion 11: both reduced-form counters agree on {len(discs)} fundamental D")
+
+
+def test_criterion_12_scan_class_numbers_match_reduced_forms(full_scan):
+    for r in full_scan:
+        n_q = r.n // r.q
+        assert (r.h_n, r.h_nq) == (class_number(-r.n), class_number(-4 * n_q)), r.n
+    print(f"PASS criterion 12: theta-table class numbers match reduced forms on all {len(full_scan)} rows")

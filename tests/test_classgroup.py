@@ -6,7 +6,7 @@ import pytest
 
 import congruent.classgroup
 from congruent.arith import NotSquarefree, factor_squarefree
-from congruent.classgroup import MAX_ABS_DISCRIMINANT, ClassNumberStore, class_number, fundamental_discriminant, genus_two_rank
+from congruent.classgroup import MAX_ABS_DISCRIMINANT, class_number, fundamental_discriminant, genus_two_rank
 from congruent.cli import main
 
 
@@ -87,12 +87,11 @@ def test_class_number_refuses_discriminants_beyond_the_bound(monkeypatch):
     def no_counting(D):
         raise AssertionError(f"h({D}) counted")
 
-    # the bound is checked before the count allocates anything, store or not
+    # the bound is checked before the count allocates anything
     monkeypatch.setattr(congruent.classgroup, "_count_reduced_forms", no_counting)
     D = -(MAX_ABS_DISCRIMINANT + 3)  # = 1 (mod 4)
-    for store in (None, ClassNumberStore()):
-        with pytest.raises(ValueError, match=f"bound {MAX_ABS_DISCRIMINANT}"):
-            class_number(D, store)
+    with pytest.raises(ValueError, match=f"bound {MAX_ABS_DISCRIMINANT}"):
+        class_number(D)
 
 
 def test_oracle_equivalence_small():

@@ -1,4 +1,4 @@
-"""Tests for the scanner, the CSV/JSON round-trip, caching, and the CLI."""
+"""Tests for the scanner, the CSV/JSON round-trip, and the CLI."""
 
 import importlib
 import io
@@ -12,7 +12,7 @@ import pytest
 import congruent.arith
 import congruent.classgroup
 import congruent.criteria
-from congruent.classgroup import ClassNumberStore
+import congruent.tunnell
 from congruent.cli import main
 from congruent.scan import CSV_COLUMNS, ScanRow, _smallest_prime_factors, emit, read_rows, row_from_report, scan
 from congruent.criteria import evaluate, evaluate_hypothesis
@@ -114,89 +114,6 @@ def test_scan_deterministic(tmp_path):
     emit(scan(30000), "csv", a)
     emit(scan(30000), "csv", b)
     assert open(a).read() == open(b).read()
-
-
-def test_cache_resumability(tmp_path):
-    path = str(tmp_path / "classnum.cache")
-    first = ClassNumberStore(path)
-    rows = list(scan(20000, store=first))
-    # a cold run serves nothing from the file; every lookup is fresh or a repeat
-    assert first.file_hits == 0
-    assert first.fresh > 0
-    assert first.fresh + first.memo_hits == 2 * len(rows)
-    lines = open(path).read().splitlines()
-    assert len(lines) == len({line.split()[0] for line in lines}) == first.fresh
-    second = ClassNumberStore(path)
-    rows2 = list(scan(20000, store=second))
-    assert rows2 == rows
-    # every discriminant of the second scan was served from the cache file
-    assert second.fresh == 0 and second.memo_hits == 0
-    assert second.file_hits == 2 * len(rows2)
-    assert open(path).read().splitlines() == lines
-
-
-def test_cache_truncates_corrupt_tail(tmp_path):
-    path = tmp_path / "classnum.cache"
-    path.write_text("-3 1\n-4 1\n-8 1 junk\n-7")
-    store = ClassNumberStore(str(path))
-    assert path.read_text() == "-3 1\n-4 1\n"
-    assert (store.get(-3), store.get(-4)) == (1, 1)
-    assert store.file_hits == 2 and store.fresh == 0
-    # the dropped records are recomputed, not read from the torn tail
-    assert store.get(-8) == 1 and store.get(-7) == 1
-    assert store.fresh == 2
-    assert path.read_text() == "-3 1\n-4 1\n-8 1\n-7 1\n"
-
-
-def test_cache_truncates_a_non_ascii_tail(tmp_path):
-    path = tmp_path / "classnum.cache"
-    path.write_bytes(b"-3 1\n-4 1\n-8 \xff\xfe\n-7 1\n")
-    store = ClassNumberStore(str(path))
-    assert path.read_bytes() == b"-3 1\n-4 1\n"
-    assert (store.get(-3), store.get(-4)) == (1, 1)
-    assert store.file_hits == 2 and store.fresh == 0
-
-
-def test_cache_keeps_crlf_lines(tmp_path):
-    path = tmp_path / "classnum.cache"
-    path.write_bytes(b"-3 1\r\n-4 1\r\n-7 1\r\n")
-    store = ClassNumberStore(str(path))
-    assert path.read_bytes() == b"-3 1\r\n-4 1\r\n-7 1\r\n"
-    assert (store.get(-3), store.get(-4), store.get(-7)) == (1, 1, 1)
-    assert store.file_hits == 3 and store.fresh == 0
-
-
-@pytest.mark.parametrize("before, appended", [(b"-3 1\n-4 1\n", b"-7 1\n"), (b"-3 1\n-4 1\n-7", b" 1\n")])
-def test_cache_keeps_bytes_appended_after_its_read(tmp_path, monkeypatch, before, appended):
-    # another scan appends after this load has read the file: a whole line, or
-    # the rest of the line it was writing; no byte the load did not read is cut
-    path = tmp_path / "classnum.cache"
-    path.write_bytes(before)
-    real_open = open
-    done = []
-
-    class AppendAfterRead:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self.fh.__enter__()
-
-        def __exit__(self, *exc):
-            self.fh.__exit__(*exc)
-            with real_open(path, "ab") as other:
-                other.write(appended)
-            done.append(True)
-
-    def open_then_append(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        return fh if done else AppendAfterRead(fh)
-
-    monkeypatch.setattr(congruent.classgroup, "open", open_then_append, raising=False)
-    store = ClassNumberStore(str(path))
-    assert done
-    assert path.read_bytes() == b"-3 1\n-4 1\n-7 1\n"
-    assert (store.get(-3), store.get(-4)) == (1, 1) and store.file_hits == 2
 
 
 def reference_smallest_prime_factors(limit):
@@ -369,30 +286,56 @@ def test_cli_scan_csv(tmp_path, capsys):
     assert main(["scan", "--max", "60000", "--t", "2", "--out", out, "--verbose"]) == 0
     rows = read_rows(out, "csv")
     assert [r.n for r in rows] == [23579, 29971, 41123, 42267, 52779, 57851]
-    assert "cache hits" in capsys.readouterr().err
+    assert capsys.readouterr().err == "scan: 6 rows\n"
 
 
-def test_cli_cold_scan_reports_no_cache_hits(tmp_path, capsys):
-    cache = tmp_path / "h.cache"
-    cache.write_text("")
-    out = str(tmp_path / "rows.csv")
-    args = ["scan", "--max", "60000", "--t", "2", "--out", out, "--cache", str(cache), "--verbose"]
-    assert main(args) == 0
-    err = capsys.readouterr().err
-    computed = len(cache.read_text().splitlines())
-    assert f"6 rows; class numbers: {computed} computed, 0 cache hits, {12 - computed} memo hits" in err
-    assert main(args) == 0
-    assert "6 rows; class numbers: 0 computed, 12 cache hits, 0 memo hits" in capsys.readouterr().err
+def test_cli_scan_cache_option_is_ignored(tmp_path, capsys):
+    plain, cached = str(tmp_path / "plain.csv"), str(tmp_path / "cached.csv")
+    assert main(["scan", "--max", "60000", "--t", "2", "--out", plain]) == 0
+    assert capsys.readouterr().err == ""
+    kept = tmp_path / "h.cache"
+    kept.write_bytes(b"-3 1\n-4 1\n-7")
+    absent = tmp_path / "absent.cache"
+    for cache in (kept, absent):
+        assert main(["scan", "--max", "60000", "--t", "2", "--out", cached, "--cache", str(cache)]) == 0
+        assert capsys.readouterr().err == "scan: --cache is ignored: class numbers come from the theta table\n"
+        assert open(cached).read() == open(plain).read()
+    assert kept.read_bytes() == b"-3 1\n-4 1\n-7"
+    assert not absent.exists()
+
+
+def test_scan_counts_no_reduced_forms(monkeypatch):
+    # both class numbers of a row come from the theta table
+    expected = list(scan(60000, t_filter=2))
+
+    def no_counting(D):
+        raise AssertionError(f"h({D}) counted by reduced forms")
+
+    monkeypatch.setattr(congruent.classgroup, "_count_reduced_forms", no_counting)
+    assert list(scan(60000, t_filter=2)) == expected
+
+
+def test_cli_refuses_a_theta_count_beyond_the_bound(monkeypatch, capsys):
+    # 100000007 is a prime = 7 (mod 8): check reaches the per-n theta count
+    def counted(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(congruent.tunnell, "_count_form", counted)
+    for argv in (["check", "-n", "100000007"], ["tunnell", "-n", "100000007"]):
+        assert main(argv) == 2
+        assert "n = 100000007 exceeds the supported bound 100000000" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="counted"):
+        main(["tunnell", "-n", "99999989"])  # a prime below the bound reaches the count
 
 
 def _fail_42267(monkeypatch):
     scan_mod = importlib.import_module("congruent.scan")
     real_evaluate = evaluate_hypothesis
 
-    def flaky(h, table=None, store=None):
+    def flaky(h, table=None):
         if h.n.value == 42267:
             raise ArithmeticError("injected")
-        return real_evaluate(h, table=table, store=store)
+        return real_evaluate(h, table=table)
 
     monkeypatch.setattr(scan_mod, "evaluate_hypothesis", flaky)
 

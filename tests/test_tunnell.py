@@ -6,6 +6,7 @@ from math import isqrt
 import pytest
 
 from congruent.arith import NotSquarefree, factor_squarefree, is_prime
+from congruent.classgroup import _count_reduced_forms, fundamental_discriminant
 from congruent.tunnell import Classification, ThetaCounts, TunnellTable, classify, theta_counts
 
 
@@ -96,6 +97,27 @@ def test_table_range_checks():
         table.counts(0)
     with pytest.raises(ValueError):
         TunnellTable(0)
+
+
+def test_table_class_numbers_match_reduced_forms():
+    # every squarefree m <= 30,000 of the two shapes a scan row asks for
+    table = TunnellTable(30_000)
+    ms = [m for m in range(9, 30_001, 2) if m % 8 in (1, 3) and is_squarefree(m)]
+    assert len(ms) == 6076
+    for m in ms:
+        assert table.class_number(m) == _count_reduced_forms(fundamental_discriminant(m)), m
+
+
+def test_table_class_number_refusals():
+    table = TunnellTable(1000)
+    for m in (1, 3, 0, -5, 10, 104, 13, 15, 21, 23, 1003):
+        with pytest.raises(ValueError, match="class-number range 4..1000"):
+            table.class_number(m)
+    assert (table.class_number(11), table.class_number(17)) == (1, 4)
+    # T(17) sums r(17 - 2 z^2) over z; one miscounted r leaves T indivisible by 4
+    table._r[17 - 2 * 2 * 2] += 1
+    with pytest.raises(ArithmeticError, match="not divisible by 4"):
+        table.class_number(17)
 
 
 def test_prime_catalog_below_500():
