@@ -5,8 +5,9 @@ discriminant D < 0: b^2 - 4ac = D, |b| <= a <= c, gcd(a, b, c) = 1, and b >= 0
 whenever |b| = a or a = c.  Counting is exact integer work; the inner sweep is
 vectorized with numpy (int64 is exact throughout the supported range).
 
-A scan reads its class numbers from tunnell.TunnellTable instead; this count
-serves every other D and is the reference the table is tested against.
+check and scan read their class numbers from the theta sums in tunnell
+instead; this count serves classnum and every other D, and is the reference
+the theta sums are tested against.
 """
 
 from __future__ import annotations
@@ -66,17 +67,12 @@ def _count_reduced_forms(D: int) -> int:
     return int(weights[primitive].sum())
 
 
-def check_discriminant(D: int) -> None:
-    """ValueError unless D < 0 is a discriminant with |D| <= MAX_ABS_DISCRIMINANT."""
+def class_number(D: int) -> int:
+    """Exact h(D) for a fundamental discriminant D < 0 with |D| <= MAX_ABS_DISCRIMINANT."""
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"not a negative discriminant: {D}")
     if -D > MAX_ABS_DISCRIMINANT:
         raise ValueError(f"|D| = {-D} exceeds the supported bound {MAX_ABS_DISCRIMINANT}")
-
-
-def class_number(D: int) -> int:
-    """Exact h(D) for a fundamental discriminant D < 0 with |D| <= MAX_ABS_DISCRIMINANT."""
-    check_discriminant(D)
     return _count_reduced_forms(D)
 
 

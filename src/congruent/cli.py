@@ -20,7 +20,7 @@ from .norms import parity_criterion, represent
 from .redei import build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank, redei_matrix
 from .scan import emit, scan
 from .selmer import monsky
-from .tunnell import Classification, theta_counts
+from .tunnell import Classification, counts
 
 USAGE_ERROR = 1
 COMPUTATION_ERROR = 2
@@ -164,9 +164,9 @@ def _cmd_descent(args) -> int:
 
 
 def _cmd_tunnell(args) -> int:
-    counts = theta_counts(args.n)
-    label = counts.label
-    print(f"n = {args.n} ({'odd' if args.n % 2 else 'even'} branch): c32 = {counts.c32}, c8 = {counts.c8}")
+    theta = counts(args.n)
+    label = theta.label
+    print(f"n = {args.n} ({'odd' if args.n % 2 else 'even'} branch): c32 = {theta.c32}, c8 = {theta.c8}")
     print(f"2*c32 {'=' if label == Classification.CONGRUENT_UNDER_BSD else '!='} c8 -> {label.value}")
     return 0
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import NotSquarefree, is_prime
-from .classgroup import check_discriminant, class_number, fundamental_discriminant
 from .redei import HypothesisN, WrongResidueShape, build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank
 from .selmer import selmer_rank
-from .tunnell import Classification, TunnellTable, classify
+from .tunnell import Classification, DivisorSums, TunnellTable, classify
 
 
 class Verdict(enum.Enum):
@@ -97,21 +96,14 @@ def evaluate(v: int) -> CriterionReport:
 def evaluate_hypothesis(h: HypothesisN, table: Optional[TunnellTable] = None) -> CriterionReport:
     """The report for an n already factored into h; it passes the invariant checks.
 
-    Nothing is factored again, and both discriminants, taken from h, are
-    checked against the bound before any count.  A scan's TunnellTable, if
-    given, supplies the theta counts and both class numbers; without one they
-    are counted for this n alone, the class numbers by reduced forms.
+    Nothing is factored again.  A scan's TunnellTable, if given, supplies the
+    Tunnell label and both class numbers; without one they are summed for this
+    n alone by DivisorSums, which refuses n above its bound before any count.
     """
     v = h.n.value
-    discriminants = fundamental_discriminant(h.n), fundamental_discriminant(h.n_q)
-    for d in discriminants:
-        check_discriminant(d)
-    if table is None:
-        label = classify(v)
-        hn, hnq = (class_number(d) for d in discriminants)
-    else:
-        label = table.counts(v).label
-        hn, hnq = table.class_number(v), table.class_number(h.n_q.value)
+    source = table or DivisorSums(v)
+    label = source.counts(v).label
+    hn, hnq = source.class_number(v), source.class_number(h.n_q.value)
     modulus = h.modulus
     congruence = (hn - hnq) % modulus == 0
     holds = h.holds()

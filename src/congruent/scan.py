@@ -142,18 +142,24 @@ def _shape_candidates(limit: int) -> Iterator[FactoredSquarefree]:
 
 
 def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Iterator[ScanRow]:
-    """Yield a ScanRow for every hypothesis n <= limit, in increasing n.
+    """The ScanRow of every hypothesis n <= limit, in increasing n, as a generator.
 
-    Computation errors abort the offending row via on_error (default: stderr
-    note) and the scan continues; invariant violations propagate, loudly.
+    The limit is checked here, at the call; the sieve and the table are built
+    when the first row is asked for.  Computation errors abort the offending
+    row via on_error (default: stderr note) and the scan continues; invariant
+    violations propagate, loudly.
     """
     if limit < 3:
         raise ValueError(f"need limit >= 3, got {limit}")
     if 4 * limit > 3 * MAX_ABS_DISCRIMINANT:
         raise ValueError(f"limit {limit} needs |D| up to 4*limit/3, beyond the supported bound {MAX_ABS_DISCRIMINANT}")
-    table = TunnellTable(limit)
     if on_error is None:
         on_error = lambda n, exc: print(f"scan: n = {n} skipped: {exc}", file=sys.stderr)
+    return _rows(limit, t_filter, on_error)
+
+
+def _rows(limit: int, t_filter: Optional[int], on_error) -> Iterator[ScanRow]:
+    table = TunnellTable(limit)
     for n in _shape_candidates(limit):
         h = hypothesis_from_factored(n)
         if not h.holds():

@@ -3,8 +3,8 @@
 import pytest
 
 import congruent.classgroup
-import congruent.criteria
-from congruent.classgroup import MAX_ABS_DISCRIMINANT, class_number
+import congruent.tunnell
+from congruent.classgroup import class_number
 from congruent.criteria import (
     InvariantViolation,
     Verdict,
@@ -12,7 +12,7 @@ from congruent.criteria import (
     evaluate_prime_pair,
     evaluate,
 )
-from congruent.tunnell import Classification
+from congruent.tunnell import MAX_PER_N, Classification
 
 
 def test_evaluate_table1_row():
@@ -102,11 +102,14 @@ def test_invariant_checker_fires_on_forged_report():
 
 
 def test_evaluate_refuses_an_out_of_range_n_before_any_count(monkeypatch):
-    # n = 3 * 25000009: h(-n) is in range, but D = -4 * 25000009 for n_q is not
+    # n = 3 * 3333333449 is the first n of hypothesis shape above the per-n bound
     def no_work(*args):
-        raise AssertionError("counted before the bound was checked")
+        raise AssertionError("counted")
 
-    monkeypatch.setattr(congruent.criteria, "classify", no_work)
+    monkeypatch.setattr(congruent.tunnell, "_divisor_sums", no_work)
+    monkeypatch.setattr(congruent.tunnell, "_count_form", no_work)
     monkeypatch.setattr(congruent.classgroup, "_count_reduced_forms", no_work)
-    with pytest.raises(ValueError, match=f"100000036 exceeds the supported bound {MAX_ABS_DISCRIMINANT}"):
-        evaluate(75000027)
+    with pytest.raises(ValueError, match=f"n = 10000000347 exceeds the per-n bound {MAX_PER_N}"):
+        evaluate(10000000347)
+    with pytest.raises(AssertionError, match="counted"):
+        evaluate(9999999771)  # 3 * 3333333257, the last one below the bound, reaches the count

@@ -56,8 +56,10 @@ def test_scan_t_filter_and_t1():
 
 
 def test_scan_rejects_small_limit():
-    with pytest.raises(ValueError):
-        list(scan(2))
+    # scan returns a generator, but its limit is checked at the call, before any row is asked for
+    for limit in (2, 10**9):
+        with pytest.raises(ValueError):
+            scan(limit)
 
 
 def test_emit_csv_header_only():
@@ -316,16 +318,66 @@ def test_scan_counts_no_reduced_forms(monkeypatch):
 
 
 def test_cli_refuses_a_theta_count_beyond_the_bound(monkeypatch, capsys):
-    # 100000007 is a prime = 7 (mod 8): check reaches the per-n theta count
+    # 10000000103 is a prime = 7 (mod 8): check reaches the per-n theta count
     def counted(*args):
         raise AssertionError("counted")
 
-    monkeypatch.setattr(congruent.tunnell, "_count_form", counted)
-    for argv in (["check", "-n", "100000007"], ["tunnell", "-n", "100000007"]):
+    monkeypatch.setattr(congruent.tunnell, "_divisor_sums", counted)
+    for argv in (["check", "-n", "10000000103"], ["tunnell", "-n", "10000000103"]):
         assert main(argv) == 2
-        assert "n = 100000007 exceeds the supported bound 100000000" in capsys.readouterr().err
+        assert "n = 10000000103 exceeds the per-n bound 10000000000" in capsys.readouterr().err
     with pytest.raises(AssertionError, match="counted"):
-        main(["tunnell", "-n", "99999989"])  # a prime below the bound reaches the count
+        main(["tunnell", "-n", "9999999967"])  # a prime below the bound reaches the count
+
+
+CHECK_OUTPUT = """\
+n = 219
+  q = 3, p = 73, t = 1, n_q = 73
+  hypothesis: q residue mod all p_i: True, rank A = t-1: True
+  s_n = 2, r4 = 1, r8(-n) = 0, r8(-n_q) = 0
+  h(-n) = 4 = h(-n_q) = 4  (mod 8)
+  tunnell: congruent_under_bsd (congruence side is BSD-conditional)
+  verdict: consistent
+n = 42267
+  q = 3, p = 73·193, t = 2, n_q = 14089
+  hypothesis: q residue mod all p_i: True, rank A = t-1: True
+  s_n = 2, r4 = 1, r8(-n) = 0, r8(-n_q) = 1
+  h(-n) = 24 != h(-n_q) = 96  (mod 16)
+  tunnell: non_congruent_unconditional (congruence side is BSD-conditional)
+  verdict: non_congruent_certificate
+n = 52779
+  q = 3, p = 73·241, t = 2, n_q = 17593
+  hypothesis: q residue mod all p_i: True, rank A = t-1: True
+  s_n = 2, r4 = 1, r8(-n) = 1, r8(-n_q) = 1
+  h(-n) = 80 = h(-n_q) = 48  (mod 16)
+  tunnell: congruent_under_bsd (congruence side is BSD-conditional)
+  verdict: consistent
+n = 9999939
+  q = 3, p = 3333313, t = 1, n_q = 3333313
+  hypothesis: q residue mod all p_i: True, rank A = t-1: True
+  s_n = 2, r4 = 1, r8(-n) = 0, r8(-n_q) = 0
+  h(-n) = 788 = h(-n_q) = 740  (mod 8)
+  tunnell: non_congruent_unconditional (congruence side is BSD-conditional)
+  verdict: consistent
+n = 42
+  tunnell: non_congruent_unconditional (congruence side is BSD-conditional)
+  verdict: hypothesis_failed (prime factors [2, 7] of 42 are not 1 or 3 (mod 8))
+n = 12
+  verdict: hypothesis_failed (2^2 divides 12)
+"""
+
+
+def test_cli_check_counts_by_divisor_sums_alone(monkeypatch, capsys):
+    # check takes the Tunnell counts and both class numbers from divisor sums,
+    # never from the O(n) box count or the O(|D|) reduced-form count
+    def counted(*args):
+        raise AssertionError("counted by an O(n) path")
+
+    monkeypatch.setattr(congruent.tunnell, "_count_form", counted)
+    monkeypatch.setattr(congruent.classgroup, "_count_reduced_forms", counted)
+    for n in (219, 42267, 52779, 9999939, 42, 12):
+        assert main(["check", "-n", str(n)]) == 0
+    assert capsys.readouterr().out == CHECK_OUTPUT
 
 
 def _fail_42267(monkeypatch):

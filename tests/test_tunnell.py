@@ -3,11 +3,21 @@
 import random
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from congruent.arith import NotSquarefree, factor_squarefree, is_prime
 from congruent.classgroup import _count_reduced_forms, fundamental_discriminant
-from congruent.tunnell import Classification, ThetaCounts, TunnellTable, classify, theta_counts
+from congruent.tunnell import (
+    Classification,
+    DivisorSums,
+    ThetaCounts,
+    TunnellTable,
+    _divisor_sums,
+    classify,
+    counts,
+    theta_counts,
+)
 
 
 def brute_counts(n):
@@ -74,19 +84,66 @@ def test_against_signed_brute_force():
 
 def test_table_matches_per_n():
     # every squarefree n <= 4000, then a seeded sample of the n = 3 (mod 8)
-    # that a scan reads, far enough out for the long z-ranges; the table
-    # holds odd n only, so every even n is refused
+    # that a scan reads and of even n, far enough out for the long z-ranges;
+    # the table holds odd n only, so every even n is refused
     table = TunnellTable(200_000)
-    far = [n for n in random.Random(4).sample(range(4003, 200_001, 8), 60) if is_squarefree(n)]
-    assert len(far) >= 40
-    for n in squarefree_up_to(4000) + far[:40]:
+    rng = random.Random(4)
+    far = [n for n in rng.sample(range(4003, 200_001, 8), 60) if is_squarefree(n)]
+    far_even = [n for n in rng.sample(range(4002, 200_001, 4), 30) if is_squarefree(n)]
+    assert len(far) >= 40 and len(far_even) >= 20
+    for n in squarefree_up_to(4000) + far[:40] + far_even[:20]:
+        a = theta_counts(n)
+        assert counts(n) == a, n
         if n % 2 == 0:
             with pytest.raises(ValueError, match="odd"):
                 table.counts(n)
             continue
-        a, b = theta_counts(n), table.counts(n)
-        assert a == b, n
-        assert b.label == a.label == classify(n), n
+        assert table.counts(n) == a, n
+
+
+def test_divisor_sums_match_the_table_and_a_direct_count():
+    # r(m) = #{2x^2 + y^2 = m} against the table on every odd m <= 200,000, and
+    # r'(m) = #{4x^2 + y^2 = m} against a signed count on every odd m <= 50,000
+    table = TunnellTable(200_000)
+    m = np.arange(1, 200_001, 2, dtype=np.int64)
+    assert np.array_equal(_divisor_sums(m, 8), table._r[m])
+    limit = 50_000
+    direct = np.zeros(limit + 1, dtype=np.int64)
+    ys = np.arange(-isqrt(limit), isqrt(limit) + 1, dtype=np.int64)
+    for x in range(-isqrt(limit // 4), isqrt(limit // 4) + 1):
+        vals = 4 * x * x + ys * ys
+        np.add.at(direct, vals[vals <= limit], 1)
+    m = m[m <= limit]
+    assert np.array_equal(_divisor_sums(m, 4), direct[m])
+    for bad in ([0, 1], [2], [-3]):
+        with pytest.raises(ValueError, match="odd m >= 1"):
+            _divisor_sums(np.array(bad, dtype=np.int64), 8)
+
+
+def test_divisor_sum_class_numbers_match_reduced_forms():
+    # a seeded log-uniform sample of squarefree m of both shapes up to 10^7,
+    # with check_large's largest n and its n_q
+    rng = random.Random(9)
+    ms = [9_999_939, 3_333_313]
+    while len(ms) < 30:
+        m = int(10 ** rng.uniform(1, 7))
+        if m % 8 in (1, 3) and m > 3 and is_squarefree(m):
+            ms.append(m)
+    assert {m % 8 for m in ms} == {1, 3}
+    for m in ms:
+        assert DivisorSums(m).class_number(m) == _count_reduced_forms(fundamental_discriminant(m)), m
+
+
+def test_per_n_bounds():
+    with pytest.raises(ValueError, match="n = 10000000001 exceeds the per-n bound 10000000000"):
+        counts(10_000_000_001)
+    with pytest.raises(ValueError, match="n = 100000007 exceeds the supported bound 100000000"):
+        theta_counts(100_000_007)
+    source = DivisorSums(1000)
+    with pytest.raises(ValueError, match="range 1..1000"):
+        source.counts(1001)
+    with pytest.raises(ValueError, match="class-number range 4..1000"):
+        source.class_number(1003)
 
 
 def test_table_range_checks():
