@@ -8,6 +8,7 @@ pipeline is independently inspectable.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -171,7 +172,9 @@ def _cmd_tunnell(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser main reads, built once on first use; parse_args leaves it unchanged."""
     parser = _Parser(prog="congruent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -223,9 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:

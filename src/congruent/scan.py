@@ -6,9 +6,13 @@ survivor in increasing n.  Rows carry the exact table columns: class numbers,
 the Legendre triple, the congruence verdict, and the independent Tunnell
 label.
 
-The sieve factors every candidate, and that factorisation is the only one a
-row needs.  One TunnellTable serves every row: the Tunnell label and both
-class numbers.
+The scan works in blocks.  A numpy pass over the smallest-prime-factor
+sieve factors a block of n = 3 (mod 8) at once and drops, before any Python
+object is built, the n with a square factor, a prime not 1 or 3 (mod 8), a
+q-count other than 1, or a p_i modulo which q is a non-residue (Euler's
+criterion); that factorisation is the only one a row needs.  One TunnellTable
+serves every row: for the rows of each pass it sums the lines of all their n
+and n_q at once, which give the Tunnell label and both class numbers.
 
 CSV is the 7-bit machine format (prime product joined by "*"); the pretty
 printer uses the dot separator.
@@ -20,6 +24,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from itertools import groupby
 from math import isqrt
 from typing import Iterable, Iterator, Optional, TextIO
 
@@ -101,8 +106,13 @@ def row_from_report(report: CriterionReport) -> ScanRow:
     )
 
 
-def _smallest_prime_factors(limit: int) -> list[int]:
-    """spf[i] for i = 0..limit (0 at 0 and 1), as Python ints for the candidate walk."""
+# n = 3 (mod 8) per pass of the candidate filter; the rows of one pass read one
+# TunnellTable.block, so this bounds the arrays of both
+_BLOCK = 1 << 12
+
+
+def _smallest_prime_factors(limit: int) -> np.ndarray:
+    """spf[i] for i = 0..limit (0 at 0 and 1), as an int32 array."""
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == 0:
@@ -110,35 +120,68 @@ def _smallest_prime_factors(limit: int) -> list[int]:
             multiples[multiples == 0] = p
     primes = np.flatnonzero(spf == 0)[2:]
     spf[primes] = primes
-    return spf.tolist()
+    return spf
+
+
+def _shape_block(spf: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n among ns (each >= 2) of shape p_1 ... p_t * q: squarefree, t >= 1, one prime = 3 and the rest = 1 (mod 8).
+
+    Returns those n and their primes, one row per n in increasing order and
+    padded with 1.  Each step divides every n by its smallest prime factor and
+    drops the n where that prime is repeated or of another residue.
+    """
+    rest = ns.copy()
+    ok = np.ones(ns.size, dtype=bool)
+    columns = []
+    while (live := rest > 1).any():
+        p = np.where(live, spf[rest], 1)
+        rest //= p
+        r8 = p & 7
+        ok &= ~live | ((rest % p != 0) & ((r8 == 1) | (r8 == 3)))
+        rest[~ok] = 1
+        columns.append(p)
+    primes = np.stack(columns, axis=1)
+    ok &= ((primes & 7 == 3).sum(axis=1) == 1) & ((primes > 1).sum(axis=1) >= 2)
+    return ns[ok], primes[ok]
+
+
+def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp mod mod elementwise, for int64 arrays with 0 <= base < mod and mod^2 < 2^63."""
+    result = np.ones_like(base)
+    while exp.any():
+        result = np.where(exp & 1 == 1, result * base % mod, result)
+        base = base * base % mod
+        exp = exp >> 1
+    return result
+
+
+def _q_residue(primes: np.ndarray) -> np.ndarray:
+    """For each row of _shape_block's primes: is q a quadratic residue mod every p_i.
+
+    Euler's criterion, q^((p-1)/2) = 1 (mod p), for every pair (q, p_i) at once;
+    the scan's p_i are below 2^31, so the products stay in int64.
+    """
+    q = np.where(primes & 7 == 3, primes, 0).max(axis=1).astype(np.int64)
+    rows, cols = np.nonzero((primes & 7 == 1) & (primes > 1))
+    p = primes[rows, cols].astype(np.int64)
+    residue = np.ones(primes.shape[0], dtype=bool)
+    residue[rows[_pow_mod(q[rows] % p, (p - 1) // 2, p) != 1]] = False
+    return residue
 
 
 def _shape_candidates(limit: int) -> Iterator[FactoredSquarefree]:
-    """Squarefree n <= limit with exactly one prime = 3 and the rest = 1 (mod 8), factored."""
+    """Squarefree n <= limit of shape p_1 ... p_t * q with q a residue mod every p_i, factored, in increasing n.
+
+    The filter takes _BLOCK values n = 3 (mod 8) at a time through the sieve's
+    array; only the survivors become Python objects.
+    """
     spf = _smallest_prime_factors(limit)
-    for n in range(3, limit + 1, 8):
-        v = n
-        primes = []
-        seen_q = 0
-        ok = True
-        while v > 1:
-            p = spf[v]
-            v //= p
-            if v % p == 0:
-                ok = False
-                break
-            r = p % 8
-            if r == 3:
-                seen_q += 1
-                if seen_q > 1:
-                    ok = False
-                    break
-            elif r != 1:
-                ok = False
-                break
-            primes.append(p)
-        if ok and seen_q == 1 and n != spf[n]:
-            yield FactoredSquarefree(n, tuple(primes))
+    for start in range(3, limit + 1, 8 * _BLOCK):
+        ns = np.arange(start, min(start + 8 * _BLOCK, limit + 1), 8, dtype=np.int64)
+        ns, primes = _shape_block(spf, ns)
+        keep = _q_residue(primes)
+        for n, row in zip(ns[keep].tolist(), primes[keep].tolist()):
+            yield FactoredSquarefree(n, tuple(p for p in row if p > 1))
 
 
 def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Iterator[ScanRow]:
@@ -160,18 +203,17 @@ def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Iterator[
 
 def _rows(limit: int, t_filter: Optional[int], on_error) -> Iterator[ScanRow]:
     table = TunnellTable(limit)
-    for n in _shape_candidates(limit):
-        h = hypothesis_from_factored(n)
-        if not h.holds():
-            continue
-        if t_filter is not None and h.t != t_filter:
-            continue
-        try:
-            report = evaluate_hypothesis(h, table=table)
-        except (ValueError, ArithmeticError) as exc:
-            on_error(n.value, exc)
-            continue
-        yield row_from_report(report)
+    passes = groupby(_shape_candidates(limit), key=lambda c: (c.value - 3) // (8 * _BLOCK))
+    for _, candidates in passes:
+        hs = [h for h in map(hypothesis_from_factored, candidates) if h.holds() and t_filter in (None, h.t)]
+        source = table.block([h.n.value for h in hs] + [h.n_q.value for h in hs])
+        for h in hs:
+            try:
+                report = evaluate_hypothesis(h, table=source)
+            except (ValueError, ArithmeticError) as exc:
+                on_error(h.n.value, exc)
+                continue
+            yield row_from_report(report)
 
 
 def _csv_cell(value):

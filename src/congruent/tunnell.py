@@ -7,14 +7,16 @@ For odd squarefree n the two counts are over 2x^2 + y^2 + 32z^2 = n and
 converse direction holds only under BSD, and the labels say so.
 
 Every count is a sum over z of w_z * r(n - c z^2), with w_z = 1 at z = 0 and
-2 otherwise and r(m) a binary count such as #{2x^2 + y^2 = m} (exact int64
-throughout), and the class numbers a row needs are such sums too, by Gauss's
-three-square theorem.  Two sources of r share those sums: TunnellTable keeps
-r for a whole range, which a scan reads; DivisorSums factors the O(sqrt(n))
-points n - c z^2 of one n (Tunnell 1983; Hart, Tornaria and Watkins 2010),
-which counts, classify and a check read.  theta_counts enumerates the lattice
-box per n and is the reference both are tested against.
-ThetaCounts.label is the one place the label rule is written.
+2 otherwise and r(m) a binary count such as #{2x^2 + y^2 = m}, and the class
+numbers a row needs are such sums too, by Gauss's three-square theorem.  For
+odd n all three sums read one line r(n - 2z^2): c8 is its sum over even z and
+c32 over z = 0 (mod 4).  Sums are int64.  Two sources of r share them:
+TunnellTable keeps r (int16, bound-checked) for a whole range and sums the
+lines of a batch of centres at once for a scan (TunnellTable.block);
+DivisorSums factors the O(sqrt(n)) points of one line (Tunnell 1983; Hart,
+Tornaria and Watkins 2010), which counts, classify and a check read.
+theta_counts enumerates the lattice box per n and is the reference both are
+tested against.  ThetaCounts.label is the one place the label rule is written.
 """
 
 from __future__ import annotations
@@ -90,8 +92,12 @@ def _theta_weights(coeff: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _binary_counts(limit: int) -> np.ndarray:
-    """r(m) = #{(x, y) in Z^2 : 2x^2 + y^2 = m} for m = 0..limit."""
-    r = np.zeros(limit + 1, dtype=np.int64)
+    """r(m) = #{(x, y) in Z^2 : 2x^2 + y^2 = m} for m = 0..limit, as int32.
+
+    int32 cannot wrap: one x adds at most 4 to an entry (y and -y, each of
+    weight 2 at x != 0), so r(m) <= 4 (isqrt(m/2) + 1), far below 2^31.
+    """
+    r = np.zeros(limit + 1, dtype=np.int32)
     y_idx, y_w = _theta_weights(1, limit)
     for xi, xw in zip(*_theta_weights(2, limit)):
         cut = np.searchsorted(y_idx, limit - xi, side="right")
@@ -100,23 +106,28 @@ def _binary_counts(limit: int) -> np.ndarray:
     return r
 
 
-class _ThetaSums:
-    """Tunnell's counts and the scan's two class numbers as z-sums over binary counts.
+def _z_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sums along z (the last axis) of the terms w_z * r(m - c z^2): over every z, even z and z = 0 (mod 4)."""
+    return terms.sum(-1), terms[..., ::2].sum(-1), terms[..., ::4].sum(-1)
 
-    Each ternary count #{a x^2 + y^2 + c z^2 = n} is the sum over z of
-    w_z * r(n - c z^2), with r(m) = #{a x^2 + y^2 = m}.  TunnellTable and
-    DivisorSums share these sums and the class-number rule; they differ only
-    in where r comes from (_r_at, for an int64 array of odd m).
+
+class _ThetaSums:
+    """Tunnell's counts and the scan's two class numbers from one line per centre.
+
+    The line of an odd centre m is r(m - 2z^2) over z, with r(m) = #{2x^2 + y^2 = m};
+    z = 2z' and z = 4z' give the points m - 8z'^2 and m - 32z'^2, so one line
+    gives all three sums, each of w_z * r(m - 2z^2) with w_z = 1 at z = 0, else 2:
+    T(m) = #{2x^2 + y^2 + 2z^2 = m} over every z, c8 over even z and c32 over
+    z = 0 (mod 4).  Subclasses differ only in where a line comes from (_line).
     """
 
     def __init__(self, limit: int):
         if limit < 1:
             raise ValueError("limit must be positive")
         self.limit = limit
-        self._z = {c: _theta_weights(c, limit) for c in (32, 8, 2)}
 
-    def _r_at(self, m: np.ndarray) -> np.ndarray:
-        """r(m) = #{2x^2 + y^2 = m} for an int64 array of odd m in 1..limit."""
+    def _line(self, m: int) -> tuple[int, int, int]:
+        """(T(m), c8(m), c32(m)) for an odd m in 1..limit."""
         raise NotImplementedError
 
     def class_number(self, m: int) -> int:
@@ -131,65 +142,116 @@ class _ThetaSums:
         if not 4 <= m <= self.limit or m % 8 not in (1, 3):
             raise ValueError(f"m = {m} is not an m = 1 or 3 (mod 8) in the class-number range 4..{self.limit}")
         divisor = 24 if m % 8 == 3 else 4
-        t = self._sum_over_z(m, 2, self._r_at)
+        t = self._line(m)[0]
         if t % divisor:
             raise ArithmeticError(f"T({m}) = {t} is not divisible by {divisor}")
         return t // divisor
 
-    def _counts_at(self, n: int, m: int, r_at) -> ThetaCounts:
-        """n's counts c32 and c8 as the z-sums at m (m = n for odd n, n/2 for even n)."""
-        return ThetaCounts(n=n, c32=self._sum_over_z(m, 32, r_at), c8=self._sum_over_z(m, 8, r_at))
+    def counts(self, n: int) -> ThetaCounts:
+        """Counts for an odd n in 1..limit."""
+        if not 1 <= n <= self.limit or n % 2 == 0:
+            raise ValueError(f"n = {n} is not an odd n in the table range 1..{self.limit}")
+        _, c8, c32 = self._line(n)
+        return ThetaCounts(n=n, c32=c32, c8=c8)
 
-    def _sum_over_z(self, n: int, c_coeff: int, r_at) -> int:
-        """#{a x^2 + y^2 + c z^2 = n} as the sum over z of w_z * r(n - c z^2), r given by r_at."""
-        z_idx, z_w = self._z[c_coeff]
-        k = isqrt(n // c_coeff) + 1
-        return int(np.dot(z_w[:k], r_at(n - z_idx[:k])))
+
+# a table's binary counts are narrowed to this type once their maximum is checked
+_R_DTYPE = np.int16
+# cells of one batch of lines in TunnellTable.block: 128 KiB per int64 array
+_BLOCK_CELLS = 1 << 14
 
 
 class TunnellTable(_ThetaSums):
     """Representation counts for every odd n up to a limit.
 
     Holds the binary counts r(m) = #{2x^2 + y^2 = m} up to the limit, built
-    in one O(limit) pass.  A query sums w_z * r(n - c z^2) over z, for c = 32
-    and 8 in counts and c = 2 in class_number: O(sqrt(n)) per n.
+    in one O(limit) pass and stored as int16 (checked before narrowing).
+    block() gathers the O(sqrt(n)) lines r(n - 2z^2) of a batch of centres at
+    once and sums them in int64; a query on the table is a one-centre block.
     """
 
     def __init__(self, limit: int):
         super().__init__(limit)
-        self._r = _binary_counts(limit)
+        r = _binary_counts(limit)
+        top = int(r.argmax())
+        bound = int(np.iinfo(_R_DTYPE).max)
+        if r[top] > bound:
+            raise OverflowError(f"r({top}) = {r[top]} exceeds the table bound {bound} of {np.dtype(_R_DTYPE).name}")
+        self._r = r.astype(_R_DTYPE)
+        self._z = _theta_weights(2, limit)
 
-    def _r_at(self, m: np.ndarray) -> np.ndarray:
-        return self._r[m]
+    def _line(self, m: int) -> tuple[int, int, int]:
+        return self.block([m])._line(m)
 
-    def counts(self, n: int) -> ThetaCounts:
-        if not 1 <= n <= self.limit or n % 2 == 0:
-            raise ValueError(f"n = {n} is not an odd n in the table range 1..{self.limit}")
-        return self._counts_at(n, n, self._r_at)
+    def block(self, centres) -> _TableBlock:
+        """The lines of every odd centre in 1..limit among centres, summed at once.
+
+        The centres are sorted and gathered in batches of at most _BLOCK_CELLS
+        points, so memory is bounded by the batch whatever the limit; a point
+        m - 2z^2 below 1 gets weight 0.  Other centres are left out, and the
+        block refuses them as the table would.
+        """
+        ms = np.unique(np.asarray(centres, dtype=np.int64))
+        ms = ms[(ms >= 1) & (ms <= self.limit) & (ms % 2 == 1)]
+        z_idx, z_w = self._z
+        step = max(1, _BLOCK_CELLS // z_idx.size)
+        sums = np.zeros((3, ms.size), dtype=np.int64)
+        for lo in range(0, ms.size, step):
+            part = ms[lo : lo + step]
+            k = isqrt(int(part[-1]) // 2) + 1
+            points = part[:, None] - z_idx[:k]
+            weights = np.where(points > 0, z_w[:k], 0)
+            sums[:, lo : lo + step] = _z_sums(weights * self._r[np.maximum(points, 0)])
+        return _TableBlock(self.limit, dict(zip(ms.tolist(), zip(*sums.tolist()))))
+
+
+class _TableBlock(_ThetaSums):
+    """The lines of a batch of centres from one TunnellTable: what a scan reads per row."""
+
+    def __init__(self, limit: int, sums: dict[int, tuple[int, int, int]]):
+        super().__init__(limit)
+        self._sums = sums
+
+    def _line(self, m: int) -> tuple[int, int, int]:
+        try:
+            return self._sums[m]
+        except KeyError:
+            raise ValueError(f"m = {m} is not a centre of this block") from None
 
 
 class DivisorSums(_ThetaSums):
     """Counts and class numbers for n up to limit <= MAX_PER_N, with r(m) by divisor sums.
 
-    A query factors only the O(sqrt(n)) points n - c z^2 it sums over, so time
-    and memory are O(sqrt(n)) where a table or a reduced-form count is O(n).
+    A query factors only the O(sqrt(n)) points of its line, so time and memory
+    are O(sqrt(n)) where a table or a reduced-form count is O(n).  Each line is
+    kept, so n's counts and its class number factor the points of n once.
     """
 
     def __init__(self, limit: int):
         if limit > MAX_PER_N:
             raise ValueError(f"n = {limit} exceeds the per-n bound {MAX_PER_N}")
         super().__init__(limit)
+        self._z = _theta_weights(2, limit)
+        self._lines: dict[int, tuple[int, int, int]] = {}
 
-    def _r_at(self, m: np.ndarray) -> np.ndarray:
-        return _divisor_sums(m, 8)
+    def _line(self, m: int) -> tuple[int, int, int]:
+        sums = self._lines.get(m)
+        if sums is None:
+            z_idx, z_w = self._z
+            k = isqrt(m // 2) + 1
+            sums = self._lines[m] = tuple(int(s) for s in _z_sums(z_w[:k] * _divisor_sums(m - z_idx[:k], 8)))
+        return sums
 
     def counts(self, n: int) -> ThetaCounts:
-        """Counts for odd or even n in 1..limit; even n sums #{4x^2 + y^2 = m} at n/2."""
+        """Counts for odd or even n in 1..limit; even n sums the line r'(n/2 - 8z^2), r'(m) = #{4x^2 + y^2 = m}."""
         if not 1 <= n <= self.limit:
             raise ValueError(f"n = {n} is not in the range 1..{self.limit}")
         if n % 2:
-            return self._counts_at(n, n, self._r_at)
-        return self._counts_at(n, n // 2, lambda m: _divisor_sums(m, 4))
+            return super().counts(n)
+        half = n // 2
+        z_idx, z_w = _theta_weights(8, half)
+        c8, c32, _ = _z_sums(z_w * _divisor_sums(half - z_idx, 4))
+        return ThetaCounts(n=n, c32=int(c32), c8=int(c8))
 
 
 def counts(n: int) -> ThetaCounts:

@@ -4,18 +4,33 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import congruent.arith
 import congruent.classgroup
 import congruent.criteria
 import congruent.tunnell
+from congruent.arith import FactoredSquarefree, is_prime, legendre
 from congruent.cli import main
-from congruent.scan import CSV_COLUMNS, ScanRow, _smallest_prime_factors, emit, read_rows, row_from_report, scan
+from congruent.scan import (
+    CSV_COLUMNS,
+    ScanRow,
+    _q_residue,
+    _shape_block,
+    _shape_candidates,
+    _smallest_prime_factors,
+    emit,
+    read_rows,
+    row_from_report,
+    scan,
+)
 from congruent.criteria import evaluate, evaluate_hypothesis
+from congruent.redei import hypothesis_from_factored
 
 GOLDEN_ROW = ScanRow(
     n=52779,
@@ -130,7 +145,83 @@ def reference_smallest_prime_factors(limit):
 
 @pytest.mark.parametrize("limit", [3, 4, 100, 9973, 200000])
 def test_smallest_prime_factors_match_reference(limit):
-    assert _smallest_prime_factors(limit) == reference_smallest_prime_factors(limit)
+    spf = _smallest_prime_factors(limit)
+    assert spf.dtype == np.int32
+    assert spf.tolist() == reference_smallest_prime_factors(limit)
+
+
+def reference_shape_candidates(limit):
+    """The Python walk the block filter replaced: the shape test alone, before any residue test."""
+    spf = reference_smallest_prime_factors(limit)
+    for n in range(3, limit + 1, 8):
+        v = n
+        primes = []
+        seen_q = 0
+        ok = True
+        while v > 1:
+            p = spf[v]
+            v //= p
+            if v % p == 0:
+                ok = False
+                break
+            r = p % 8
+            if r == 3:
+                seen_q += 1
+                if seen_q > 1:
+                    ok = False
+                    break
+            elif r != 1:
+                ok = False
+                break
+            primes.append(p)
+        if ok and seen_q == 1 and n != spf[n]:
+            yield FactoredSquarefree(n, tuple(primes))
+
+
+@pytest.fixture(scope="module")
+def walked():
+    """Every shape candidate n <= 200,000 of the old walk, with its residue condition."""
+    return [(c, hypothesis_from_factored(c).qr_condition) for c in reference_shape_candidates(200_000)]
+
+
+@pytest.mark.parametrize("block", [27, 1000, None])
+def test_block_filter_matches_the_python_walk(monkeypatch, walked, block):
+    # every n <= 200,000, then limits on the last n of a pass and on the first
+    # n of the next, so a pass of one n is included, and limits at candidates
+    # that are the first or last n of a pass (219 starts the second pass of 27)
+    scan_mod = importlib.import_module("congruent.scan")
+    if block is not None:
+        monkeypatch.setattr(scan_mod, "_BLOCK", block)
+    span = 8 * scan_mod._BLOCK
+    edges = [c.value for c, qr in walked if qr and (c.value - 3) % span in (0, span - 8)]
+    assert block != 27 or edges[0] == 219
+    for limit in (200_000, 3 + 3 * span - 8, 3 + 3 * span, 3 + 3 * span + 5, *edges[:4]):
+        assert list(_shape_candidates(limit)) == [c for c, qr in walked if c.value <= limit and qr], limit
+
+
+def test_residue_reject_matches_the_hypothesis(walked):
+    ns, primes = _shape_block(_smallest_prime_factors(200_000), np.arange(3, 200_001, 8, dtype=np.int64))
+    assert ns.tolist() == [c.value for c, _ in walked]
+    assert [tuple(p for p in row if p > 1) for row in primes.tolist()] == [c.primes for c, _ in walked]
+    residue = _q_residue(primes)
+    assert residue.tolist() == [qr for _, qr in walked]
+    assert 0 < residue.sum() < residue.size
+
+
+def test_residue_reject_at_the_largest_scan_primes():
+    # a scan to its bound 75,000,000 meets p_i up to 25,000,000, where p^2 is
+    # near 2^50; Euler's criterion must stay exact in int64 there
+    rng = random.Random(11)
+    large_q = [q for q in range(24_000_003, 24_010_000, 8) if is_prime(q)]
+    pairs = []
+    while len(pairs) < 200:
+        p = rng.randrange(20_000_001, 25_000_000, 8)
+        if is_prime(p):
+            pairs.append((rng.choice((3, 11, 19, rng.choice(large_q))), p))
+    residue = _q_residue(np.array([sorted(pair) for pair in pairs], dtype=np.int32))
+    expected = [legendre(q, p) == 1 for q, p in pairs]
+    assert residue.tolist() == expected
+    assert 0 < residue.sum() < residue.size
 
 
 def test_scan_factors_nothing_beyond_the_sieve(monkeypatch):
@@ -234,6 +325,14 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
     assert main(["classnum", "-m", "1000000007"]) == 2  # |D| beyond the supported bound
     assert "exceeds the supported bound 100000000" in capsys.readouterr().err
+
+
+def test_cli_main_keeps_no_options_between_calls(capsys):
+    # main builds its parser once; a second call must not see the first call's --json
+    assert main(["check", "-n", "219", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 219
+    assert main(["check", "-n", "219"]) == 0
+    assert capsys.readouterr().out == CHECK_OUTPUT.split("n = 42267")[0]
 
 
 def test_cli_check_json(capsys):

@@ -6,6 +6,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
+import congruent.tunnell
 from congruent.arith import NotSquarefree, factor_squarefree, is_prime
 from congruent.classgroup import _count_reduced_forms, fundamental_discriminant
 from congruent.tunnell import (
@@ -175,6 +176,59 @@ def test_table_class_number_refusals():
     table._r[17 - 2 * 2 * 2] += 1
     with pytest.raises(ArithmeticError, match="not divisible by 4"):
         table.class_number(17)
+
+
+def test_table_blocks_match_per_n_sums():
+    # one batch of lines from a table to 10^7 against DivisorSums on a seeded
+    # log-uniform sample of odd squarefree centres with 9,999,939 and its n_q,
+    # and against theta_counts on the centres below 10^5
+    table = TunnellTable(10_000_000)
+    rng = random.Random(12)
+    ms = [9_999_939, 3_333_313]
+    while len(ms) < 60:
+        m = int(10 ** rng.uniform(0, 7)) | 1
+        if is_squarefree(m):
+            ms.append(m)
+    assert sum(m < 100_000 for m in ms) >= 20
+    # duplicates, even centres and centres out of range are left out of the block
+    block = table.block(ms + [ms[5], 2, 10_000_001, 0, -7])
+    for m in ms:
+        per_n = DivisorSums(m)
+        assert block.counts(m) == per_n.counts(m) == table.counts(m), m
+        if m < 100_000:
+            assert block.counts(m) == theta_counts(m), m
+        if m > 3 and m % 8 in (1, 3):
+            assert block.class_number(m) == per_n.class_number(m) == table.class_number(m), m
+    assert (block.class_number(9_999_939), block.class_number(3_333_313)) == (788, 740)
+    for m in (2, 10_000_001, 0, -7):
+        with pytest.raises(ValueError, match="table range"):
+            block.counts(m)
+    with pytest.raises(ValueError, match="not a centre of this block"):
+        block.counts(9_999_937)
+    assert table.block([]).limit == table.limit
+
+
+def test_block_class_number_refuses_an_indivisible_sum():
+    table = TunnellTable(1000)
+    table._r[17 - 2 * 2 * 2] += 1
+    with pytest.raises(ArithmeticError, match=r"T\(17\) = \d+ is not divisible by 4"):
+        table.block([17, 19]).class_number(17)
+    assert table.block([17, 19]).class_number(19) == 1  # its line 19, 17, 11, 1 misses r(9)
+
+
+def test_table_counts_are_int16_below_a_checked_bound(monkeypatch):
+    # the build counts in int32, which cannot wrap; the maximum is checked before narrowing
+    assert TunnellTable(1000)._r.dtype == np.int16
+    real = congruent.tunnell._binary_counts
+
+    def swollen(limit):
+        r = real(limit)
+        r[41] = 40_000
+        return r
+
+    monkeypatch.setattr(congruent.tunnell, "_binary_counts", swollen)
+    with pytest.raises(OverflowError, match=r"r\(41\) = 40000 exceeds the table bound 32767 of int16"):
+        TunnellTable(1000)
 
 
 def test_prime_catalog_below_500():
