@@ -15,7 +15,7 @@ import sys
 from .arith import NotSquarefree, factor_squarefree
 from .classgroup import class_number, fundamental_discriminant, genus_two_rank
 from .criteria import CriterionReport, InvariantViolation, evaluate
-from .descent import DivisorPair, find_witness, kernel_K
+from .descent import MAX_WITNESS_BOUND, DivisorPair, find_witness, kernel_K
 from .gf2 import unpack
 from .norms import parity_criterion, represent
 from .redei import build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank, redei_matrix
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("descent", help="kernel pairs and torsor witnesses")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--pair", type=_int_pair, default=None, help="a,b")
-    p.add_argument("--bound", type=int, default=10000)
+    p.add_argument("--bound", type=int, default=MAX_WITNESS_BOUND)
     p.set_defaults(func=_cmd_descent)
 
     p = sub.add_parser("tunnell", help="theta counts and classification")

@@ -17,7 +17,7 @@ from typing import Optional
 from .arith import NotSquarefree, is_prime
 from .redei import HypothesisN, WrongResidueShape, build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank
 from .selmer import selmer_rank
-from .tunnell import Classification, DivisorSums, TunnellTable, classify
+from .tunnell import Classification, ThetaSums, classify, divisor_lines
 
 
 class Verdict(enum.Enum):
@@ -93,17 +93,18 @@ def evaluate(v: int) -> CriterionReport:
     return report
 
 
-def evaluate_hypothesis(h: HypothesisN, table: Optional[TunnellTable] = None) -> CriterionReport:
+def evaluate_hypothesis(h: HypothesisN, sums: Optional[ThetaSums] = None) -> CriterionReport:
     """The report for an n already factored into h; it passes the invariant checks.
 
-    Nothing is factored again.  A scan's TunnellTable, if given, supplies the
-    Tunnell label and both class numbers; without one they are summed for this
-    n alone by DivisorSums, which refuses n above its bound before any count.
+    Nothing is factored again.  sums, if given, holds the lines of n and n_q
+    (a scan passes its TunnellTable.block) and supplies the Tunnell label and
+    both class numbers; without it both lines are summed for this n alone by
+    divisor_lines, which refuses n above its bound before any count.
     """
-    v = h.n.value
-    source = table or DivisorSums(v)
-    label = source.counts(v).label
-    hn, hnq = source.class_number(v), source.class_number(h.n_q.value)
+    v, vq = h.n.value, h.n_q.value
+    sums = sums or divisor_lines([v, vq])
+    label = sums.counts(v).label
+    hn, hnq = sums.class_number(v), sums.class_number(vq)
     modulus = h.modulus
     congruence = (hn - hnq) % modulus == 0
     holds = h.holds()

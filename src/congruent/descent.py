@@ -17,6 +17,9 @@ from typing import NamedTuple, Optional
 
 from .arith import FactoredSquarefree, legendre
 
+# find_witness tries up to bound^2 pairs (x, y); a larger bound is refused
+MAX_WITNESS_BOUND = 10**4
+
 
 class PairNotInKernel(ValueError):
     """Witness search requested for a pair outside the joint kernel."""
@@ -88,12 +91,15 @@ def kernel_K(m: FactoredSquarefree) -> set[DivisorPair]:
     return {pair for pair in pairs if _in_kernel(pair, m)}
 
 
-def find_witness(m: FactoredSquarefree, pair: DivisorPair, bound: int = 10000) -> Optional[TorsorWitness]:
+def find_witness(m: FactoredSquarefree, pair: DivisorPair, bound: int = MAX_WITNESS_BOUND) -> Optional[TorsorWitness]:
     """Search for (x, y, z, w), not all zero, with ab x^2 +- m y^2 = a z^2 / b w^2.
 
     Absence within the bound proves nothing; any returned witness satisfies
     both equations exactly.  Only pairs in the kernel can carry witnesses.
+    A bound outside 1..MAX_WITNESS_BOUND is refused before the search.
     """
+    if not 1 <= bound <= MAX_WITNESS_BOUND:
+        raise ValueError(f"bound {bound} is outside the supported range 1..{MAX_WITNESS_BOUND}")
     a, b = pair
     mv = m.value
     if a < 1 or b < 1 or mv % a or mv % b or not _in_kernel(pair, m):

@@ -11,8 +11,9 @@ sieve factors a block of n = 3 (mod 8) at once and drops, before any Python
 object is built, the n with a square factor, a prime not 1 or 3 (mod 8), a
 q-count other than 1, or a p_i modulo which q is a non-residue (Euler's
 criterion); that factorisation is the only one a row needs.  One TunnellTable
-serves every row: for the rows of each pass it sums the lines of all their n
-and n_q at once, which give the Tunnell label and both class numbers.
+serves every row: for the rows of each pass its block sums the lines of all
+their n and n_q at once, the ThetaSums that give the Tunnell label and both
+class numbers.
 
 CSV is the 7-bit machine format (prime product joined by "*"); the pretty
 printer uses the dot separator.
@@ -206,10 +207,10 @@ def _rows(limit: int, t_filter: Optional[int], on_error) -> Iterator[ScanRow]:
     passes = groupby(_shape_candidates(limit), key=lambda c: (c.value - 3) // (8 * _BLOCK))
     for _, candidates in passes:
         hs = [h for h in map(hypothesis_from_factored, candidates) if h.holds() and t_filter in (None, h.t)]
-        source = table.block([h.n.value for h in hs] + [h.n_q.value for h in hs])
+        sums = table.block([h.n.value for h in hs] + [h.n_q.value for h in hs])
         for h in hs:
             try:
-                report = evaluate_hypothesis(h, table=source)
+                report = evaluate_hypothesis(h, sums=sums)
             except (ValueError, ArithmeticError) as exc:
                 on_error(h.n.value, exc)
                 continue

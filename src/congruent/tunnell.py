@@ -10,13 +10,14 @@ Every count is a sum over z of w_z * r(n - c z^2), with w_z = 1 at z = 0 and
 2 otherwise and r(m) a binary count such as #{2x^2 + y^2 = m}, and the class
 numbers a row needs are such sums too, by Gauss's three-square theorem.  For
 odd n all three sums read one line r(n - 2z^2): c8 is its sum over even z and
-c32 over z = 0 (mod 4).  Sums are int64.  Two sources of r share them:
-TunnellTable keeps r (int16, bound-checked) for a whole range and sums the
-lines of a batch of centres at once for a scan (TunnellTable.block);
-DivisorSums factors the O(sqrt(n)) points of one line (Tunnell 1983; Hart,
-Tornaria and Watkins 2010), which counts, classify and a check read.
-theta_counts enumerates the lattice box per n and is the reference both are
-tested against.  ThetaCounts.label is the one place the label rule is written.
+c32 over z = 0 (mod 4).  One gather, _line_sums, sums the lines of a batch of
+centres in int64 into ThetaSums; its two sources differ only in how r is read.
+TunnellTable keeps r (int16, bound-checked) for a whole range, and its block
+serves a scan; divisor_lines factors the O(sqrt(n)) points of each line
+(Tunnell 1983; Hart, Tornaria and Watkins 2010), which counts, classify and a
+check read.  theta_counts enumerates the lattice box per n and is the
+reference both are tested against.  ThetaCounts.label is the one place the
+label rule is written.
 """
 
 from __future__ import annotations
@@ -111,24 +112,24 @@ def _z_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return terms.sum(-1), terms[..., ::2].sum(-1), terms[..., ::4].sum(-1)
 
 
-class _ThetaSums:
-    """Tunnell's counts and the scan's two class numbers from one line per centre.
+class ThetaSums:
+    """Tunnell's counts and the scan's two class numbers for a batch of odd centres.
 
     The line of an odd centre m is r(m - 2z^2) over z, with r(m) = #{2x^2 + y^2 = m};
     z = 2z' and z = 4z' give the points m - 8z'^2 and m - 32z'^2, so one line
     gives all three sums, each of w_z * r(m - 2z^2) with w_z = 1 at z = 0, else 2:
     T(m) = #{2x^2 + y^2 + 2z^2 = m} over every z, c8 over even z and c32 over
-    z = 0 (mod 4).  Subclasses differ only in where a line comes from (_line).
+    z = 0 (mod 4).  Holds (T, c8, c32) per centre, as _line_sums gathers them.
     """
 
-    def __init__(self, limit: int):
-        if limit < 1:
-            raise ValueError("limit must be positive")
-        self.limit = limit
+    def __init__(self, sums: dict[int, tuple[int, int, int]]):
+        self._sums = sums
 
     def _line(self, m: int) -> tuple[int, int, int]:
-        """(T(m), c8(m), c32(m)) for an odd m in 1..limit."""
-        raise NotImplementedError
+        try:
+            return self._sums[m]
+        except KeyError:
+            raise ValueError(f"m = {m} is not a centre of these sums") from None
 
     def class_number(self, m: int) -> int:
         """h(-m) for m = 3 (mod 8), h(-4m) for m = 1 (mod 8); m must be squarefree.
@@ -137,10 +138,11 @@ class _ThetaSums:
         (mod 2), through the bijection (a, b) = (x + z, x - z).  By Gauss's r_3:
         for m = 3 (mod 8) all three are odd, T = r_3 = 24 h(-m); for m = 1 (mod 8)
         only y is odd, in a third of them by symmetry, T = r_3 / 3 = 4 h(-4m).
-        ArithmeticError if T is not divisible; ValueError unless 4 <= m <= limit has a shape above.
+        ArithmeticError if T is not divisible; ValueError unless m >= 4 has a
+        shape above and is a centre.
         """
-        if not 4 <= m <= self.limit or m % 8 not in (1, 3):
-            raise ValueError(f"m = {m} is not an m = 1 or 3 (mod 8) in the class-number range 4..{self.limit}")
+        if m < 4 or m % 8 not in (1, 3):
+            raise ValueError(f"m = {m} is not an m = 1 or 3 (mod 8) with m >= 4")
         divisor = 24 if m % 8 == 3 else 4
         t = self._line(m)[0]
         if t % divisor:
@@ -148,117 +150,95 @@ class _ThetaSums:
         return t // divisor
 
     def counts(self, n: int) -> ThetaCounts:
-        """Counts for an odd n in 1..limit."""
-        if not 1 <= n <= self.limit or n % 2 == 0:
-            raise ValueError(f"n = {n} is not an odd n in the table range 1..{self.limit}")
+        """Counts for a centre n."""
         _, c8, c32 = self._line(n)
         return ThetaCounts(n=n, c32=c32, c8=c8)
 
 
-# a table's binary counts are narrowed to this type once their maximum is checked
-_R_DTYPE = np.int16
-# cells of one batch of lines in TunnellTable.block: 128 KiB per int64 array
+# cells of one batch of lines in _line_sums: 128 KiB per int64 array
 _BLOCK_CELLS = 1 << 14
 
 
-class TunnellTable(_ThetaSums):
-    """Representation counts for every odd n up to a limit.
+def _line_sums(ms: list[int], r_at) -> ThetaSums:
+    """The lines r(m - 2z^2) of the sorted odd centres ms >= 1, summed in int64.
 
-    Holds the binary counts r(m) = #{2x^2 + y^2 = m} up to the limit, built
-    in one O(limit) pass and stored as int16 (checked before narrowing).
-    block() gathers the O(sqrt(n)) lines r(n - 2z^2) of a batch of centres at
-    once and sums them in int64; a query on the table is a one-centre block.
+    r_at maps an int64 array of odd points >= 1 to their r, elementwise; it is
+    the one thing the sources differ in.  The centres are gathered in batches
+    of at most _BLOCK_CELLS points, so memory is bounded by the batch whatever
+    the centres; a point m - 2z^2 below 1 is read at 1 and gets weight 0.
+    """
+    z_idx, z_w = _theta_weights(2, max(ms, default=0))
+    step = max(1, _BLOCK_CELLS // z_idx.size)
+    sums = np.zeros((3, len(ms)), dtype=np.int64)
+    for lo in range(0, len(ms), step):
+        part = np.array(ms[lo : lo + step], dtype=np.int64)
+        k = isqrt(int(part[-1]) // 2) + 1
+        points = part[:, None] - z_idx[:k]
+        weights = np.where(points > 0, z_w[:k], 0)
+        sums[:, lo : lo + step] = _z_sums(weights * r_at(np.maximum(points, 1)))
+    return ThetaSums(dict(zip(ms, zip(*sums.tolist()))))
+
+
+# a table's binary counts are narrowed to this type once their maximum is checked
+_R_DTYPE = np.int16
+
+
+class TunnellTable:
+    """The binary counts r(m) = #{2x^2 + y^2 = m} for every m up to a limit.
+
+    Built in one O(limit) pass and stored as int16 (checked before narrowing);
+    block() reads the lines of a batch of centres from it.
     """
 
     def __init__(self, limit: int):
-        super().__init__(limit)
+        if limit < 1:
+            raise ValueError("limit must be positive")
+        self.limit = limit
         r = _binary_counts(limit)
         top = int(r.argmax())
         bound = int(np.iinfo(_R_DTYPE).max)
         if r[top] > bound:
             raise OverflowError(f"r({top}) = {r[top]} exceeds the table bound {bound} of {np.dtype(_R_DTYPE).name}")
         self._r = r.astype(_R_DTYPE)
-        self._z = _theta_weights(2, limit)
 
-    def _line(self, m: int) -> tuple[int, int, int]:
-        return self.block([m])._line(m)
-
-    def block(self, centres) -> _TableBlock:
-        """The lines of every odd centre in 1..limit among centres, summed at once.
-
-        The centres are sorted and gathered in batches of at most _BLOCK_CELLS
-        points, so memory is bounded by the batch whatever the limit; a point
-        m - 2z^2 below 1 gets weight 0.  Other centres are left out, and the
-        block refuses them as the table would.
-        """
-        ms = np.unique(np.asarray(centres, dtype=np.int64))
-        ms = ms[(ms >= 1) & (ms <= self.limit) & (ms % 2 == 1)]
-        z_idx, z_w = self._z
-        step = max(1, _BLOCK_CELLS // z_idx.size)
-        sums = np.zeros((3, ms.size), dtype=np.int64)
-        for lo in range(0, ms.size, step):
-            part = ms[lo : lo + step]
-            k = isqrt(int(part[-1]) // 2) + 1
-            points = part[:, None] - z_idx[:k]
-            weights = np.where(points > 0, z_w[:k], 0)
-            sums[:, lo : lo + step] = _z_sums(weights * self._r[np.maximum(points, 0)])
-        return _TableBlock(self.limit, dict(zip(ms.tolist(), zip(*sums.tolist()))))
+    def block(self, centres) -> ThetaSums:
+        """The line sums of every odd centre in 1..limit among centres; the others are left out."""
+        ms = sorted({m for m in centres if 1 <= m <= self.limit and m % 2})
+        return _line_sums(ms, self._r.__getitem__)
 
 
-class _TableBlock(_ThetaSums):
-    """The lines of a batch of centres from one TunnellTable: what a scan reads per row."""
-
-    def __init__(self, limit: int, sums: dict[int, tuple[int, int, int]]):
-        super().__init__(limit)
-        self._sums = sums
-
-    def _line(self, m: int) -> tuple[int, int, int]:
-        try:
-            return self._sums[m]
-        except KeyError:
-            raise ValueError(f"m = {m} is not a centre of this block") from None
+def _refuse_beyond_per_n_bound(n: int) -> None:
+    if n > MAX_PER_N:
+        raise ValueError(f"n = {n} exceeds the per-n bound {MAX_PER_N}")
 
 
-class DivisorSums(_ThetaSums):
-    """Counts and class numbers for n up to limit <= MAX_PER_N, with r(m) by divisor sums.
+def divisor_lines(centres) -> ThetaSums:
+    """The line sums of odd centres in 1..MAX_PER_N, with r(m) by divisor sums.
 
-    A query factors only the O(sqrt(n)) points of its line, so time and memory
-    are O(sqrt(n)) where a table or a reduced-form count is O(n).  Each line is
-    kept, so n's counts and its class number factor the points of n once.
+    Only the O(sqrt(n)) points of each line are factored, all lines of a batch
+    in one _divisor_sums pass, so time and memory are O(sqrt(n)) where a table
+    or a reduced-form count is O(n).  A centre above MAX_PER_N is refused
+    before any work.
     """
-
-    def __init__(self, limit: int):
-        if limit > MAX_PER_N:
-            raise ValueError(f"n = {limit} exceeds the per-n bound {MAX_PER_N}")
-        super().__init__(limit)
-        self._z = _theta_weights(2, limit)
-        self._lines: dict[int, tuple[int, int, int]] = {}
-
-    def _line(self, m: int) -> tuple[int, int, int]:
-        sums = self._lines.get(m)
-        if sums is None:
-            z_idx, z_w = self._z
-            k = isqrt(m // 2) + 1
-            sums = self._lines[m] = tuple(int(s) for s in _z_sums(z_w[:k] * _divisor_sums(m - z_idx[:k], 8)))
-        return sums
-
-    def counts(self, n: int) -> ThetaCounts:
-        """Counts for odd or even n in 1..limit; even n sums the line r'(n/2 - 8z^2), r'(m) = #{4x^2 + y^2 = m}."""
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n = {n} is not in the range 1..{self.limit}")
-        if n % 2:
-            return super().counts(n)
-        half = n // 2
-        z_idx, z_w = _theta_weights(8, half)
-        c8, c32, _ = _z_sums(z_w * _divisor_sums(half - z_idx, 4))
-        return ThetaCounts(n=n, c32=int(c32), c8=int(c8))
+    ms = sorted(set(centres))
+    _refuse_beyond_per_n_bound(max(ms, default=0))
+    return _line_sums(ms, lambda points: _divisor_sums(points.ravel(), 8).reshape(points.shape))
 
 
 def counts(n: int) -> ThetaCounts:
-    """Tunnell's counts for one squarefree n <= MAX_PER_N, in O(sqrt(n)) time and memory."""
-    source = DivisorSums(n)  # refuses n > MAX_PER_N before any work
+    """Tunnell's counts for one squarefree n <= MAX_PER_N, in O(sqrt(n)) time and memory.
+
+    Odd n reads its line by divisor_lines; even n sums the line r'(n/2 - 8z^2),
+    r'(m) = #{4x^2 + y^2 = m}.
+    """
+    _refuse_beyond_per_n_bound(n)
     factor_squarefree(n)  # raises NotSquarefree otherwise
-    return source.counts(n)
+    if n % 2:
+        return divisor_lines([n]).counts(n)
+    half = n // 2
+    z_idx, z_w = _theta_weights(8, half)
+    c8, c32, _ = _z_sums(z_w * _divisor_sums(half - z_idx, 4))
+    return ThetaCounts(n=n, c32=int(c32), c8=int(c8))
 
 
 def classify(n: int) -> Classification:

@@ -9,6 +9,8 @@ factorizations q < p1 < p2; the scan itself imposes no size ordering, so
 those tests restrict to rows with q below every p_i.
 """
 
+import hashlib
+import io
 import time
 
 import pytest
@@ -17,7 +19,7 @@ from congruent.arith import factor_squarefree, jacobi
 from congruent.classgroup import class_number
 from congruent.descent import DivisorPair, kernel_K
 from congruent.redei import build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank, redei_matrix
-from congruent.scan import scan
+from congruent.scan import emit, scan
 from congruent.selmer import selmer_rank
 
 from tables import CONGRUENT_T2, EXCEPTIONS, NON_CONGRUENT_T2
@@ -190,3 +192,15 @@ def test_criterion_12_scan_class_numbers_match_reduced_forms(full_scan):
         n_q = r.n // r.q
         assert (r.h_n, r.h_nq) == (class_number(-r.n), class_number(-4 * n_q)), r.n
     print(f"PASS criterion 12: theta-table class numbers match reduced forms on all {len(full_scan)} rows")
+
+
+# md5 of the CSV `congruent scan --max 500000` writes; a change to any row or
+# cell changes it
+SCAN_CSV_MD5 = "87b9441f331da58e7c90de32d03d34ea"
+
+
+def test_criterion_13_scan_csv_is_byte_identical(full_scan):
+    out = io.StringIO()
+    emit(full_scan, "csv", out)
+    assert hashlib.md5(out.getvalue().encode("utf-8")).hexdigest() == SCAN_CSV_MD5
+    print(f"PASS criterion 13: the CSV of the scan to {SCAN_LIMIT:,} has md5 {SCAN_CSV_MD5}")

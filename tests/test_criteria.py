@@ -113,3 +113,19 @@ def test_evaluate_refuses_an_out_of_range_n_before_any_count(monkeypatch):
         evaluate(10000000347)
     with pytest.raises(AssertionError, match="counted"):
         evaluate(9999999771)  # 3 * 3333333257, the last one below the bound, reaches the count
+
+
+def test_a_check_factors_both_lines_in_one_pass(monkeypatch):
+    # the lines of n and n_q are gathered together, so their points are
+    # factored by one divisor-sum call
+    real = congruent.tunnell._divisor_sums
+    calls = []
+
+    def spy(m, modulus):
+        calls.append(m.size)
+        return real(m, modulus)
+
+    monkeypatch.setattr(congruent.tunnell, "_divisor_sums", spy)
+    r = evaluate(9999939)
+    assert (r.h_n, r.h_nq) == (788, 740)
+    assert len(calls) == 1

@@ -5,7 +5,16 @@ from itertools import product
 import pytest
 
 from congruent.arith import factor_squarefree
-from congruent.descent import DivisorPair, PairNotInKernel, divisors, find_witness, kernel_K, phi_p, star
+from congruent.descent import (
+    MAX_WITNESS_BOUND,
+    DivisorPair,
+    PairNotInKernel,
+    divisors,
+    find_witness,
+    kernel_K,
+    phi_p,
+    star,
+)
 from congruent.selmer import selmer_rank
 
 
@@ -113,3 +122,15 @@ def test_witness_bound_is_semi_decision():
     # a tiny bound returning None proves nothing and must not raise
     m5 = factor_squarefree(5)
     assert find_witness(m5, DivisorPair(5, 5), bound=1) is None
+
+
+def test_witness_bound_is_refused_outside_its_range():
+    # up to bound^2 pairs are tried, so a bound beyond the limit is refused
+    # before the search even where a witness is found at once, and so is a
+    # bound that searches nothing
+    m3 = factor_squarefree(3)
+    assert MAX_WITNESS_BOUND == 10**4
+    for bound in (10**6, MAX_WITNESS_BOUND + 1, 0, -1):
+        with pytest.raises(ValueError, match=f"bound {bound} is outside the supported range 1..10000"):
+            find_witness(m3, DivisorPair(1, 1), bound=bound)
+    assert find_witness(m3, DivisorPair(1, 1), bound=MAX_WITNESS_BOUND) is not None

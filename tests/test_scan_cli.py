@@ -274,6 +274,11 @@ def test_cli_descent_pair_must_be_two_integers(capsys):
         assert "expected two integers a,b" in captured.err
 
 
+def test_cli_descent_refuses_a_bound_beyond_the_limit(capsys):
+    assert main(["descent", "-m", "3", "--pair", "1,1", "--bound", "1000000"]) == 2
+    assert "error: bound 1000000 is outside the supported range 1..10000" in capsys.readouterr().err
+
+
 def test_cli_scan_t_must_be_positive(capsys, tmp_path):
     out = tmp_path / "rows.csv"
     for t in ("0", "-1", "x"):
@@ -483,10 +488,10 @@ def _fail_42267(monkeypatch):
     scan_mod = importlib.import_module("congruent.scan")
     real_evaluate = evaluate_hypothesis
 
-    def flaky(h, table=None):
+    def flaky(h, sums=None):
         if h.n.value == 42267:
             raise ArithmeticError("injected")
-        return real_evaluate(h, table=table)
+        return real_evaluate(h, sums=sums)
 
     monkeypatch.setattr(scan_mod, "evaluate_hypothesis", flaky)
 

@@ -1,4 +1,4 @@
-"""Tests for theta-count classification, both the per-n and the sieved path."""
+"""Tests for theta-count classification: the table's blocks, divisor_lines and the reference counts."""
 
 import random
 from math import isqrt
@@ -11,12 +11,12 @@ from congruent.arith import NotSquarefree, factor_squarefree, is_prime
 from congruent.classgroup import _count_reduced_forms, fundamental_discriminant
 from congruent.tunnell import (
     Classification,
-    DivisorSums,
     ThetaCounts,
     TunnellTable,
     _divisor_sums,
     classify,
     counts,
+    divisor_lines,
     theta_counts,
 )
 
@@ -92,14 +92,16 @@ def test_table_matches_per_n():
     far = [n for n in rng.sample(range(4003, 200_001, 8), 60) if is_squarefree(n)]
     far_even = [n for n in rng.sample(range(4002, 200_001, 4), 30) if is_squarefree(n)]
     assert len(far) >= 40 and len(far_even) >= 20
-    for n in squarefree_up_to(4000) + far[:40] + far_even[:20]:
+    ns = squarefree_up_to(4000) + far[:40] + far_even[:20]
+    block = table.block(ns)
+    for n in ns:
         a = theta_counts(n)
         assert counts(n) == a, n
         if n % 2 == 0:
-            with pytest.raises(ValueError, match="odd"):
-                table.counts(n)
+            with pytest.raises(ValueError, match=f"^m = {n} is not a centre"):
+                block.counts(n)
             continue
-        assert table.counts(n) == a, n
+        assert block.counts(n) == a, n
 
 
 def test_divisor_sums_match_the_table_and_a_direct_count():
@@ -131,8 +133,9 @@ def test_divisor_sum_class_numbers_match_reduced_forms():
         if m % 8 in (1, 3) and m > 3 and is_squarefree(m):
             ms.append(m)
     assert {m % 8 for m in ms} == {1, 3}
+    sums = divisor_lines(ms)
     for m in ms:
-        assert DivisorSums(m).class_number(m) == _count_reduced_forms(fundamental_discriminant(m)), m
+        assert sums.class_number(m) == _count_reduced_forms(fundamental_discriminant(m)), m
 
 
 def test_per_n_bounds():
@@ -140,19 +143,21 @@ def test_per_n_bounds():
         counts(10_000_000_001)
     with pytest.raises(ValueError, match="n = 100000007 exceeds the supported bound 100000000"):
         theta_counts(100_000_007)
-    source = DivisorSums(1000)
-    with pytest.raises(ValueError, match="range 1..1000"):
-        source.counts(1001)
-    with pytest.raises(ValueError, match="class-number range 4..1000"):
-        source.class_number(1003)
+    with pytest.raises(ValueError, match="n = 10000000001 exceeds the per-n bound 10000000000"):
+        divisor_lines([3, 10_000_000_001])
+    sums = divisor_lines(range(1, 1000, 2))
+    with pytest.raises(ValueError, match="^m = 1001 is not a centre"):
+        sums.counts(1001)
+    with pytest.raises(ValueError, match="^m = 1003 is not a centre"):
+        sums.class_number(1003)
 
 
 def test_table_range_checks():
-    table = TunnellTable(100)
-    with pytest.raises(ValueError):
-        table.counts(101)
-    with pytest.raises(ValueError):
-        table.counts(0)
+    block = TunnellTable(100).block(range(-1, 103))
+    with pytest.raises(ValueError, match="^m = 101 is not a centre"):
+        block.counts(101)
+    with pytest.raises(ValueError, match="^m = 0 is not a centre"):
+        block.counts(0)
     with pytest.raises(ValueError):
         TunnellTable(0)
 
@@ -162,26 +167,28 @@ def test_table_class_numbers_match_reduced_forms():
     table = TunnellTable(30_000)
     ms = [m for m in range(9, 30_001, 2) if m % 8 in (1, 3) and is_squarefree(m)]
     assert len(ms) == 6076
+    block = table.block(ms)
     for m in ms:
-        assert table.class_number(m) == _count_reduced_forms(fundamental_discriminant(m)), m
+        assert block.class_number(m) == _count_reduced_forms(fundamental_discriminant(m)), m
 
 
 def test_table_class_number_refusals():
     table = TunnellTable(1000)
+    block = table.block(range(-5, 1004))
     for m in (1, 3, 0, -5, 10, 104, 13, 15, 21, 23, 1003):
-        with pytest.raises(ValueError, match="class-number range 4..1000"):
-            table.class_number(m)
-    assert (table.class_number(11), table.class_number(17)) == (1, 4)
+        with pytest.raises(ValueError, match=f"^m = {m} is not"):
+            block.class_number(m)
+    assert (block.class_number(11), block.class_number(17)) == (1, 4)
     # T(17) sums r(17 - 2 z^2) over z; one miscounted r leaves T indivisible by 4
     table._r[17 - 2 * 2 * 2] += 1
     with pytest.raises(ArithmeticError, match="not divisible by 4"):
-        table.class_number(17)
+        table.block(range(1, 1000, 2)).class_number(17)
 
 
 def test_table_blocks_match_per_n_sums():
-    # one batch of lines from a table to 10^7 against DivisorSums on a seeded
-    # log-uniform sample of odd squarefree centres with 9,999,939 and its n_q,
-    # and against theta_counts on the centres below 10^5
+    # one batch of lines from a table to 10^7 against divisor_lines and a
+    # one-centre block on a seeded log-uniform sample of odd squarefree centres
+    # with 9,999,939 and its n_q, and against theta_counts on the centres below 10^5
     table = TunnellTable(10_000_000)
     rng = random.Random(12)
     ms = [9_999_939, 3_333_313]
@@ -193,19 +200,18 @@ def test_table_blocks_match_per_n_sums():
     # duplicates, even centres and centres out of range are left out of the block
     block = table.block(ms + [ms[5], 2, 10_000_001, 0, -7])
     for m in ms:
-        per_n = DivisorSums(m)
-        assert block.counts(m) == per_n.counts(m) == table.counts(m), m
+        per_n, alone = divisor_lines([m]), table.block([m])
+        assert block.counts(m) == per_n.counts(m) == alone.counts(m), m
         if m < 100_000:
             assert block.counts(m) == theta_counts(m), m
         if m > 3 and m % 8 in (1, 3):
-            assert block.class_number(m) == per_n.class_number(m) == table.class_number(m), m
+            assert block.class_number(m) == per_n.class_number(m) == alone.class_number(m), m
     assert (block.class_number(9_999_939), block.class_number(3_333_313)) == (788, 740)
-    for m in (2, 10_000_001, 0, -7):
-        with pytest.raises(ValueError, match="table range"):
+    for m in (2, 10_000_001, 0, -7, 9_999_937):
+        with pytest.raises(ValueError, match=f"^m = {m} is not a centre of these sums"):
             block.counts(m)
-    with pytest.raises(ValueError, match="not a centre of this block"):
-        block.counts(9_999_937)
-    assert table.block([]).limit == table.limit
+    with pytest.raises(ValueError, match="^m = 1 is not a centre"):
+        table.block([]).counts(1)
 
 
 def test_block_class_number_refuses_an_indivisible_sum():
