@@ -14,6 +14,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .arith import NotSquarefree, is_prime
 from .redei import HypothesisN, WrongResidueShape, build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank
 from .selmer import selmer_rank
@@ -85,7 +87,7 @@ def evaluate(v: int) -> CriterionReport:
             n=v,
             verdict=Verdict.HYPOTHESIS_FAILED,
             reason=str(exc),
-            tunnell_label=classify(v),
+            tunnell_label=classify(exc.n),
         )
     else:
         return evaluate_hypothesis(h)
@@ -160,19 +162,54 @@ def check_report_invariants(report: CriterionReport) -> None:
 
     A NonCongruentCertificate for a Tunnell-congruent n would falsify either
     the implementation or the criterion itself; it must not pass silently.
+    A report whose hypothesis failed carries no certificate and is not checked.
     """
-    if report.verdict == Verdict.NON_CONGRUENT_CERTIFICATE:
-        if report.tunnell_label == Classification.CONGRUENT_UNDER_BSD:
-            raise InvariantViolation(
-                f"n = {report.n}: certified non-congruent but Tunnell counts say congruent"
-            )
-    if report.verdict != Verdict.HYPOTHESIS_FAILED:
-        modulus = report.modulus
-        if report.h_n % (modulus // 2) or report.h_nq % (modulus // 2):
-            raise InvariantViolation(f"n = {report.n}: 2^(t+1) does not divide both class numbers")
-        if report.congruence_holds != (report.r8_n == report.r8_nq):
-            raise InvariantViolation(f"n = {report.n}: congruence and 8-rank equality disagree")
-        if (report.r8_n == 1) != (report.h_n % modulus == 0):
-            raise InvariantViolation(f"n = {report.n}: r8(-n) inconsistent with v2(h(-n))")
-        if (report.r8_nq == 1) != (report.h_nq % modulus == 0):
-            raise InvariantViolation(f"n = {report.n}: r8(-n_q) inconsistent with v2(h(-n_q))")
+    if report.verdict == Verdict.HYPOTHESIS_FAILED:
+        return
+    check_invariant_laws(
+        report.n,
+        report.verdict == Verdict.NON_CONGRUENT_CERTIFICATE,
+        report.tunnell_label == Classification.CONGRUENT_UNDER_BSD,
+        report.modulus,
+        report.h_n,
+        report.h_nq,
+        report.congruence_holds,
+        report.r8_n,
+        report.r8_nq,
+    )
+
+
+_LAW_MESSAGES = (
+    "certified non-congruent but Tunnell counts say congruent",
+    "2^(t+1) does not divide both class numbers",
+    "congruence and 8-rank equality disagree",
+    "r8(-n) inconsistent with v2(h(-n))",
+    "r8(-n_q) inconsistent with v2(h(-n_q))",
+)
+
+
+def check_invariant_laws(n, certificate, tunnell_congruent, modulus, h_n, h_nq, congruence, r8_n, r8_nq) -> None:
+    """The four laws of a report whose hypothesis holds, over scalars (one report) or arrays (one entry per n).
+
+    1. A certificate never meets a Tunnell-congruent label.
+    2. 2^(t+1) = modulus / 2 divides both class numbers.
+    3. The congruence holds iff r8(-n) = r8(-n_q).
+    4. r8 = 1 iff the modulus divides h, for -n and for -n_q.
+    InvariantViolation names the first n that breaks a law, with the first
+    law, in this order, that it breaks.  Booleans are combined with &, | and
+    != only: ~ on a Python bool is an int.
+    """
+    half = modulus // 2
+    laws = np.broadcast_arrays(
+        certificate & tunnell_congruent,
+        (h_n % half != 0) | (h_nq % half != 0),
+        congruence != (r8_n == r8_nq),
+        (r8_n == 1) != (h_n % modulus == 0),
+        (r8_nq == 1) != (h_nq % modulus == 0),
+    )
+    broken = np.array(laws, dtype=bool).reshape(len(_LAW_MESSAGES), -1)
+    bad = broken.any(axis=0)
+    if bad.any():
+        i = int(bad.argmax())
+        first = int(np.broadcast_to(n, bad.shape)[i])
+        raise InvariantViolation(f"n = {first}: {_LAW_MESSAGES[int(broken[:, i].argmax())]}")

@@ -19,7 +19,14 @@ from .selmer import legendre_matrix
 
 
 class WrongResidueShape(ValueError):
-    """v is squarefree but its prime residues mod 8 do not fit p_i = 1, q = 3."""
+    """v is squarefree but its prime residues mod 8 do not fit p_i = 1, q = 3.
+
+    n is the factored v, so a caller need not factor it again.
+    """
+
+    def __init__(self, message: str, n: FactoredSquarefree):
+        super().__init__(message)
+        self.n = n
 
 
 class HypothesisNotMet(ValueError):
@@ -55,12 +62,12 @@ def hypothesis_from_factored(n: FactoredSquarefree) -> HypothesisN:
     qs = [p for p in n.primes if p % 8 == 3]
     ps = [p for p in n.primes if p % 8 == 1]
     if len(qs) != 1:
-        raise WrongResidueShape(f"{v} has {len(qs)} prime factors = 3 (mod 8), need exactly 1")
+        raise WrongResidueShape(f"{v} has {len(qs)} prime factors = 3 (mod 8), need exactly 1", n)
     stray = [p for p in n.primes if p % 8 not in (1, 3)]
     if stray:
-        raise WrongResidueShape(f"prime factors {stray} of {v} are not 1 or 3 (mod 8)")
+        raise WrongResidueShape(f"prime factors {stray} of {v} are not 1 or 3 (mod 8)", n)
     if not ps:
-        raise WrongResidueShape(f"{v} has no prime factor = 1 (mod 8)")
+        raise WrongResidueShape(f"{v} has no prime factor = 1 (mod 8)", n)
     q = qs[0]
     p_list = tuple(ps)
     t = len(p_list)

@@ -15,6 +15,13 @@ serves every row: for the rows of each pass its block sums the lines of all
 their n and n_q at once, the ThetaSums that give the Tunnell label and both
 class numbers.
 
+Each pass is split by t.  The n = p q with t = 1, nearly all rows, are built
+as numpy columns: both class numbers from the block, the label from c8 and
+c32, both 8-ranks as power residues mod p, the congruence, and one call of
+the invariant laws for the whole pass.  Only the rows with t >= 2 build a
+hypothesis and a report each (hypothesis_from_factored, evaluate_hypothesis,
+row_from_report).  The rows of a pass are merged in increasing n.
+
 CSV is the 7-bit machine format (prime product joined by "*"); the pretty
 printer uses the dot separator.
 """
@@ -25,17 +32,16 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
-from itertools import groupby
 from math import isqrt
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
-from .arith import FactoredSquarefree, legendre
+from .arith import FactoredSquarefree
 from .classgroup import MAX_ABS_DISCRIMINANT
-from .criteria import CriterionReport, evaluate_hypothesis
-from .redei import hypothesis_from_factored
-from .tunnell import TunnellTable
+from .criteria import CriterionReport, Verdict, check_invariant_laws, evaluate_hypothesis
+from .redei import HypothesisN, HypothesisNotMet, hypothesis_from_factored
+from .tunnell import Classification, NotDivisible, ThetaSums, TunnellTable, congruent_under_bsd
 
 CSV_COLUMNS = (
     "n",
@@ -88,10 +94,17 @@ class ScanRow:
 
 
 def row_from_report(report: CriterionReport) -> ScanRow:
+    """The row of a report whose hypothesis holds.
+
+    Its Legendre triple is read from the hypothesis: every (q/p_i) is +1, and
+    (p_i/p_j) for i < j is entry (j, i) of A_n, the symbol mod p_j.
+    """
     h = report.hypothesis
+    if h is None or not h.holds():
+        raise HypothesisNotMet(f"n = {report.n}: a row needs a hypothesis that holds")
     ps = h.p_list
-    triple = tuple(legendre(h.q, p) for p in ps) + tuple(
-        legendre(ps[i], ps[j]) for i in range(len(ps)) for j in range(i + 1, len(ps))
+    triple = (1,) * h.t + tuple(
+        1 - 2 * (h.A[j] >> i & 1) for i in range(len(ps)) for j in range(i + 1, len(ps))
     )
     return ScanRow(
         n=report.n,
@@ -156,13 +169,18 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return result
 
 
+def _q(primes: np.ndarray) -> np.ndarray:
+    """The prime q = 3 (mod 8) of each row of _shape_block's primes, as int64."""
+    return np.where(primes & 7 == 3, primes, 0).max(axis=1).astype(np.int64)
+
+
 def _q_residue(primes: np.ndarray) -> np.ndarray:
     """For each row of _shape_block's primes: is q a quadratic residue mod every p_i.
 
     Euler's criterion, q^((p-1)/2) = 1 (mod p), for every pair (q, p_i) at once;
     the scan's p_i are below 2^31, so the products stay in int64.
     """
-    q = np.where(primes & 7 == 3, primes, 0).max(axis=1).astype(np.int64)
+    q = _q(primes)
     rows, cols = np.nonzero((primes & 7 == 1) & (primes > 1))
     p = primes[rows, cols].astype(np.int64)
     residue = np.ones(primes.shape[0], dtype=bool)
@@ -170,19 +188,18 @@ def _q_residue(primes: np.ndarray) -> np.ndarray:
     return residue
 
 
-def _shape_candidates(limit: int) -> Iterator[FactoredSquarefree]:
-    """Squarefree n <= limit of shape p_1 ... p_t * q with q a residue mod every p_i, factored, in increasing n.
+def _shape_candidates(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Squarefree n <= limit of shape p_1 ... p_t * q with q a residue mod every p_i, one filter pass at a time.
 
-    The filter takes _BLOCK values n = 3 (mod 8) at a time through the sieve's
-    array; only the survivors become Python objects.
+    Each pass takes _BLOCK values n = 3 (mod 8) through the sieve's array and
+    yields its survivors and their primes, as _shape_block returns them.
     """
     spf = _smallest_prime_factors(limit)
     for start in range(3, limit + 1, 8 * _BLOCK):
         ns = np.arange(start, min(start + 8 * _BLOCK, limit + 1), 8, dtype=np.int64)
         ns, primes = _shape_block(spf, ns)
         keep = _q_residue(primes)
-        for n, row in zip(ns[keep].tolist(), primes[keep].tolist()):
-            yield FactoredSquarefree(n, tuple(p for p in row if p > 1))
+        yield ns[keep], primes[keep]
 
 
 def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Iterator[ScanRow]:
@@ -204,17 +221,85 @@ def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Iterator[
 
 def _rows(limit: int, t_filter: Optional[int], on_error) -> Iterator[ScanRow]:
     table = TunnellTable(limit)
-    passes = groupby(_shape_candidates(limit), key=lambda c: (c.value - 3) // (8 * _BLOCK))
-    for _, candidates in passes:
-        hs = [h for h in map(hypothesis_from_factored, candidates) if h.holds() and t_filter in (None, h.t)]
-        sums = table.block([h.n.value for h in hs] + [h.n_q.value for h in hs])
-        for h in hs:
-            try:
-                report = evaluate_hypothesis(h, sums=sums)
-            except (ValueError, ArithmeticError) as exc:
-                on_error(h.n.value, exc)
-                continue
-            yield row_from_report(report)
+    for ns, primes in _shape_candidates(limit):
+        t = (primes > 1).sum(axis=1) - 1
+        wanted = np.full(t.size, True) if t_filter is None else t == t_filter
+        pairs, more = wanted & (t == 1), wanted & (t >= 2)
+        pair_ns = ns[pairs]
+        pair_ps = pair_ns // _q(primes[pairs])
+        survivors = zip(ns[more].tolist(), primes[more].tolist())
+        factored = (FactoredSquarefree(n, tuple(p for p in row if p > 1)) for n, row in survivors)
+        hs = [h for h in map(hypothesis_from_factored, factored) if h.holds()]
+        sums = table.block(pair_ns.tolist() + pair_ps.tolist() + [h.n.value for h in hs] + [h.n_q.value for h in hs])
+        done = _prime_pair_rows(pair_ns, pair_ps, sums) + [_row_or_error(h, sums) for h in hs]
+        # the two sorted runs merged into increasing n
+        for n, row in sorted(done, key=lambda d: d[0]):
+            if isinstance(row, ScanRow):
+                yield row
+            else:
+                on_error(n, row)
+
+
+def _row_or_error(h: HypothesisN, sums: ThetaSums) -> tuple[int, Union[ScanRow, Exception]]:
+    """The row of a t >= 2 hypothesis, report by report, or the error that stopped it."""
+    try:
+        return h.n.value, row_from_report(evaluate_hypothesis(h, sums=sums))
+    except (ValueError, ArithmeticError) as exc:
+        return h.n.value, exc
+
+
+def _octic(ps: np.ndarray) -> np.ndarray:
+    """r8(-4p) = 1, i.e. 8 | h(-4p), for each prime p = 1 (mod 8) of an int64 array.
+
+    Barrucand and Cohn (1969): 8 | h(-4p) iff p = x^2 + 32y^2 iff
+    (-4)^((p-1)/8) = 1 (mod p).
+    """
+    return _pow_mod(ps - 4, (ps - 1) // 8, ps) == 1
+
+
+_LABELS = (Classification.NON_CONGRUENT_UNCONDITIONAL.value, Classification.CONGRUENT_UNDER_BSD.value)
+_VERDICTS = (Verdict.NON_CONGRUENT_CERTIFICATE.value, Verdict.CONSISTENT_WITH_CONGRUENT.value)
+
+
+def _prime_pair_rows(ns: np.ndarray, ps: np.ndarray, sums: ThetaSums) -> list[tuple[int, Union[ScanRow, Exception]]]:
+    """The rows of the n = p q (t = 1) of a pass, column by column, or the error that stopped each.
+
+    The filter has proved (q/p) = 1, and rank A_n = 0 = t - 1 always, so the
+    hypothesis holds: the modulus is 8 and the Legendre triple is (1).
+    h(-n) = T(n)/24 and h(-4p) = T(p)/4; r8(-n) is the quartic symbol
+    q^((p-1)/4) = 1 (mod p) and r8(-4p) is _octic.  The laws of
+    check_invariant_laws are checked on every row with both class numbers.
+    """
+    qs = ns // ps
+    t_n, c8, c32 = sums.columns(ns.tolist())
+    t_p = sums.columns(ps.tolist())[0]
+    ok = (t_n % 24 == 0) & (t_p % 4 == 0)
+    h_n, h_p = t_n // 24, t_p // 4
+    r8_n = _pow_mod(qs % ps, (ps - 1) // 4, ps) == 1
+    r8_p = _octic(ps)
+    congruence = (h_n - h_p) % 8 == 0
+    bsd = congruent_under_bsd(c8, c32)
+    check_invariant_laws(ns[ok], ~congruence[ok], bsd[ok], 8, h_n[ok], h_p[ok], congruence[ok], r8_n[ok], r8_p[ok])
+    done = []
+    columns = (ns, ps, qs, t_n, t_p, h_n, h_p, congruence, bsd, ok)
+    for n, p, q, tn, tp, hn, hp, cong, label, divisible in zip(*(c.tolist() for c in columns)):
+        if not divisible:
+            done.append((n, NotDivisible(n, tn, 24) if tn % 24 else NotDivisible(p, tp, 4)))
+            continue
+        row = ScanRow(
+            n=n,
+            q=q,
+            p_list=(p,),
+            legendre_triple=(1,),
+            h_n=hn,
+            h_nq=hp,
+            modulus=8,
+            congruence_holds=cong,
+            tunnell_label=_LABELS[label],
+            verdict=_VERDICTS[cong],
+        )
+        done.append((n, row))
+    return done
 
 
 def _csv_cell(value):

@@ -16,8 +16,8 @@ TunnellTable keeps r (int16, bound-checked) for a whole range, and its block
 serves a scan; divisor_lines factors the O(sqrt(n)) points of each line
 (Tunnell 1983; Hart, Tornaria and Watkins 2010), which counts, classify and a
 check read.  theta_counts enumerates the lattice box per n and is the
-reference both are tested against.  ThetaCounts.label is the one place the
-label rule is written.
+reference both are tested against.  congruent_under_bsd is the one place the
+label rule is written; ThetaCounts.label and the scan's t = 1 rows read it.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import isqrt
+from typing import Union
 
 import numpy as np
 
-from .arith import factor_squarefree
+from .arith import FactoredSquarefree, factor_squarefree
 from .classgroup import MAX_ABS_DISCRIMINANT
 
 # n above this is refused before any per-n count: every point n - c z^2 stays
@@ -49,10 +50,17 @@ class ThetaCounts:
 
     @property
     def label(self) -> Classification:
-        """A congruent n forces 2*c32 = c8; an inequality certifies non-congruence."""
-        if 2 * self.c32 == self.c8:
+        if congruent_under_bsd(self.c8, self.c32):
             return Classification.CONGRUENT_UNDER_BSD
         return Classification.NON_CONGRUENT_UNCONDITIONAL
+
+
+def congruent_under_bsd(c8, c32):
+    """The label rule, for scalars or arrays.
+
+    A congruent n forces 2*c32 = c8, so an inequality certifies non-congruence.
+    """
+    return 2 * c32 == c8
 
 
 def _count_form(a: int, c: int, target: int) -> int:
@@ -146,13 +154,24 @@ class ThetaSums:
         divisor = 24 if m % 8 == 3 else 4
         t = self._line(m)[0]
         if t % divisor:
-            raise ArithmeticError(f"T({m}) = {t} is not divisible by {divisor}")
+            raise NotDivisible(m, t, divisor)
         return t // divisor
 
     def counts(self, n: int) -> ThetaCounts:
         """Counts for a centre n."""
         _, c8, c32 = self._line(n)
         return ThetaCounts(n=n, c32=c32, c8=c8)
+
+    def columns(self, ms: list[int]) -> np.ndarray:
+        """T, c8 and c32 of the centres ms, as the rows of a 3 x len(ms) int64 array."""
+        return np.array([self._line(m) for m in ms], dtype=np.int64).reshape(-1, 3).T
+
+
+class NotDivisible(ArithmeticError):
+    """T(m) is not the multiple of h that Gauss's r_3 makes it."""
+
+    def __init__(self, m: int, t: int, divisor: int):
+        super().__init__(f"T({m}) = {t} is not divisible by {divisor}")
 
 
 # cells of one batch of lines in _line_sums: 128 KiB per int64 array
@@ -225,14 +244,19 @@ def divisor_lines(centres) -> ThetaSums:
     return _line_sums(ms, lambda points: _divisor_sums(points.ravel(), 8).reshape(points.shape))
 
 
-def counts(n: int) -> ThetaCounts:
+def counts(n: Union[int, FactoredSquarefree]) -> ThetaCounts:
     """Tunnell's counts for one squarefree n <= MAX_PER_N, in O(sqrt(n)) time and memory.
 
-    Odd n reads its line by divisor_lines; even n sums the line r'(n/2 - 8z^2),
-    r'(m) = #{4x^2 + y^2 = m}.
+    An int n is factored (NotSquarefree if it is not); a FactoredSquarefree
+    is not factored again.  Odd n reads its line by divisor_lines; even n sums
+    the line r'(n/2 - 8z^2), r'(m) = #{4x^2 + y^2 = m}.
     """
+    factored = isinstance(n, FactoredSquarefree)
+    if factored:
+        n = n.value
     _refuse_beyond_per_n_bound(n)
-    factor_squarefree(n)  # raises NotSquarefree otherwise
+    if not factored:
+        factor_squarefree(n)  # raises NotSquarefree otherwise
     if n % 2:
         return divisor_lines([n]).counts(n)
     half = n // 2
@@ -241,7 +265,7 @@ def counts(n: int) -> ThetaCounts:
     return ThetaCounts(n=n, c32=int(c32), c8=int(c8))
 
 
-def classify(n: int) -> Classification:
+def classify(n: Union[int, FactoredSquarefree]) -> Classification:
     return counts(n).label
 
 

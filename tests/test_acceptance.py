@@ -15,12 +15,17 @@ import time
 
 import pytest
 
-from congruent.arith import factor_squarefree, jacobi
+import numpy as np
+
+from congruent.arith import FactoredSquarefree, factor_squarefree, is_prime, jacobi
 from congruent.classgroup import class_number
+from congruent.criteria import evaluate_hypothesis
 from congruent.descent import DivisorPair, kernel_K
+from congruent.norms import rep_2e2_f2
 from congruent.redei import build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank, redei_matrix
-from congruent.scan import emit, scan
+from congruent.scan import _octic, emit, row_from_report, scan
 from congruent.selmer import selmer_rank
+from congruent.tunnell import TunnellTable
 
 from tables import CONGRUENT_T2, EXCEPTIONS, NON_CONGRUENT_T2
 from test_classgroup import brute_force_h, fundamental_discs
@@ -204,3 +209,25 @@ def test_criterion_13_scan_csv_is_byte_identical(full_scan):
     emit(full_scan, "csv", out)
     assert hashlib.md5(out.getvalue().encode("utf-8")).hexdigest() == SCAN_CSV_MD5
     print(f"PASS criterion 13: the CSV of the scan to {SCAN_LIMIT:,} has md5 {SCAN_CSV_MD5}")
+
+
+def test_criterion_14_every_row_matches_the_per_row_path(full_scan):
+    # the scan builds its t = 1 rows column by column; the slow path factors
+    # each n again and builds its row report by report, symbols included
+    sums = TunnellTable(SCAN_LIMIT).block([r.n for r in full_scan] + [r.n // r.q for r in full_scan])
+    for r in full_scan:
+        assert row_from_report(evaluate_hypothesis(build_hypothesis(r.n), sums=sums)) == r, r.n
+    t1 = sum(1 for r in full_scan if len(r.p_list) == 1)
+    assert 0 < t1 < len(full_scan)
+    print(f"PASS criterion 14: all {len(full_scan)} rows ({t1} with t = 1) match the per-row path")
+
+
+def test_criterion_15_octic_symbol_matches_the_norm_form():
+    # r8(-4p) by (-4)^((p-1)/8) = 1 (mod p) against (-1/e) for p = 2e^2 - f^2
+    ps = [p for p in range(17, 10**6, 8) if is_prime(p)]
+    assert len(ps) == 19552
+    fast = _octic(np.array(ps, dtype=np.int64)).tolist()
+    slow = [jacobi(-1, rep_2e2_f2(FactoredSquarefree(p, (p,)))[0]) == 1 for p in ps]
+    assert fast == slow
+    assert 0 < sum(fast) < len(ps)
+    print(f"PASS criterion 15: the octic test matches the norm form on all {len(ps)} primes p = 1 (mod 8) below 10^6")

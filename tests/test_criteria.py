@@ -1,13 +1,19 @@
 """Tests for verdict assembly and the t = 1 specialization."""
 
+import re
+
 import pytest
 
 import congruent.classgroup
 import congruent.tunnell
 from congruent.classgroup import class_number
+import numpy as np
+
+import congruent.arith
 from congruent.criteria import (
     InvariantViolation,
     Verdict,
+    check_invariant_laws,
     check_report_invariants,
     evaluate_prime_pair,
     evaluate,
@@ -129,3 +135,68 @@ def test_a_check_factors_both_lines_in_one_pass(monkeypatch):
     r = evaluate(9999939)
     assert (r.h_n, r.h_nq) == (788, 740)
     assert len(calls) == 1
+
+
+def test_a_wrong_shape_n_is_factored_once(monkeypatch):
+    real = congruent.arith._factor
+    calls = []
+
+    def spy(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(congruent.arith, "_factor", spy)
+    r = evaluate(42)
+    assert calls == [42]
+    assert r.verdict == Verdict.HYPOTHESIS_FAILED
+    assert r.tunnell_label == Classification.NON_CONGRUENT_UNCONDITIONAL
+
+
+def _law_columns(reports):
+    """The arguments of check_invariant_laws for reports whose hypothesis holds, one array each."""
+    return [
+        np.array([r.n for r in reports]),
+        np.array([r.verdict == Verdict.NON_CONGRUENT_CERTIFICATE for r in reports]),
+        np.array([r.tunnell_label == Classification.CONGRUENT_UNDER_BSD for r in reports]),
+        np.array([r.modulus for r in reports]),
+        np.array([r.h_n for r in reports]),
+        np.array([r.h_nq for r in reports]),
+        np.array([r.congruence_holds for r in reports]),
+        np.array([r.r8_n for r in reports]),
+        np.array([r.r8_nq for r in reports]),
+    ]
+
+
+def test_invariant_laws_over_arrays_name_the_first_bad_n():
+    # t = 1 and t = 2, certificates and consistent rows, both 8-rank values
+    reports = [evaluate(n) for n in (219, 42267, 52779, 68547, 9999939)]
+    for r in reports:
+        check_report_invariants(r)
+    columns = _law_columns(reports)
+    check_invariant_laws(*columns)
+    check_invariant_laws(*(c[:0] for c in columns))  # no rows
+    for i in range(len(reports)):
+        check_invariant_laws(*(c[i] for c in columns))  # numpy scalars
+        check_invariant_laws(*(c[i].item() for c in columns))  # Python scalars
+    # each law broken alone at 52779 (index 2): modulus 16, h 80 and 48, r8 1 and 1
+    names = ["n", "certificate", "bsd", "modulus", "h_n", "h_nq", "congruence", "r8_n", "r8_nq"]
+    forged = [
+        ("certificate", True, "certified non-congruent but Tunnell counts say congruent"),
+        ("h_nq", 52, "2^(t+1) does not divide both class numbers"),
+        ("r8_nq", 0, "congruence and 8-rank equality disagree"),
+        ("h_n", 88, "r8(-n) inconsistent with v2(h(-n))"),
+        ("h_nq", 56, "r8(-n_q) inconsistent with v2(h(-n_q))"),
+    ]
+    for name, value, message in forged:
+        bad = [c.copy() for c in columns]
+        bad[names.index(name)][2] = value
+        # arrays, numpy scalars, Python scalars
+        for args in (bad, [c[2] for c in bad], [c[2].item() for c in bad]):
+            with pytest.raises(InvariantViolation, match=f"^n = 52779: {re.escape(message)}$"):
+                check_invariant_laws(*args)
+    # the first bad n is named, whatever laws a later n breaks
+    two = [c.copy() for c in columns]
+    two[names.index("r8_nq")][2] = 0
+    two[names.index("h_n")][1] = 28  # 2^(t+1) = 8 no longer divides h(-42267)
+    with pytest.raises(InvariantViolation, match=re.escape("n = 42267: 2^(t+1) does not divide both class numbers")):
+        check_invariant_laws(*two)

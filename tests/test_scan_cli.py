@@ -29,8 +29,8 @@ from congruent.scan import (
     row_from_report,
     scan,
 )
-from congruent.criteria import evaluate, evaluate_hypothesis
-from congruent.redei import hypothesis_from_factored
+from congruent.criteria import InvariantViolation, evaluate, evaluate_hypothesis
+from congruent.redei import HypothesisNotMet, hypothesis_from_factored
 
 GOLDEN_ROW = ScanRow(
     n=52779,
@@ -52,6 +52,22 @@ def test_row_from_report():
     assert GOLDEN_ROW.triple_str == "(1,1,-1)"
 
 
+def test_row_from_report_reads_the_triple_from_the_hypothesis(monkeypatch):
+    report = evaluate(52779)
+
+    def no_symbol(a, m):
+        raise AssertionError(f"({a}/{m}) computed again")
+
+    monkeypatch.setattr(congruent.arith, "jacobi", no_symbol)
+    assert row_from_report(report) == GOLDEN_ROW
+
+
+def test_row_from_report_needs_a_hypothesis_that_holds():
+    for n in (51, 21243, 12):  # q a non-residue; rank A != t - 1; not squarefree
+        with pytest.raises(HypothesisNotMet, match=f"n = {n}: a row needs a hypothesis that holds"):
+            row_from_report(evaluate(n))
+
+
 def test_scan_small_range():
     rows = list(scan(60000, t_filter=2))
     ns = [r.n for r in rows]
@@ -68,6 +84,9 @@ def test_scan_t_filter_and_t1():
     assert all(len(r.p_list) == 1 for r in rows)  # smallest t = 2 value is 19491
     assert 219 in {r.n for r in rows}
     assert list(scan(1000, t_filter=2)) == []
+    # a first pass whose only n are primes or 219 = 3 * 73, the smallest row
+    for limit, ns in ((3, []), (11, []), (218, []), (219, [219])):
+        assert [r.n for r in scan(limit)] == ns, limit
 
 
 def test_scan_rejects_small_limit():
@@ -196,7 +215,15 @@ def test_block_filter_matches_the_python_walk(monkeypatch, walked, block):
     edges = [c.value for c, qr in walked if qr and (c.value - 3) % span in (0, span - 8)]
     assert block != 27 or edges[0] == 219
     for limit in (200_000, 3 + 3 * span - 8, 3 + 3 * span, 3 + 3 * span + 5, *edges[:4]):
-        assert list(_shape_candidates(limit)) == [c for c, qr in walked if c.value <= limit and qr], limit
+        passes = list(_shape_candidates(limit))
+        # one pass per block of the filter, its n all in that block
+        assert len(passes) == (limit - 3) // span + 1, limit
+        for i, (ns, _) in enumerate(passes):
+            assert ((ns - 3) // span == i).all(), limit
+        found = [
+            (n, tuple(p for p in row if p > 1)) for ns, primes in passes for n, row in zip(ns.tolist(), primes.tolist())
+        ]
+        assert found == [(c.value, c.primes) for c, qr in walked if c.value <= limit and qr], limit
 
 
 def test_residue_reject_matches_the_hypothesis(walked):
@@ -515,19 +542,87 @@ def test_cli_scan_exit_code_2_on_skipped_rows(monkeypatch, capsys, tmp_path):
     assert [r.n for r in read_rows(out, "csv")] == [23579, 29971, 41123, 52779, 57851]
 
 
+def _skew_t1_sums(monkeypatch):
+    """T(219) and T(97) off by 1 and 2 in the lane's sums: n = 219 = 3 * 73 fails on T(n), every n = 97 q on T(p)."""
+    scan_mod = importlib.import_module("congruent.scan")
+
+    class Skewed(congruent.tunnell.TunnellTable):
+        def block(self, centres):
+            sums = super().block(centres)
+            for m, shift in ((219, 1), (97, 2)):
+                if m in sums._sums:
+                    t, c8, c32 = sums._sums[m]
+                    sums._sums[m] = (t + shift, c8, c32)
+            return sums
+
+    monkeypatch.setattr(scan_mod, "TunnellTable", Skewed)
+
+
+# the n <= 60,000 with p = 97, in the order of the scan
+N_97Q = [291, 1067, 4171, 15811, 22019, 27451, 29779, 36763, 40643, 45299, 47627, 53059, 55387]
+
+
+def test_scan_t1_errors_do_not_abort(monkeypatch):
+    expected = list(scan(60000))
+    assert [r.n for r in expected if r.p_list == (97,)] == N_97Q
+    _skew_t1_sums(monkeypatch)
+    seen = []
+    rows = list(scan(60000, on_error=lambda n, exc: seen.append((n, type(exc), str(exc)))))
+    assert seen == [(219, congruent.tunnell.NotDivisible, "T(219) = 97 is not divisible by 24")] + [
+        (n, congruent.tunnell.NotDivisible, "T(97) = 18 is not divisible by 4") for n in N_97Q
+    ]
+    assert all(issubclass(kind, ArithmeticError) for _, kind, _ in seen)
+    assert rows == [r for r in expected if r.n != 219 and r.p_list != (97,)]
+
+
+def test_cli_scan_exit_code_2_on_skipped_t1_rows(monkeypatch, capsys, tmp_path):
+    expected = [r.n for r in scan(60000) if r.n != 219 and r.p_list != (97,)]
+    _skew_t1_sums(monkeypatch)
+    out = str(tmp_path / "rows.csv")
+    assert main(["scan", "--max", "60000", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "scan: n = 219 skipped: T(219) = 97 is not divisible by 24\n" in err
+    assert "scan: n = 55387 skipped: T(97) = 18 is not divisible by 4\n" in err
+    assert err.endswith(f"scan: {1 + len(N_97Q)} rows skipped\n")
+    assert [r.n for r in read_rows(out, "csv")] == expected
+
+
+def test_scan_t1_violation_names_the_first_bad_n(monkeypatch, capsys, tmp_path):
+    # r8(-4p) negated: at 219 = 3 * 73 the congruence holds (4 = 4 mod 8) but
+    # the 8-ranks now differ
+    scan_mod = importlib.import_module("congruent.scan")
+    real = scan_mod._octic
+    monkeypatch.setattr(scan_mod, "_octic", lambda ps: ~real(ps))
+    with pytest.raises(InvariantViolation, match="^n = 219: congruence and 8-rank equality disagree$"):
+        list(scan(60000, t_filter=1))
+    assert main(["scan", "--max", "60000", "--out", str(tmp_path / "x.csv")]) == 3
+    assert "INVARIANT VIOLATION" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def _fail_invariants(monkeypatch):
     import congruent.criteria as criteria_mod
-    from congruent.criteria import InvariantViolation
 
     def always_fail(report):
         raise InvariantViolation("injected")
 
+    def always_fail_laws(*args):
+        raise InvariantViolation("injected")
+
     monkeypatch.setattr(criteria_mod, "check_report_invariants", always_fail)
+    monkeypatch.setattr(importlib.import_module("congruent.scan"), "check_invariant_laws", always_fail_laws)
 
 
 def test_cli_exit_code_3_on_invariant_violation(monkeypatch, capsys, tmp_path):
     _fail_invariants(monkeypatch)
     rc = main(["scan", "--max", "60000", "--t", "2", "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert "INVARIANT VIOLATION" in capsys.readouterr().err
+
+
+def test_cli_scan_exit_code_3_on_a_t1_invariant_violation(monkeypatch, capsys, tmp_path):
+    _fail_invariants(monkeypatch)
+    rc = main(["scan", "--max", "60000", "--t", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "INVARIANT VIOLATION" in capsys.readouterr().err
 
