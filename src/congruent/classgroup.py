@@ -27,14 +27,24 @@ MAX_ABS_DISCRIMINANT = 10**8
 
 
 def fundamental_discriminant(m: Union[int, FactoredSquarefree]) -> int:
-    """D = -m when -m = 1 (mod 4), else -4m.  An int m is factored: NotSquarefree if it is not."""
-    if isinstance(m, FactoredSquarefree):
-        m = m.value
-    elif m < 1:
-        raise ValueError(f"expected positive m, got {m}")
-    else:
+    """D = -m when -m = 1 (mod 4), else -4m, for |D| <= MAX_ABS_DISCRIMINANT.
+
+    A D beyond the bound is refused first; then an int m is factored:
+    NotSquarefree if it is not.
+    """
+    value = m.value if isinstance(m, FactoredSquarefree) else m
+    if value < 1:
+        raise ValueError(f"expected positive m, got {value}")
+    D = -value if (-value) % 4 == 1 else -4 * value
+    _refuse_beyond_bound(D)
+    if not isinstance(m, FactoredSquarefree):
         factor_squarefree(m)
-    return -m if (-m) % 4 == 1 else -4 * m
+    return D
+
+
+def _refuse_beyond_bound(D: int) -> None:
+    if -D > MAX_ABS_DISCRIMINANT:
+        raise ValueError(f"|D| = {-D} exceeds the supported bound {MAX_ABS_DISCRIMINANT}")
 
 
 def _count_reduced_forms(D: int) -> int:
@@ -71,8 +81,7 @@ def class_number(D: int) -> int:
     """Exact h(D) for a fundamental discriminant D < 0 with |D| <= MAX_ABS_DISCRIMINANT."""
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"not a negative discriminant: {D}")
-    if -D > MAX_ABS_DISCRIMINANT:
-        raise ValueError(f"|D| = {-D} exceeds the supported bound {MAX_ABS_DISCRIMINANT}")
+    _refuse_beyond_bound(D)
     return _count_reduced_forms(D)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .arith import NotSquarefree, is_prime
 from .redei import HypothesisN, WrongResidueShape, build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank
 from .selmer import selmer_rank
-from .tunnell import Classification, ThetaSums, classify, divisor_lines
+from .tunnell import Classification, ThetaSums, classify, divisor_lines, refuse_beyond_per_n_bound
 
 
 class Verdict(enum.Enum):
@@ -75,9 +75,13 @@ class CriterionReport:
 
 
 def evaluate(v: int) -> CriterionReport:
-    """Full evidence bundle for one candidate n; every report passes the invariant checks."""
+    """Full evidence bundle for one candidate n; every report passes the invariant checks.
+
+    An n above MAX_PER_N is refused before it is factored.
+    """
     if v < 3:
         raise ValueError(f"need v >= 3, got {v}")
+    refuse_beyond_per_n_bound(v)
     try:
         h = build_hypothesis(v)
     except NotSquarefree as exc:

@@ -12,15 +12,16 @@ object is built, the n with a square factor, a prime not 1 or 3 (mod 8), a
 q-count other than 1, or a p_i modulo which q is a non-residue (Euler's
 criterion); that factorisation is the only one a row needs.  One TunnellTable
 serves every row: for the rows of each pass its block sums the lines of all
-their n and n_q at once, the ThetaSums that give the Tunnell label and both
-class numbers.
+their n and n_q at once, the sums that give the Tunnell label and both class
+numbers.
 
-Each pass is split by t.  The n = p q with t = 1, nearly all rows, are built
-as numpy columns: both class numbers from the block, the label from c8 and
-c32, both 8-ranks as power residues mod p, the congruence, and one call of
-the invariant laws for the whole pass.  Only the rows with t >= 2 build a
-hypothesis and a report each (hypothesis_from_factored, evaluate_hypothesis,
-row_from_report).  The rows of a pass are merged in increasing n.
+Every row of a pass, whatever its t, is built from the pass's columns: both
+class numbers from the block, the label from c8 and c32, the modulus
+2^(t+2), r8(-n) as a count of quartic non-residues, the congruence, and one
+call of the invariant laws for the whole pass.  Per-row Python is left to
+the t >= 2 rows alone: the rank condition and the Legendre triple from
+hypothesis_from_factored, r8(-n_q) from eight_rank_neg_nq; for t = 1 these
+are fixed or a power residue mod p.  Rows come out in increasing n.
 
 CSV is the 7-bit machine format (prime product joined by "*"); the pretty
 printer uses the dot separator.
@@ -39,9 +40,9 @@ import numpy as np
 
 from .arith import FactoredSquarefree
 from .classgroup import MAX_ABS_DISCRIMINANT
-from .criteria import CriterionReport, Verdict, check_invariant_laws, evaluate_hypothesis
-from .redei import HypothesisN, HypothesisNotMet, hypothesis_from_factored
-from .tunnell import Classification, NotDivisible, ThetaSums, TunnellTable, congruent_under_bsd
+from .criteria import CriterionReport, Verdict, check_invariant_laws
+from .redei import HypothesisN, HypothesisNotMet, eight_rank_neg_nq, hypothesis_from_factored
+from .tunnell import Classification, NotDivisible, TunnellTable, congruent_under_bsd
 
 CSV_COLUMNS = (
     "n",
@@ -93,24 +94,21 @@ class ScanRow:
         }
 
 
-def row_from_report(report: CriterionReport) -> ScanRow:
-    """The row of a report whose hypothesis holds.
+def _legendre_triple(h: HypothesisN) -> tuple[int, ...]:
+    """(q/p_i) for every i, all +1 when the hypothesis holds, then (p_i/p_j) for i < j: entry (j, i) of A_n, the symbol mod p_j."""
+    return (1,) * h.t + tuple(1 - 2 * (h.A[j] >> i & 1) for i in range(h.t) for j in range(i + 1, h.t))
 
-    Its Legendre triple is read from the hypothesis: every (q/p_i) is +1, and
-    (p_i/p_j) for i < j is entry (j, i) of A_n, the symbol mod p_j.
-    """
+
+def row_from_report(report: CriterionReport) -> ScanRow:
+    """The row of a report whose hypothesis holds; its Legendre triple is read from the hypothesis."""
     h = report.hypothesis
     if h is None or not h.holds():
         raise HypothesisNotMet(f"n = {report.n}: a row needs a hypothesis that holds")
-    ps = h.p_list
-    triple = (1,) * h.t + tuple(
-        1 - 2 * (h.A[j] >> i & 1) for i in range(len(ps)) for j in range(i + 1, len(ps))
-    )
     return ScanRow(
         n=report.n,
         q=h.q,
-        p_list=ps,
-        legendre_triple=triple,
+        p_list=h.p_list,
+        legendre_triple=_legendre_triple(h),
         h_n=report.h_n,
         h_nq=report.h_nq,
         modulus=report.modulus,
@@ -174,18 +172,17 @@ def _q(primes: np.ndarray) -> np.ndarray:
     return np.where(primes & 7 == 3, primes, 0).max(axis=1).astype(np.int64)
 
 
-def _q_residue(primes: np.ndarray) -> np.ndarray:
-    """For each row of _shape_block's primes: is q a quadratic residue mod every p_i.
+def _non_residues(primes: np.ndarray, k: int) -> np.ndarray:
+    """For each row of _shape_block's primes: the number of p_i modulo which q is not a k-th power, for k | p_i - 1.
 
-    Euler's criterion, q^((p-1)/2) = 1 (mod p), for every pair (q, p_i) at once;
-    the scan's p_i are below 2^31, so the products stay in int64.
+    q is a k-th power mod p iff q^((p-1)/k) = 1 (mod p), Euler's criterion for
+    k = 2; every pair (q, p_i) is taken at once.  The scan's p_i are below
+    2^31, so the products stay in int64.
     """
     q = _q(primes)
     rows, cols = np.nonzero((primes & 7 == 1) & (primes > 1))
     p = primes[rows, cols].astype(np.int64)
-    residue = np.ones(primes.shape[0], dtype=bool)
-    residue[rows[_pow_mod(q[rows] % p, (p - 1) // 2, p) != 1]] = False
-    return residue
+    return np.bincount(rows[_pow_mod(q[rows] % p, (p - 1) // k, p) != 1], minlength=primes.shape[0])
 
 
 def _shape_candidates(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -198,7 +195,7 @@ def _shape_candidates(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     for start in range(3, limit + 1, 8 * _BLOCK):
         ns = np.arange(start, min(start + 8 * _BLOCK, limit + 1), 8, dtype=np.int64)
         ns, primes = _shape_block(spf, ns)
-        keep = _q_residue(primes)
+        keep = _non_residues(primes, 2) == 0
         yield ns[keep], primes[keep]
 
 
@@ -222,30 +219,8 @@ def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Iterator[
 def _rows(limit: int, t_filter: Optional[int], on_error) -> Iterator[ScanRow]:
     table = TunnellTable(limit)
     for ns, primes in _shape_candidates(limit):
-        t = (primes > 1).sum(axis=1) - 1
-        wanted = np.full(t.size, True) if t_filter is None else t == t_filter
-        pairs, more = wanted & (t == 1), wanted & (t >= 2)
-        pair_ns = ns[pairs]
-        pair_ps = pair_ns // _q(primes[pairs])
-        survivors = zip(ns[more].tolist(), primes[more].tolist())
-        factored = (FactoredSquarefree(n, tuple(p for p in row if p > 1)) for n, row in survivors)
-        hs = [h for h in map(hypothesis_from_factored, factored) if h.holds()]
-        sums = table.block(pair_ns.tolist() + pair_ps.tolist() + [h.n.value for h in hs] + [h.n_q.value for h in hs])
-        done = _prime_pair_rows(pair_ns, pair_ps, sums) + [_row_or_error(h, sums) for h in hs]
-        # the two sorted runs merged into increasing n
-        for n, row in sorted(done, key=lambda d: d[0]):
-            if isinstance(row, ScanRow):
-                yield row
-            else:
-                on_error(n, row)
-
-
-def _row_or_error(h: HypothesisN, sums: ThetaSums) -> tuple[int, Union[ScanRow, Exception]]:
-    """The row of a t >= 2 hypothesis, report by report, or the error that stopped it."""
-    try:
-        return h.n.value, row_from_report(evaluate_hypothesis(h, sums=sums))
-    except (ValueError, ArithmeticError) as exc:
-        return h.n.value, exc
+        wanted = slice(None) if t_filter is None else (primes > 1).sum(axis=1) - 1 == t_filter
+        yield from _pass_rows(ns[wanted], primes[wanted], table, on_error)
 
 
 def _octic(ps: np.ndarray) -> np.ndarray:
@@ -257,49 +232,73 @@ def _octic(ps: np.ndarray) -> np.ndarray:
     return _pow_mod(ps - 4, (ps - 1) // 8, ps) == 1
 
 
+def _rank_step(n: int, primes: list[int]) -> Union[tuple[tuple[int, ...], int], None, Exception]:
+    """The Legendre triple and r8(-n_q) of a t >= 2 candidate, None if rank A_n != t - 1, or the error that stopped it."""
+    try:
+        h = hypothesis_from_factored(FactoredSquarefree(n, tuple(p for p in primes if p > 1)))
+        return (_legendre_triple(h), eight_rank_neg_nq(h)) if h.rank_condition else None
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
 _LABELS = (Classification.NON_CONGRUENT_UNCONDITIONAL.value, Classification.CONGRUENT_UNDER_BSD.value)
 _VERDICTS = (Verdict.NON_CONGRUENT_CERTIFICATE.value, Verdict.CONSISTENT_WITH_CONGRUENT.value)
 
 
-def _prime_pair_rows(ns: np.ndarray, ps: np.ndarray, sums: ThetaSums) -> list[tuple[int, Union[ScanRow, Exception]]]:
-    """The rows of the n = p q (t = 1) of a pass, column by column, or the error that stopped each.
+def _pass_rows(ns: np.ndarray, primes: np.ndarray, table: TunnellTable, on_error) -> Iterator[ScanRow]:
+    """The rows of one filter pass, whatever their t, in increasing n; a row that fails goes to on_error.
 
-    The filter has proved (q/p) = 1, and rank A_n = 0 = t - 1 always, so the
-    hypothesis holds: the modulus is 8 and the Legendre triple is (1).
-    h(-n) = T(n)/24 and h(-4p) = T(p)/4; r8(-n) is the quartic symbol
-    q^((p-1)/4) = 1 (mod p) and r8(-4p) is _octic.  The laws of
-    check_invariant_laws are checked on every row with both class numbers.
+    The filter has proved (q/p_i) = 1 for every p_i, so the hypothesis holds
+    iff rank A_n = t - 1: always for t = 1, where A_n is the 1 x 1 zero matrix
+    and the triple is (1), and tested by _rank_step for t >= 2.  The modulus
+    is 2^(t+2), h(-n) = T(n)/24 and h(-4 n_q) = T(n_q)/4; r8(-n) = 1 iff the
+    quartic symbol (q/n_q)_4 is +1, i.e. q is a quartic non-residue mod an
+    even number of p_i.  r8(-n_q) is _octic for t = 1 and eight_rank_neg_nq
+    for t >= 2.  A row whose T is not divisible or whose _rank_step failed
+    goes to on_error; the laws of check_invariant_laws are checked once on
+    all the others.
     """
-    qs = ns // ps
+    t = (primes > 1).sum(axis=1) - 1
+    # a t = 1 row has the triple (1) and takes its r8(-n_q) from _octic below
+    steps = [((1,), 0) if k == 1 else _rank_step(n, row) for n, row, k in zip(ns.tolist(), primes.tolist(), t.tolist())]
+    held = np.array([step is not None for step in steps], dtype=bool)
+    ns, primes, t = ns[held], primes[held], t[held]
+    steps = [step for step in steps if step is not None]
+    failed = np.array([isinstance(step, Exception) for step in steps], dtype=bool)
+    qs = _q(primes)
+    nqs = ns // qs
+    r8_nq = np.array([isinstance(step, tuple) and step[1] == 1 for step in steps], dtype=bool)
+    r8_nq[t == 1] = _octic(nqs[t == 1])
+    sums = table.block(ns.tolist() + nqs.tolist())
     t_n, c8, c32 = sums.columns(ns.tolist())
-    t_p = sums.columns(ps.tolist())[0]
-    ok = (t_n % 24 == 0) & (t_p % 4 == 0)
-    h_n, h_p = t_n // 24, t_p // 4
-    r8_n = _pow_mod(qs % ps, (ps - 1) // 4, ps) == 1
-    r8_p = _octic(ps)
-    congruence = (h_n - h_p) % 8 == 0
+    t_nq = sums.columns(nqs.tolist())[0]
+    ok = (t_n % 24 == 0) & (t_nq % 4 == 0) & ~failed
+    h_n, h_nq, modulus = t_n // 24, t_nq // 4, 4 << t
+    congruence = (h_n - h_nq) % modulus == 0
+    r8_n = _non_residues(primes, 4) % 2 == 0
     bsd = congruent_under_bsd(c8, c32)
-    check_invariant_laws(ns[ok], ~congruence[ok], bsd[ok], 8, h_n[ok], h_p[ok], congruence[ok], r8_n[ok], r8_p[ok])
-    done = []
-    columns = (ns, ps, qs, t_n, t_p, h_n, h_p, congruence, bsd, ok)
-    for n, p, q, tn, tp, hn, hp, cong, label, divisible in zip(*(c.tolist() for c in columns)):
-        if not divisible:
-            done.append((n, NotDivisible(n, tn, 24) if tn % 24 else NotDivisible(p, tp, 4)))
-            continue
-        row = ScanRow(
-            n=n,
-            q=q,
-            p_list=(p,),
-            legendre_triple=(1,),
-            h_n=hn,
-            h_nq=hp,
-            modulus=8,
-            congruence_holds=cong,
-            tunnell_label=_LABELS[label],
-            verdict=_VERDICTS[cong],
-        )
-        done.append((n, row))
-    return done
+    laws = (ns, ~congruence, bsd, modulus, h_n, h_nq, congruence, r8_n, r8_nq)
+    check_invariant_laws(*(column[ok] for column in laws))
+    p_cols = np.where((primes & 7 == 1) & (primes > 1), primes, 0)
+    columns = (ok, ns, nqs, p_cols, qs, t_n, t_nq, h_n, h_nq, modulus, congruence, bsd)
+    for step, good, n, nq, ps, q, tn, tnq, hn, hnq, mod, cong, label in zip(steps, *(c.tolist() for c in columns)):
+        if good:
+            yield ScanRow(
+                n=n,
+                q=q,
+                p_list=tuple(filter(None, ps)),
+                legendre_triple=step[0],
+                h_n=hn,
+                h_nq=hnq,
+                modulus=mod,
+                congruence_holds=cong,
+                tunnell_label=_LABELS[label],
+                verdict=_VERDICTS[cong],
+            )
+        elif tn % 24 or tnq % 4:
+            on_error(n, NotDivisible(n, tn, 24) if tn % 24 else NotDivisible(nq, tnq, 4))
+        else:
+            on_error(n, step)
 
 
 def _csv_cell(value):

@@ -226,7 +226,8 @@ class TunnellTable:
         return _line_sums(ms, self._r.__getitem__)
 
 
-def _refuse_beyond_per_n_bound(n: int) -> None:
+def refuse_beyond_per_n_bound(n: int) -> None:
+    """ValueError for an n above MAX_PER_N; called before n is factored or counted."""
     if n > MAX_PER_N:
         raise ValueError(f"n = {n} exceeds the per-n bound {MAX_PER_N}")
 
@@ -240,7 +241,7 @@ def divisor_lines(centres) -> ThetaSums:
     before any work.
     """
     ms = sorted(set(centres))
-    _refuse_beyond_per_n_bound(max(ms, default=0))
+    refuse_beyond_per_n_bound(max(ms, default=0))
     return _line_sums(ms, lambda points: _divisor_sums(points.ravel(), 8).reshape(points.shape))
 
 
@@ -254,7 +255,7 @@ def counts(n: Union[int, FactoredSquarefree]) -> ThetaCounts:
     factored = isinstance(n, FactoredSquarefree)
     if factored:
         n = n.value
-    _refuse_beyond_per_n_bound(n)
+    refuse_beyond_per_n_bound(n)
     if not factored:
         factor_squarefree(n)  # raises NotSquarefree otherwise
     if n % 2:

@@ -212,8 +212,9 @@ def test_criterion_13_scan_csv_is_byte_identical(full_scan):
 
 
 def test_criterion_14_every_row_matches_the_per_row_path(full_scan):
-    # the scan builds its t = 1 rows column by column; the slow path factors
-    # each n again and builds its row report by report, symbols included
+    # the scan builds every row, whatever its t, from the columns of its
+    # filter pass and builds no report; the slow path factors each n again
+    # and builds its row report by report, symbols included
     sums = TunnellTable(SCAN_LIMIT).block([r.n for r in full_scan] + [r.n // r.q for r in full_scan])
     for r in full_scan:
         assert row_from_report(evaluate_hypothesis(build_hypothesis(r.n), sums=sums)) == r, r.n

@@ -4,6 +4,7 @@ from math import gcd, isqrt
 
 import pytest
 
+import congruent.arith
 import congruent.classgroup
 from congruent.arith import NotSquarefree, factor_squarefree
 from congruent.classgroup import MAX_ABS_DISCRIMINANT, class_number, fundamental_discriminant, genus_two_rank
@@ -56,6 +57,17 @@ def test_fundamental_discriminant_values():
     assert fundamental_discriminant(factor_squarefree(17593)) == -70372
     with pytest.raises(NotSquarefree):
         fundamental_discriminant(12)
+
+
+def test_fundamental_discriminant_refuses_a_d_beyond_the_bound_before_factoring(monkeypatch):
+    def no_factoring(v):
+        raise AssertionError(f"{v} factored")
+
+    monkeypatch.setattr(congruent.arith, "_factor", no_factoring)
+    # -4m for m = 1 (mod 4), just beyond the bound; -m for m = 3 (mod 4); a square m
+    for m, D in ((25_000_001, 100_000_004), (10**8 + 3, 10**8 + 3), (25 * 10**14, 10**16)):
+        with pytest.raises(ValueError, match=f"^\\|D\\| = {D} exceeds the supported bound {MAX_ABS_DISCRIMINANT}$"):
+            fundamental_discriminant(m)
 
 
 def test_class_number_spot_values():

@@ -20,7 +20,7 @@ from congruent.cli import main
 from congruent.scan import (
     CSV_COLUMNS,
     ScanRow,
-    _q_residue,
+    _non_residues,
     _shape_block,
     _shape_candidates,
     _smallest_prime_factors,
@@ -29,8 +29,8 @@ from congruent.scan import (
     row_from_report,
     scan,
 )
-from congruent.criteria import InvariantViolation, evaluate, evaluate_hypothesis
-from congruent.redei import HypothesisNotMet, hypothesis_from_factored
+from congruent.criteria import InvariantViolation, evaluate
+from congruent.redei import HypothesisNotMet, eight_rank_neg_nq, hypothesis_from_factored
 
 GOLDEN_ROW = ScanRow(
     n=52779,
@@ -230,7 +230,7 @@ def test_residue_reject_matches_the_hypothesis(walked):
     ns, primes = _shape_block(_smallest_prime_factors(200_000), np.arange(3, 200_001, 8, dtype=np.int64))
     assert ns.tolist() == [c.value for c, _ in walked]
     assert [tuple(p for p in row if p > 1) for row in primes.tolist()] == [c.primes for c, _ in walked]
-    residue = _q_residue(primes)
+    residue = _non_residues(primes, 2) == 0
     assert residue.tolist() == [qr for _, qr in walked]
     assert 0 < residue.sum() < residue.size
 
@@ -245,7 +245,7 @@ def test_residue_reject_at_the_largest_scan_primes():
         p = rng.randrange(20_000_001, 25_000_000, 8)
         if is_prime(p):
             pairs.append((rng.choice((3, 11, 19, rng.choice(large_q))), p))
-    residue = _q_residue(np.array([sorted(pair) for pair in pairs], dtype=np.int32))
+    residue = _non_residues(np.array([sorted(pair) for pair in pairs], dtype=np.int32), 2) == 0
     expected = [legendre(q, p) == 1 for q, p in pairs]
     assert residue.tolist() == expected
     assert 0 < residue.sum() < residue.size
@@ -357,6 +357,20 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
     assert main(["classnum", "-m", "1000000007"]) == 2  # |D| beyond the supported bound
     assert "exceeds the supported bound 100000000" in capsys.readouterr().err
+
+
+def test_cli_refuses_an_out_of_range_n_before_factoring(monkeypatch, capsys):
+    def no_factoring(v):
+        raise AssertionError(f"{v} factored")
+
+    monkeypatch.setattr(congruent.arith, "_factor", no_factoring)
+    big = "30000000000018200000000002759"
+    # of hypothesis shape; not squarefree, once a hypothesis_failed report; 29 digits
+    for n in ("10000000347", "40000000004", big):
+        assert main(["check", "-n", n]) == 2
+        assert f"error: n = {n} exceeds the per-n bound 10000000000" in capsys.readouterr().err
+    assert main(["classnum", "-m", big]) == 2
+    assert f"error: |D| = {big} exceeds the supported bound 100000000" in capsys.readouterr().err
 
 
 def test_cli_main_keeps_no_options_between_calls(capsys):
@@ -512,15 +526,15 @@ def test_cli_check_counts_by_divisor_sums_alone(monkeypatch, capsys):
 
 
 def _fail_42267(monkeypatch):
+    # 42267 = 3 * 73 * 193 has t = 2: the lane reads its r8(-n_q) by eight_rank_neg_nq
     scan_mod = importlib.import_module("congruent.scan")
-    real_evaluate = evaluate_hypothesis
 
-    def flaky(h, sums=None):
+    def flaky(h):
         if h.n.value == 42267:
             raise ArithmeticError("injected")
-        return real_evaluate(h, sums=sums)
+        return eight_rank_neg_nq(h)
 
-    monkeypatch.setattr(scan_mod, "evaluate_hypothesis", flaky)
+    monkeypatch.setattr(scan_mod, "eight_rank_neg_nq", flaky)
 
 
 def test_scan_row_errors_do_not_abort(monkeypatch):
@@ -542,14 +556,18 @@ def test_cli_scan_exit_code_2_on_skipped_rows(monkeypatch, capsys, tmp_path):
     assert [r.n for r in read_rows(out, "csv")] == [23579, 29971, 41123, 52779, 57851]
 
 
-def _skew_t1_sums(monkeypatch):
-    """T(219) and T(97) off by 1 and 2 in the lane's sums: n = 219 = 3 * 73 fails on T(n), every n = 97 q on T(p)."""
+def _skew_sums(monkeypatch):
+    """T(219), T(97) and T(42267) off by 1, 2 and 1 in the lane's sums.
+
+    n = 219 = 3 * 73 fails on T(n), every n = 97 q on T(p), and the t = 2
+    row 42267 = 3 * 73 * 193 on T(n).
+    """
     scan_mod = importlib.import_module("congruent.scan")
 
     class Skewed(congruent.tunnell.TunnellTable):
         def block(self, centres):
             sums = super().block(centres)
-            for m, shift in ((219, 1), (97, 2)):
+            for m, shift in ((219, 1), (97, 2), (42267, 1)):
                 if m in sums._sums:
                     t, c8, c32 = sums._sums[m]
                     sums._sums[m] = (t + shift, c8, c32)
@@ -565,25 +583,29 @@ N_97Q = [291, 1067, 4171, 15811, 22019, 27451, 29779, 36763, 40643, 45299, 47627
 def test_scan_t1_errors_do_not_abort(monkeypatch):
     expected = list(scan(60000))
     assert [r.n for r in expected if r.p_list == (97,)] == N_97Q
-    _skew_t1_sums(monkeypatch)
+    _skew_sums(monkeypatch)
     seen = []
     rows = list(scan(60000, on_error=lambda n, exc: seen.append((n, type(exc), str(exc)))))
-    assert seen == [(219, congruent.tunnell.NotDivisible, "T(219) = 97 is not divisible by 24")] + [
-        (n, congruent.tunnell.NotDivisible, "T(97) = 18 is not divisible by 4") for n in N_97Q
-    ]
+    # in increasing n, the t = 2 row between the n = 97 q
+    skew_97 = [(n, congruent.tunnell.NotDivisible, "T(97) = 18 is not divisible by 4") for n in N_97Q]
+    skew_42267 = (42267, congruent.tunnell.NotDivisible, "T(42267) = 577 is not divisible by 24")
+    assert seen == [(219, congruent.tunnell.NotDivisible, "T(219) = 97 is not divisible by 24")] + skew_97[:9] + [
+        skew_42267
+    ] + skew_97[9:]
     assert all(issubclass(kind, ArithmeticError) for _, kind, _ in seen)
-    assert rows == [r for r in expected if r.n != 219 and r.p_list != (97,)]
+    assert rows == [r for r in expected if r.n not in (219, 42267) and r.p_list != (97,)]
 
 
 def test_cli_scan_exit_code_2_on_skipped_t1_rows(monkeypatch, capsys, tmp_path):
-    expected = [r.n for r in scan(60000) if r.n != 219 and r.p_list != (97,)]
-    _skew_t1_sums(monkeypatch)
+    expected = [r.n for r in scan(60000) if r.n not in (219, 42267) and r.p_list != (97,)]
+    _skew_sums(monkeypatch)
     out = str(tmp_path / "rows.csv")
     assert main(["scan", "--max", "60000", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "scan: n = 219 skipped: T(219) = 97 is not divisible by 24\n" in err
+    assert "scan: n = 42267 skipped: T(42267) = 577 is not divisible by 24\n" in err
     assert "scan: n = 55387 skipped: T(97) = 18 is not divisible by 4\n" in err
-    assert err.endswith(f"scan: {1 + len(N_97Q)} rows skipped\n")
+    assert err.endswith(f"scan: {2 + len(N_97Q)} rows skipped\n")
     assert [r.n for r in read_rows(out, "csv")] == expected
 
 
@@ -598,6 +620,44 @@ def test_scan_t1_violation_names_the_first_bad_n(monkeypatch, capsys, tmp_path):
     assert main(["scan", "--max", "60000", "--out", str(tmp_path / "x.csv")]) == 3
     assert "INVARIANT VIOLATION" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_scan_t2_violation_comes_from_the_pass_law_check(monkeypatch, capsys, tmp_path):
+    # r8(-n_q) negated on every t >= 2 row: the scan builds no report, so the
+    # pass's one call of the laws must catch it
+    scan_mod = importlib.import_module("congruent.scan")
+    monkeypatch.setattr(scan_mod, "eight_rank_neg_nq", lambda h: 1 - eight_rank_neg_nq(h))
+
+    def no_report(report):
+        raise AssertionError("a report was checked")
+
+    monkeypatch.setattr(congruent.criteria, "check_report_invariants", no_report)
+    with pytest.raises(InvariantViolation, match="^n = 23579: congruence and 8-rank equality disagree$"):
+        list(scan(60000, t_filter=2))
+    assert main(["scan", "--max", "60000", "--out", str(tmp_path / "x.csv")]) == 3
+    assert "INVARIANT VIOLATION: n = 23579" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_scan_builds_no_report(monkeypatch):
+    # every row, whatever its t, comes from the pass's columns, not report by report
+    expected = list(scan(60000))
+    assert {len(r.p_list) for r in expected} == {1, 2}
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("a scan row was built from a report")
+
+    monkeypatch.setattr(congruent.criteria, "evaluate_hypothesis", no_report)
+    monkeypatch.setattr(importlib.import_module("congruent.scan"), "row_from_report", no_report)
+    assert list(scan(60000)) == expected
+
+
+def test_scan_t3_rows_match_the_per_row_path():
+    # the first two n with t = 3; no smaller scan has one
+    rows = list(scan(5493907, t_filter=3))
+    assert rows == [row_from_report(evaluate(n)) for n in (2907187, 5493907)]
+    assert all(r.modulus == 32 and len(r.legendre_triple) == 6 for r in rows)
+    assert [r.verdict for r in rows] == ["consistent", "non_congruent_certificate"]
 
 
 def _fail_invariants(monkeypatch):
