@@ -1,7 +1,9 @@
-"""Exact integer kernel: primality, squarefree factorization, residue symbols.
+"""Exact integer kernel: primality, squarefree factorization, residue symbols, modular powers.
 
 Everything here is pure integer arithmetic (no floats), safe for concurrent
-use, and deterministic for inputs below 2**63.
+use, and deterministic for inputs below 2**63.  _pow_mod is the one modular
+power over numpy arrays; the scan's residue tests and the divisor sums'
+square roots both use it.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
+
+import numpy as np
 
 
 class NotSquarefree(ValueError):
@@ -223,6 +227,16 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp mod mod elementwise (numpy broadcasting), for int64 arrays with 0 <= base < mod and mod^2 < 2^63."""
+    result = np.ones_like(base)
+    while exp.any():
+        result = np.where(exp & 1 == 1, result * base % mod, result)
+        base = base * base % mod
+        exp = exp >> 1
+    return result
 
 
 def is_square(n: int) -> bool:

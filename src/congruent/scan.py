@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
-from .arith import FactoredSquarefree
+from .arith import FactoredSquarefree, _pow_mod
 from .classgroup import MAX_ABS_DISCRIMINANT
 from .criteria import CriterionReport, Verdict, check_invariant_laws
 from .redei import HypothesisN, HypothesisNotMet, eight_rank_neg_nq, hypothesis_from_factored
@@ -155,16 +155,6 @@ def _shape_block(spf: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarra
     primes = np.stack(columns, axis=1)
     ok &= ((primes & 7 == 3).sum(axis=1) == 1) & ((primes > 1).sum(axis=1) >= 2)
     return ns[ok], primes[ok]
-
-
-def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base^exp mod mod elementwise, for int64 arrays with 0 <= base < mod and mod^2 < 2^63."""
-    result = np.ones_like(base)
-    while exp.any():
-        result = np.where(exp & 1 == 1, result * base % mod, result)
-        base = base * base % mod
-        exp = exp >> 1
-    return result
 
 
 def _q(primes: np.ndarray) -> np.ndarray:

@@ -13,27 +13,33 @@ odd n all three sums read one line r(n - 2z^2): c8 is its sum over even z and
 c32 over z = 0 (mod 4).  One gather, _line_sums, sums the lines of a batch of
 centres in int64 into ThetaSums; its two sources differ only in how r is read.
 TunnellTable keeps r (int16, bound-checked) for a whole range, and its block
-serves a scan; divisor_lines factors the O(sqrt(n)) points of each line
-(Tunnell 1983; Hart, Tornaria and Watkins 2010), which counts, classify and a
-check read.  theta_counts enumerates the lattice box per n and is the
-reference both are tested against.  congruent_under_bsd is the one place the
-label rule is written; ThetaCounts.label and the scan's t = 1 rows read it.
+serves a scan; divisor_lines takes r at the O(sqrt(n)) points of each line
+as divisor sums (Tunnell 1983; Hart, Tornaria and Watkins 2010), which
+counts, classify and a check read.  Its kernel, _line_divisor_sums, finds
+the points an odd prime p divides from the square roots of n/2 mod p, a
+sieve over z in O(sqrt(n) log log n + pi(sqrt(n)) log n).  theta_counts
+enumerates the lattice box per n and is the reference both are tested
+against.  congruent_under_bsd is the one place the label rule is written;
+ThetaCounts.label and the scan's t = 1 rows read it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from math import isqrt
 from typing import Union
 
 import numpy as np
 
-from .arith import FactoredSquarefree, factor_squarefree
+from .arith import FactoredSquarefree, _pow_mod, factor_squarefree
 from .classgroup import MAX_ABS_DISCRIMINANT
 
 # n above this is refused before any per-n count: every point n - c z^2 stays
-# far inside int64, and a check near the bound takes seconds and tens of MiB.
+# far inside int64 and every sieving prime p <= 10^5 has p^2 < 2^63.  On a
+# 2-core machine the counts of one check take about 2 ms near 10^7, 8 ms near
+# 10^9 and 40 ms near the bound, whose check process peaks near 45 MiB.
 MAX_PER_N = 10**10
 
 
@@ -181,10 +187,11 @@ _BLOCK_CELLS = 1 << 14
 def _line_sums(ms: list[int], r_at) -> ThetaSums:
     """The lines r(m - 2z^2) of the sorted odd centres ms >= 1, summed in int64.
 
-    r_at maps an int64 array of odd points >= 1 to their r, elementwise; it is
-    the one thing the sources differ in.  The centres are gathered in batches
-    of at most _BLOCK_CELLS points, so memory is bounded by the batch whatever
-    the centres; a point m - 2z^2 below 1 is read at 1 and gets weight 0.
+    r_at maps a batch's points, the int64 matrix whose row i is m_i - 2z^2 for
+    z < k (so column 0 holds the centres), to their r; it is the one thing the
+    sources differ in.  The centres are gathered in batches of at most
+    _BLOCK_CELLS points, so memory is bounded by the batch whatever the
+    centres; a point m - 2z^2 below 1 is read at 1 and gets weight 0.
     """
     z_idx, z_w = _theta_weights(2, max(ms, default=0))
     step = max(1, _BLOCK_CELLS // z_idx.size)
@@ -235,14 +242,15 @@ def refuse_beyond_per_n_bound(n: int) -> None:
 def divisor_lines(centres) -> ThetaSums:
     """The line sums of odd centres in 1..MAX_PER_N, with r(m) by divisor sums.
 
-    Only the O(sqrt(n)) points of each line are factored, all lines of a batch
-    in one _divisor_sums pass, so time and memory are O(sqrt(n)) where a table
-    or a reduced-form count is O(n).  A centre above MAX_PER_N is refused
-    before any work.
+    All lines of a batch go through one _line_divisor_sums pass, which sieves
+    the O(sqrt(n)) points of each line by the primes up to sqrt(n): time is
+    O(sqrt(n) log log n + pi(sqrt(n)) log n) and memory O(sqrt(n) log log n),
+    where a table or a reduced-form count is O(n).  A centre above MAX_PER_N is
+    refused before any work.
     """
     ms = sorted(set(centres))
     refuse_beyond_per_n_bound(max(ms, default=0))
-    return _line_sums(ms, lambda points: _divisor_sums(points.ravel(), 8).reshape(points.shape))
+    return _line_sums(ms, lambda points: _line_divisor_sums(points[:, 0], 2, points.shape[1], 8))
 
 
 def counts(n: Union[int, FactoredSquarefree]) -> ThetaCounts:
@@ -261,8 +269,8 @@ def counts(n: Union[int, FactoredSquarefree]) -> ThetaCounts:
     if n % 2:
         return divisor_lines([n]).counts(n)
     half = n // 2
-    z_idx, z_w = _theta_weights(8, half)
-    c8, c32, _ = _z_sums(z_w * _divisor_sums(half - z_idx, 4))
+    _, z_w = _theta_weights(8, half)
+    c8, c32, _ = _z_sums(z_w * _line_divisor_sums(np.array([half], dtype=np.int64), 8, z_w.size, 4)[0])
     return ThetaCounts(n=n, c32=int(c32), c8=int(c8))
 
 
@@ -280,49 +288,124 @@ def _odd_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(is_p)[1:]
 
 
-def _divisor_sums(m: np.ndarray, modulus: int) -> np.ndarray:
-    """2 * sum over d | m of (-modulus/d), for an int64 array of odd m >= 1 and modulus 8 or 4.
+@functools.cache
+def _sieving_primes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The odd primes p <= isqrt(MAX_PER_N) and, per prime, the constants _square_roots reads.
 
-    x^2 + 2y^2 and x^2 + y^2 are the only reduced forms of discriminant -8 and
-    -4, so #{x^2 + 2y^2 = m} = 2 sum (-8/d) and #{x^2 + y^2 = m} = 4 sum (-4/d);
-    for odd m, x is even in half of the latter.  So this is r(m) = #{2x^2 + y^2 = m}
-    (modulus 8) or #{4x^2 + y^2 = m} (modulus 4).  The sum is multiplicative:
-    p^e || m contributes e + 1 when (-modulus/p) = 1, else 1 for even e and 0
-    for odd e.  Trial division by the odd primes up to sqrt(max m) leaves each
-    cofactor 1 or a prime, so no primality test is made.  For odd p, (-8/p) = 1
-    iff p = 1, 3 (mod 8) and (-4/p) = 1 iff p = 1 (mod 4): both read
-    p % modulus < modulus / 2.
+    With p - 1 = q 2^s, q odd: s; the exponent ex of the one modular power a
+    root takes, (p + 1)/4, (p - 5)/8 or (q - 1)/2 for s = 1, 2 or >= 3; and
+    g = d^q for the least non-residue d when s >= 3 (a generator of the
+    2-Sylow subgroup), else 1.  Built on first use and kept, read-only, for the
+    process.
     """
-    if int(m.min()) < 1 or not (m & 1).all():
-        raise ValueError("divisor sums need odd m >= 1")
+    p = _odd_primes(isqrt(MAX_PER_N))
+    q, s = p - 1, np.zeros_like(p)
+    while (even := q & 1 == 0).any():
+        q[even] >>= 1
+        s += even
+    ex = np.select([s == 1, s == 2], [(p + 1) // 4, (p - 5) // 8], (q - 1) // 2)
+    # the least non-residue of a p = 1 (mod 8) is an odd prime l < sqrt(p) + 1,
+    # and (l/p) = (p/l) by reciprocity, so it is read off the squares mod l
+    d = np.where(s >= 3, 0, 1)
+    for l in _odd_primes(isqrt(int(p[-1])) + 1).tolist():
+        squares = np.zeros(l, dtype=bool)
+        squares[np.arange(l) ** 2 % l] = True
+        d[(d == 0) & ~squares[p % l]] = l
+    constants = p, s, ex, _pow_mod(d, q, p)
+    for c in constants:
+        c.flags.writeable = False  # every caller shares them
+    return constants
+
+
+def _square_roots(b: np.ndarray, p: np.ndarray, s: np.ndarray, ex: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A square root of b modulo the odd prime p, elementwise, or -1 where b is a non-residue.
+
+    b is an int64 matrix reduced mod p whose columns are indexed like p and
+    its _sieving_primes constants.  One modular power per element: for
+    p = 3 (mod 4) the root is b^((p+1)/4); for p = 5 (mod 8), with
+    v = (2b)^((p-5)/8) and i = 2b v^2, it is b v (i - 1) (Atkin); for
+    p = 1 (mod 8) Tonelli-Shanks starts from x = b^((q+1)/2) and t = b^q and
+    takes its steps in the fixed order k = s, ..., 2 (multiply x by g and t by
+    g^2 where t^(2^(k-2)) != 1, then square g), so every pair steps together.
+    A candidate whose square is not b marks a non-residue; b = 0 has root 0.
+    """
+    y = _pow_mod(np.where(s == 2, 2 * b % p, b), ex, p)
+    by = b * y % p
+    x = np.select([s == 1, s == 2], [y, by * ((2 * by % p * y - 1) % p) % p], by)
+    shanks = s >= 3
+    if shanks.any():
+        p1, s1, g1 = p[shanks], s[shanks], g[shanks]
+        x1 = x[:, shanks]
+        t = x1 * y[:, shanks] % p1
+        for k in range(int(s1.max()), 1, -1):
+            # a residue's t has order dividing 2^(s-1), so a pair with s < k never flips
+            tk = t
+            for _ in range(k - 2):
+                tk = tk * tk % p1
+            flip = tk != 1
+            x1 = np.where(flip, x1 * g1 % p1, x1)
+            g2 = g1 * g1 % p1
+            t = np.where(flip, t * g2 % p1, t)
+            g1 = np.where(s1 >= k, g2, g1)
+        x[:, shanks] = x1
+    return np.where(x * x % p == b, x, -1)
+
+
+def _line_divisor_sums(centres: np.ndarray, a: int, k: int, modulus: int) -> np.ndarray:
+    """2 * sum over d | m of (-modulus/d) at the points m = c - a z^2, z < k, of the odd centres c >= 1.
+
+    The result is an int64 len(centres) x k matrix, 0 at points below 1.  With
+    a = 2 and modulus 8 it is r(m) = #{2x^2 + y^2 = m} on the line of an odd
+    centre; with a = 8 and modulus 4, #{4x^2 + y^2 = m} on the n/2 line of an
+    even n.  x^2 + 2y^2 and x^2 + y^2 are the only reduced forms of
+    discriminant -8 and -4, so #{x^2 + 2y^2 = m} = 2 sum (-8/d) and
+    #{x^2 + y^2 = m} = 4 sum (-4/d); for odd m, x is even in half of the latter.
+    The sum is multiplicative: p^e || m contributes e + 1 when (-modulus/p) = 1,
+    else 1 for even e and 0 for odd e.  For odd p, (-8/p) = 1 iff p = 1, 3
+    (mod 8) and (-4/p) = 1 iff p = 1 (mod 4): both read p % modulus < modulus / 2.
+
+    A sieve over z finds the factors: an odd p divides c - a z^2 exactly when
+    z^2 = c/a (mod p), so the points p divides are the progressions
+    z = +-root (mod p), one progression when p | c.  The roots of every
+    (centre, prime) pair with p <= sqrt(max c) are taken at once; each hit's
+    exponent comes from dividing its point.  What the sieving primes leave of
+    m is 1 or a prime, so no primality test is made.  A line of K points costs
+    O(K log log c) for the hits and O(pi(sqrt(c)) log c) for the roots.
+    """
+    if int(centres.min()) < 1 or not (centres & 1).all():
+        raise ValueError("divisor sums need odd m >= 1 at every centre")
+    primes, s, ex, g = _sieving_primes()
+    cut = int(np.searchsorted(primes, isqrt(int(centres.max())), side="right"))
+    p = primes[:cut]
+    m = centres[:, None] - a * np.arange(k, dtype=np.int64) ** 2
+    inside = m >= 1
+    b = centres[:, None] % p
+    for _ in range(a.bit_length() - 1):  # b = c/a (mod p), a power of 2: halve mod p
+        b = (b + (b & 1) * p) >> 1
+    root = _square_roots(b, p, s[:cut], ex[:cut], g[:cut])
+    rows, cols = np.nonzero(root >= 0)
+    start, step = root[rows, cols], p[cols]
+    other = start > 0
+    start = np.concatenate([start, step[other] - start[other]])
+    step = np.concatenate([step, step[other]])
+    rows = np.concatenate([rows, rows[other]])
+    # the hits z = start, start + step, ... below each row's count of points >= 1
+    count = (inside.sum(axis=1)[rows] - start + step - 1) // step
+    which = np.repeat(np.arange(start.size), count)
+    hp = step[which]
+    hit = rows[which] * k + start[which] + hp * (np.arange(which.size) - (np.cumsum(count) - count)[which])
+    point = m.ravel()[hit]
+    rest = point // hp
+    e = np.ones_like(rest)
+    more = np.flatnonzero(rest % hp == 0)
+    while more.size:
+        rest[more] //= hp[more]
+        e[more] += 1
+        more = more[rest[more] % hp[more] == 0]
     local = np.ones_like(m)
-    cofactor = m.copy()
-    # the m still being divided, their positions and their unfactored parts
-    live = np.arange(m.size)
-    rest = m.copy()
-    for i, p in enumerate(_odd_primes(isqrt(int(m.max()))).tolist()):
-        # a part below p^2 is 1 or a prime, so it is done; dropping the done
-        # parts at every 8th prime saves most of the passes a check would cost
-        if i % 8 == 0:
-            done = rest < p * p
-            if done.any():
-                cofactor[live[done]] = rest[done]
-                live, rest = live[~done], rest[~done]
-                if live.size == 0:
-                    break
-        hit = np.flatnonzero(rest % p == 0)
-        if hit.size == 0:
-            continue
-        part = rest[hit] // p
-        e = np.ones(hit.size, dtype=np.int64)
-        more = part % p == 0
-        while more.any():
-            part[more] //= p
-            e += more
-            more = part % p == 0
-        rest[hit] = part
-        local[live[hit]] *= e + 1 if p % modulus < modulus // 2 else 1 - (e & 1)
-    cofactor[live] = rest
-    splits = cofactor % modulus < modulus // 2
-    local *= np.where(cofactor == 1, 1, np.where(splits, 2, 0))
-    return 2 * local
+    sieved = np.ones_like(m)  # the product of the p^e found at each point
+    np.multiply.at(local.ravel(), hit, np.where(hp % modulus < modulus // 2, e + 1, 1 - (e & 1)))
+    np.multiply.at(sieved.ravel(), hit, point // rest)
+    cofactor = np.where(inside, m, 1) // sieved
+    local *= np.where(cofactor == 1, 1, np.where(cofactor % modulus < modulus // 2, 2, 0))
+    return np.where(inside, 2 * local, 0)

@@ -112,7 +112,7 @@ def test_evaluate_refuses_an_out_of_range_n_before_any_count(monkeypatch):
     def no_work(*args):
         raise AssertionError("counted")
 
-    monkeypatch.setattr(congruent.tunnell, "_divisor_sums", no_work)
+    monkeypatch.setattr(congruent.tunnell, "_line_divisor_sums", no_work)
     monkeypatch.setattr(congruent.tunnell, "_count_form", no_work)
     monkeypatch.setattr(congruent.classgroup, "_count_reduced_forms", no_work)
     with pytest.raises(ValueError, match=f"n = 10000000347 exceeds the per-n bound {MAX_PER_N}"):
@@ -124,17 +124,18 @@ def test_evaluate_refuses_an_out_of_range_n_before_any_count(monkeypatch):
 def test_a_check_factors_both_lines_in_one_pass(monkeypatch):
     # the lines of n and n_q are gathered together, so their points are
     # factored by one divisor-sum call
-    real = congruent.tunnell._divisor_sums
+    real = congruent.tunnell._line_divisor_sums
     calls = []
 
-    def spy(m, modulus):
-        calls.append(m.size)
-        return real(m, modulus)
+    def spy(centres, a, k, modulus):
+        calls.append(centres.tolist())
+        return real(centres, a, k, modulus)
 
-    monkeypatch.setattr(congruent.tunnell, "_divisor_sums", spy)
+    monkeypatch.setattr(congruent.tunnell, "_line_divisor_sums", spy)
     r = evaluate(9999939)
     assert (r.h_n, r.h_nq) == (788, 740)
     assert len(calls) == 1
+    assert calls == [[3333313, 9999939]]
 
 
 def test_a_wrong_shape_n_is_factored_once(monkeypatch):

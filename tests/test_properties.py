@@ -6,15 +6,17 @@ keeps no example database.
 
 from math import gcd, prod
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congruent.arith import NotSquarefree, factor_squarefree, jacobi
 from congruent.descent import star
 from congruent.gf2 import rank_f2
 from congruent.norms import represent
+from congruent.tunnell import MAX_PER_N, _line_divisor_sums
 
 from test_norms import all_ef_reps, all_u_reps
 
@@ -111,3 +113,38 @@ def test_represent_normalisation(primes):
     # u and f are the smallest over every representation
     assert (rep.u, rep.v) == all_u_reps(P.value)[0]
     assert (rep.e, rep.f) == all_ef_reps(P.value)[0]
+
+
+# odd centres c <= MAX_PER_N, small ones (whole lines, points below 1) as often as large ones
+odd_centres = st.one_of(st.integers(0, 5_000), st.integers(0, MAX_PER_N // 2 - 1)).map(lambda k: 2 * k + 1)
+# (a, modulus): the line c - 2z^2 of an odd n and the line n/2 - 8z^2 of an even n
+LINE_SHAPES = [(2, 8), (8, 4)]
+
+
+def divisor_sum_by_sympy(m, modulus):
+    """2 * sum over d | m of (-modulus/d), 0 for m below 1."""
+    if m < 1:
+        return 0
+    return 2 * sum(sympy.jacobi_symbol(-modulus % d, d) for d in sympy.divisors(m))
+
+
+@SETTINGS
+@given(st.lists(odd_centres, min_size=1, max_size=3), st.sampled_from(LINE_SHAPES), st.integers(1, 48))
+# 105 = 3 * 5 * 7 and 10^10 - 1 = 3^2 * 11 * 41 * 271 * 9091: sieving primes divide
+# the centre (one root each) and 9 divides it; 225 = 3^2 * 5^2 at z = 0
+@example([105, 9_999_999_999, 225], (2, 8), 48)
+@example([105, 9_999_999_999, 225], (8, 4), 48)
+# below 9 no prime is sieved; m = 1 at z = 0 of 1, at z = 1 of 3 (a = 2) and of 9 (a = 8)
+@example([1, 3, 5, 7], (2, 8), 3)
+@example([1, 7, 9], (8, 4), 2)
+# p = 257 (p - 1 = 2^8) divides the point at z = 1, and 65537 (p - 1 = 2^16)
+# divides it once, or (4295098371 - 2 = 65537^2) twice
+@example([257 * 301 + 2, 65537 * 70001 + 2, 65537**2 + 2], (2, 8), 4)
+@example([257 * 301 + 8, 65537 * 70001 + 8, 65537**2 + 8], (8, 4), 4)
+# the last hypothesis n below the per-n bound and its n_q
+@example([9_999_999_771, 3_333_333_257], (2, 8), 48)
+@example([9_999_999_771, 3_333_333_257], (8, 4), 48)
+def test_line_divisor_sums_match_sympy(centres, shape, k):
+    a, modulus = shape
+    got = _line_divisor_sums(np.array(centres, dtype=np.int64), a, k, modulus)
+    assert got.tolist() == [[divisor_sum_by_sympy(c - a * z * z, modulus) for z in range(k)] for c in centres]

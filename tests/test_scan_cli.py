@@ -467,7 +467,7 @@ def test_cli_refuses_a_theta_count_beyond_the_bound(monkeypatch, capsys):
     def counted(*args):
         raise AssertionError("counted")
 
-    monkeypatch.setattr(congruent.tunnell, "_divisor_sums", counted)
+    monkeypatch.setattr(congruent.tunnell, "_line_divisor_sums", counted)
     for argv in (["check", "-n", "10000000103"], ["tunnell", "-n", "10000000103"]):
         assert main(argv) == 2
         assert "n = 10000000103 exceeds the per-n bound 10000000000" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from congruent.tunnell import (
     Classification,
     ThetaCounts,
     TunnellTable,
-    _divisor_sums,
+    _line_divisor_sums,
     classify,
     counts,
     divisor_lines,
@@ -106,21 +106,30 @@ def test_table_matches_per_n():
 
 def test_divisor_sums_match_the_table_and_a_direct_count():
     # r(m) = #{2x^2 + y^2 = m} against the table on every odd m <= 200,000, and
-    # r'(m) = #{4x^2 + y^2 = m} against a signed count on every odd m <= 50,000
+    # r'(m) = #{4x^2 + y^2 = m} against a signed count on every odd m <= 50,000:
+    # the lines c - a z^2 of the odd centres c in the top 1,300 of each range
+    # reach every odd m in it, and a batch of short and long lines reads 0 at
+    # its points below 1
     table = TunnellTable(200_000)
-    m = np.arange(1, 200_001, 2, dtype=np.int64)
-    assert np.array_equal(_divisor_sums(m, 8), table._r[m])
     limit = 50_000
     direct = np.zeros(limit + 1, dtype=np.int64)
     ys = np.arange(-isqrt(limit), isqrt(limit) + 1, dtype=np.int64)
     for x in range(-isqrt(limit // 4), isqrt(limit // 4) + 1):
         vals = 4 * x * x + ys * ys
         np.add.at(direct, vals[vals <= limit], 1)
-    m = m[m <= limit]
-    assert np.array_equal(_divisor_sums(m, 4), direct[m])
+    for a, modulus, r, top in ((2, 8, table._r, 200_000), (8, 4, direct, limit)):
+        top_lines = np.arange(top - 1299, top, 2, dtype=np.int64)
+        short_and_long = np.array([1, 3, 9, 17, 225, 2_431, top - 1001, top - 1], dtype=np.int64)
+        for centres in (top_lines, short_and_long):
+            k = isqrt(int(centres[-1]) // a) + 1
+            points = centres[:, None] - a * np.arange(k, dtype=np.int64) ** 2
+            expected = np.where(points >= 1, r[np.maximum(points, 1)], 0)
+            assert np.array_equal(_line_divisor_sums(centres, a, k, modulus), expected)
+            if centres is top_lines:
+                assert np.isin(np.arange(1, top, 2), points).all()
     for bad in ([0, 1], [2], [-3]):
         with pytest.raises(ValueError, match="odd m >= 1"):
-            _divisor_sums(np.array(bad, dtype=np.int64), 8)
+            _line_divisor_sums(np.array(bad, dtype=np.int64), 2, 1, 8)
 
 
 def test_divisor_sum_class_numbers_match_reduced_forms():
