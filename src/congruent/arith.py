@@ -1,9 +1,10 @@
-"""Exact integer kernel: primality, squarefree factorization, residue symbols, modular powers.
+"""Exact integer kernel: primality, squarefree factorization, residue symbols, modular powers, the prime sieve.
 
 Everything here is pure integer arithmetic (no floats), safe for concurrent
 use, and deterministic for inputs below 2**63.  _pow_mod is the one modular
-power over numpy arrays; the scan's residue tests and the divisor sums'
-square roots both use it.
+power over numpy arrays and _smallest_prime_factors the one prime sieve; the
+scan's candidate filter and residue tests and the divisor sums' primes and
+square roots all use them.
 """
 
 from __future__ import annotations
@@ -237,6 +238,24 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
         base = base * base % mod
         exp = exp >> 1
     return result
+
+
+def _smallest_prime_factors(limit: int) -> np.ndarray:
+    """spf[i] for i = 0..limit (0 at 0 and 1), as an int32 array.
+
+    The composites up to sqrt(limit) are marked 1; then each prime p up to sqrt(limit), the largest
+    first, is stored at p^2, p^2 + p, ... (which never reach a smaller p), so the smallest is stored last.
+    """
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    root = isqrt(limit)
+    for p in range(2, isqrt(root) + 1):
+        spf[p * p : root + 1 : p] = 1
+    for p in range(root, 1, -1):
+        if spf[p] == 0:
+            spf[p * p :: p] = p
+    primes = np.flatnonzero(spf == 0)[2:]
+    spf[primes] = primes
+    return spf
 
 
 def is_square(n: int) -> bool:

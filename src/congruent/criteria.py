@@ -19,7 +19,8 @@ import numpy as np
 from .arith import NotSquarefree, is_prime
 from .redei import HypothesisN, WrongResidueShape, build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank
 from .selmer import selmer_rank
-from .tunnell import Classification, ThetaSums, classify, divisor_lines, refuse_beyond_per_n_bound
+from .tunnell import Classification, ThetaCounts, classify, divisor_lines, refuse_beyond_per_n_bound
+from .tunnell import class_number as theta_class_number
 
 
 class Verdict(enum.Enum):
@@ -99,18 +100,17 @@ def evaluate(v: int) -> CriterionReport:
     return report
 
 
-def evaluate_hypothesis(h: HypothesisN, sums: Optional[ThetaSums] = None) -> CriterionReport:
+def evaluate_hypothesis(h: HypothesisN) -> CriterionReport:
     """The report for an n already factored into h; it passes the invariant checks.
 
-    Nothing is factored again.  sums, if given, holds the lines of n and n_q
-    (a scan passes its TunnellTable.block) and supplies the Tunnell label and
-    both class numbers; without it both lines are summed for this n alone by
-    divisor_lines, which refuses n above its bound before any count.
+    Nothing is factored again.  divisor_lines sums the lines of n and n_q,
+    refusing n above its bound before any count; they give the Tunnell label
+    and both class numbers.
     """
     v, vq = h.n.value, h.n_q.value
-    sums = sums or divisor_lines([v, vq])
-    label = sums.counts(v).label
-    hn, hnq = sums.class_number(v), sums.class_number(vq)
+    (t_n, t_nq), (c8, _), (c32, _) = divisor_lines([v, vq]).tolist()
+    label = ThetaCounts(n=v, c32=c32, c8=c8).label
+    hn, hnq = theta_class_number(v, t_n), theta_class_number(vq, t_nq)
     modulus = h.modulus
     congruence = (hn - hnq) % modulus == 0
     holds = h.holds()

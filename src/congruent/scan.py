@@ -33,12 +33,11 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
-from math import isqrt
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
-from .arith import FactoredSquarefree, _pow_mod
+from .arith import FactoredSquarefree, _pow_mod, _smallest_prime_factors
 from .classgroup import MAX_ABS_DISCRIMINANT
 from .criteria import CriterionReport, Verdict, check_invariant_laws
 from .redei import HypothesisN, HypothesisNotMet, eight_rank_neg_nq, hypothesis_from_factored
@@ -121,18 +120,6 @@ def row_from_report(report: CriterionReport) -> ScanRow:
 # n = 3 (mod 8) per pass of the candidate filter; the rows of one pass read one
 # TunnellTable.block, so this bounds the arrays of both
 _BLOCK = 1 << 12
-
-
-def _smallest_prime_factors(limit: int) -> np.ndarray:
-    """spf[i] for i = 0..limit (0 at 0 and 1), as an int32 array."""
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            multiples = spf[p * p :: p]
-            multiples[multiples == 0] = p
-    primes = np.flatnonzero(spf == 0)[2:]
-    spf[primes] = primes
-    return spf
 
 
 def _shape_block(spf: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,9 +246,9 @@ def _pass_rows(ns: np.ndarray, primes: np.ndarray, table: TunnellTable, on_error
     nqs = ns // qs
     r8_nq = np.array([isinstance(step, tuple) and step[1] == 1 for step in steps], dtype=bool)
     r8_nq[t == 1] = _octic(nqs[t == 1])
-    sums = table.block(ns.tolist() + nqs.tolist())
-    t_n, c8, c32 = sums.columns(ns.tolist())
-    t_nq = sums.columns(nqs.tolist())[0]
+    sums = table.block(np.concatenate([ns, nqs]))
+    t_n, c8, c32 = sums[:, : ns.size]
+    t_nq = sums[0, ns.size :]
     ok = (t_n % 24 == 0) & (t_nq % 4 == 0) & ~failed
     h_n, h_nq, modulus = t_n // 24, t_nq // 4, 4 << t
     congruence = (h_n - h_nq) % modulus == 0

@@ -11,16 +11,17 @@ Every count is a sum over z of w_z * r(n - c z^2), with w_z = 1 at z = 0 and
 numbers a row needs are such sums too, by Gauss's three-square theorem.  For
 odd n all three sums read one line r(n - 2z^2): c8 is its sum over even z and
 c32 over z = 0 (mod 4).  One gather, _line_sums, sums the lines of a batch of
-centres in int64 into ThetaSums; its two sources differ only in how r is read.
-TunnellTable keeps r (int16, bound-checked) for a whole range, and its block
-serves a scan; divisor_lines takes r at the O(sqrt(n)) points of each line
-as divisor sums (Tunnell 1983; Hart, Tornaria and Watkins 2010), which
-counts, classify and a check read.  Its kernel, _line_divisor_sums, finds
-the points an odd prime p divides from the square roots of n/2 mod p, a
-sieve over z in O(sqrt(n) log log n + pi(sqrt(n)) log n).  theta_counts
+centres in int64 into rows T, c8 and c32 with a column per centre; its two
+sources differ only in how r is read.  TunnellTable keeps r (int16,
+bound-checked) for a whole range, and its block serves a scan; divisor_lines
+takes r at the O(sqrt(n)) points of each line as divisor sums (Tunnell 1983;
+Hart, Tornaria and Watkins 2010), which counts, classify and a check read.
+Its kernel, _line_divisor_sums, finds the points an odd prime p divides from
+the square roots of n/2 mod p, a sieve over z in
+O(sqrt(n) log log n + pi(sqrt(n)) log n).  theta_counts
 enumerates the lattice box per n and is the reference both are tested
 against.  congruent_under_bsd is the one place the label rule is written;
-ThetaCounts.label and the scan's t = 1 rows read it.
+ThetaCounts.label and every scan row read it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .arith import FactoredSquarefree, _pow_mod, factor_squarefree
+from .arith import FactoredSquarefree, _pow_mod, _smallest_prime_factors, factor_squarefree
 from .classgroup import MAX_ABS_DISCRIMINANT
 
 # n above this is refused before any per-n count: every point n - c z^2 stays
@@ -126,51 +127,23 @@ def _z_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return terms.sum(-1), terms[..., ::2].sum(-1), terms[..., ::4].sum(-1)
 
 
-class ThetaSums:
-    """Tunnell's counts and the scan's two class numbers for a batch of odd centres.
+def class_number(m: int, t: int) -> int:
+    """h(-m) for m = 3 (mod 8), h(-4m) for m = 1 (mod 8), from T = T(m); m must be squarefree.
 
-    The line of an odd centre m is r(m - 2z^2) over z, with r(m) = #{2x^2 + y^2 = m};
-    z = 2z' and z = 4z' give the points m - 8z'^2 and m - 32z'^2, so one line
-    gives all three sums, each of w_z * r(m - 2z^2) with w_z = 1 at z = 0, else 2:
-    T(m) = #{2x^2 + y^2 + 2z^2 = m} over every z, c8 over even z and c32 over
-    z = 0 (mod 4).  Holds (T, c8, c32) per centre, as _line_sums gathers them.
+    The line of an odd centre m is r(m - 2z^2) over z, with r(m) = #{2x^2 + y^2 = m},
+    and T(m) = #{2x^2 + y^2 + 2z^2 = m} is its sum over every z (row 0 of
+    _line_sums).  It counts the a^2 + b^2 + y^2 = m with a = b (mod 2), through
+    the bijection (a, b) = (x + z, x - z).  By Gauss's r_3: for m = 3 (mod 8)
+    all three are odd, T = r_3 = 24 h(-m); for m = 1 (mod 8) only y is odd, in
+    a third of them by symmetry, T = r_3 / 3 = 4 h(-4m).  NotDivisible if T is
+    not divisible; ValueError unless m >= 4 has a shape above.
     """
-
-    def __init__(self, sums: dict[int, tuple[int, int, int]]):
-        self._sums = sums
-
-    def _line(self, m: int) -> tuple[int, int, int]:
-        try:
-            return self._sums[m]
-        except KeyError:
-            raise ValueError(f"m = {m} is not a centre of these sums") from None
-
-    def class_number(self, m: int) -> int:
-        """h(-m) for m = 3 (mod 8), h(-4m) for m = 1 (mod 8); m must be squarefree.
-
-        T(m) = #{2x^2 + y^2 + 2z^2 = m} counts the a^2 + b^2 + y^2 = m with a = b
-        (mod 2), through the bijection (a, b) = (x + z, x - z).  By Gauss's r_3:
-        for m = 3 (mod 8) all three are odd, T = r_3 = 24 h(-m); for m = 1 (mod 8)
-        only y is odd, in a third of them by symmetry, T = r_3 / 3 = 4 h(-4m).
-        ArithmeticError if T is not divisible; ValueError unless m >= 4 has a
-        shape above and is a centre.
-        """
-        if m < 4 or m % 8 not in (1, 3):
-            raise ValueError(f"m = {m} is not an m = 1 or 3 (mod 8) with m >= 4")
-        divisor = 24 if m % 8 == 3 else 4
-        t = self._line(m)[0]
-        if t % divisor:
-            raise NotDivisible(m, t, divisor)
-        return t // divisor
-
-    def counts(self, n: int) -> ThetaCounts:
-        """Counts for a centre n."""
-        _, c8, c32 = self._line(n)
-        return ThetaCounts(n=n, c32=c32, c8=c8)
-
-    def columns(self, ms: list[int]) -> np.ndarray:
-        """T, c8 and c32 of the centres ms, as the rows of a 3 x len(ms) int64 array."""
-        return np.array([self._line(m) for m in ms], dtype=np.int64).reshape(-1, 3).T
+    if m < 4 or m % 8 not in (1, 3):
+        raise ValueError(f"m = {m} is not an m = 1 or 3 (mod 8) with m >= 4")
+    divisor = 24 if m % 8 == 3 else 4
+    if t % divisor:
+        raise NotDivisible(m, t, divisor)
+    return t // divisor
 
 
 class NotDivisible(ArithmeticError):
@@ -184,25 +157,31 @@ class NotDivisible(ArithmeticError):
 _BLOCK_CELLS = 1 << 14
 
 
-def _line_sums(ms: list[int], r_at) -> ThetaSums:
-    """The lines r(m - 2z^2) of the sorted odd centres ms >= 1, summed in int64.
+def _line_sums(centres, limit: int, r_at) -> np.ndarray:
+    """The lines r(m - 2z^2) of the centres, summed in int64: rows T, c8 and c32, column i for centres[i].
 
-    r_at maps a batch's points, the int64 matrix whose row i is m_i - 2z^2 for
-    z < k (so column 0 holds the centres), to their r; it is the one thing the
-    sources differ in.  The centres are gathered in batches of at most
-    _BLOCK_CELLS points, so memory is bounded by the batch whatever the
-    centres; a point m - 2z^2 below 1 is read at 1 and gets weight 0.
+    Of w_z * r(m - 2z^2), w_z = 1 at z = 0, else 2, T sums every z, c8 the even
+    z (the points m - 8z'^2) and c32 the z = 0 (mod 4) (m - 32z'^2).  Every
+    centre must be odd in 1..limit; ValueError names the least that is not,
+    before any line is read.  Each distinct centre is gathered once.  r_at maps
+    a batch's points, the int64 matrix whose row i is m_i - 2z^2 for z < k (so
+    column 0 holds the centres), to their r; it is the one thing the sources
+    differ in.  Batches hold at most _BLOCK_CELLS points, so memory is bounded
+    whatever the centres; a point below 1 is read at 1 and gets weight 0.
     """
-    z_idx, z_w = _theta_weights(2, max(ms, default=0))
+    ms, inverse = np.unique(np.asarray(centres, dtype=np.int64), return_inverse=True)
+    if (bad := (ms < 1) | (ms > limit) | (ms % 2 == 0)).any():
+        raise ValueError(f"m = {ms[bad.argmax()]} is not an odd centre in 1..{limit}")
+    z_idx, z_w = _theta_weights(2, int(ms[-1]) if ms.size else 0)
     step = max(1, _BLOCK_CELLS // z_idx.size)
-    sums = np.zeros((3, len(ms)), dtype=np.int64)
-    for lo in range(0, len(ms), step):
-        part = np.array(ms[lo : lo + step], dtype=np.int64)
+    sums = np.zeros((3, ms.size), dtype=np.int64)
+    for lo in range(0, ms.size, step):
+        part = ms[lo : lo + step]
         k = isqrt(int(part[-1]) // 2) + 1
         points = part[:, None] - z_idx[:k]
         weights = np.where(points > 0, z_w[:k], 0)
         sums[:, lo : lo + step] = _z_sums(weights * r_at(np.maximum(points, 1)))
-    return ThetaSums(dict(zip(ms, zip(*sums.tolist()))))
+    return sums[:, inverse]
 
 
 # a table's binary counts are narrowed to this type once their maximum is checked
@@ -227,10 +206,9 @@ class TunnellTable:
             raise OverflowError(f"r({top}) = {r[top]} exceeds the table bound {bound} of {np.dtype(_R_DTYPE).name}")
         self._r = r.astype(_R_DTYPE)
 
-    def block(self, centres) -> ThetaSums:
-        """The line sums of every odd centre in 1..limit among centres; the others are left out."""
-        ms = sorted({m for m in centres if 1 <= m <= self.limit and m % 2})
-        return _line_sums(ms, self._r.__getitem__)
+    def block(self, centres) -> np.ndarray:
+        """The line sums of centres odd in 1..limit, as _line_sums returns them."""
+        return _line_sums(centres, self.limit, self._r.__getitem__)
 
 
 def refuse_beyond_per_n_bound(n: int) -> None:
@@ -239,18 +217,17 @@ def refuse_beyond_per_n_bound(n: int) -> None:
         raise ValueError(f"n = {n} exceeds the per-n bound {MAX_PER_N}")
 
 
-def divisor_lines(centres) -> ThetaSums:
-    """The line sums of odd centres in 1..MAX_PER_N, with r(m) by divisor sums.
+def divisor_lines(centres) -> np.ndarray:
+    """The line sums of odd centres in 1..MAX_PER_N, as _line_sums returns them, with r(m) by divisor sums.
 
     All lines of a batch go through one _line_divisor_sums pass, which sieves
     the O(sqrt(n)) points of each line by the primes up to sqrt(n): time is
     O(sqrt(n) log log n + pi(sqrt(n)) log n) and memory O(sqrt(n) log log n),
-    where a table or a reduced-form count is O(n).  A centre above MAX_PER_N is
-    refused before any work.
+    where a table or a reduced-form count is O(n).  A centre above MAX_PER_N,
+    even or below 1 is refused before any work.
     """
-    ms = sorted(set(centres))
-    refuse_beyond_per_n_bound(max(ms, default=0))
-    return _line_sums(ms, lambda points: _line_divisor_sums(points[:, 0], 2, points.shape[1], 8))
+    refuse_beyond_per_n_bound(max(centres, default=0))
+    return _line_sums(centres, MAX_PER_N, lambda points: _line_divisor_sums(points[:, 0], 2, points.shape[1], 8))
 
 
 def counts(n: Union[int, FactoredSquarefree]) -> ThetaCounts:
@@ -267,7 +244,8 @@ def counts(n: Union[int, FactoredSquarefree]) -> ThetaCounts:
     if not factored:
         factor_squarefree(n)  # raises NotSquarefree otherwise
     if n % 2:
-        return divisor_lines([n]).counts(n)
+        _, c8, c32 = divisor_lines([n])[:, 0].tolist()
+        return ThetaCounts(n=n, c32=c32, c8=c8)
     half = n // 2
     _, z_w = _theta_weights(8, half)
     c8, c32, _ = _z_sums(z_w * _line_divisor_sums(np.array([half], dtype=np.int64), 8, z_w.size, 4)[0])
@@ -276,16 +254,6 @@ def counts(n: Union[int, FactoredSquarefree]) -> ThetaCounts:
 
 def classify(n: Union[int, FactoredSquarefree]) -> Classification:
     return counts(n).label
-
-
-def _odd_primes(limit: int) -> np.ndarray:
-    """The odd primes up to limit, by a sieve of Eratosthenes."""
-    is_p = np.ones(limit + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = False
-    return np.flatnonzero(is_p)[1:]
 
 
 @functools.cache
@@ -298,7 +266,8 @@ def _sieving_primes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     2-Sylow subgroup), else 1.  Built on first use and kept, read-only, for the
     process.
     """
-    p = _odd_primes(isqrt(MAX_PER_N))
+    spf = _smallest_prime_factors(isqrt(MAX_PER_N))
+    p = np.flatnonzero(spf == np.arange(spf.size, dtype=spf.dtype))[2:]  # the i with spf[i] = i but 0 and 2: the odd primes
     q, s = p - 1, np.zeros_like(p)
     while (even := q & 1 == 0).any():
         q[even] >>= 1
@@ -307,7 +276,7 @@ def _sieving_primes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # the least non-residue of a p = 1 (mod 8) is an odd prime l < sqrt(p) + 1,
     # and (l/p) = (p/l) by reciprocity, so it is read off the squares mod l
     d = np.where(s >= 3, 0, 1)
-    for l in _odd_primes(isqrt(int(p[-1])) + 1).tolist():
+    for l in p[p <= isqrt(int(p[-1])) + 1].tolist():
         squares = np.zeros(l, dtype=bool)
         squares[np.arange(l) ** 2 % l] = True
         d[(d == 0) & ~squares[p % l]] = l

@@ -162,7 +162,7 @@ def reference_smallest_prime_factors(limit):
     return spf
 
 
-@pytest.mark.parametrize("limit", [3, 4, 100, 9973, 200000])
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 100, 120, 121, 9973, 100000, 200000])
 def test_smallest_prime_factors_match_reference(limit):
     spf = _smallest_prime_factors(limit)
     assert spf.dtype == np.int32
@@ -291,6 +291,27 @@ def test_scan_refuses_a_limit_beyond_the_class_number_bound(monkeypatch, capsys)
         list(scan(75_000_000))  # 4 * 75_000_000 / 3 is the bound itself
     assert main(["scan", "--max", "75000001"]) == 2
     assert "beyond the supported bound 100000000" in capsys.readouterr().err
+
+
+def test_cli_scan_refuses_an_unwritable_out_before_the_scan(monkeypatch, capsys, tmp_path):
+    scan_mod = importlib.import_module("congruent.scan")
+
+    def built(limit):
+        raise _Built(limit)
+
+    monkeypatch.setattr(scan_mod, "_smallest_prime_factors", built)
+    out = str(tmp_path / "missing" / "x.csv")
+    assert main(["scan", "--max", "10000000", "--out", out]) == 2
+    assert f"error: cannot write {out!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_scan_leaves_only_the_out_file(tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+    assert main(["scan", "--max", "60000", "--t", "2", "--out", str(out)]) == 0
+    assert [r.n for r in read_rows(str(out), "csv")] == [23579, 29971, 41123, 42267, 52779, 57851]
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_cli_descent_pair_must_be_two_integers(capsys):
@@ -568,9 +589,7 @@ def _skew_sums(monkeypatch):
         def block(self, centres):
             sums = super().block(centres)
             for m, shift in ((219, 1), (97, 2), (42267, 1)):
-                if m in sums._sums:
-                    t, c8, c32 = sums._sums[m]
-                    sums._sums[m] = (t + shift, c8, c32)
+                sums[0, np.asarray(centres) == m] += shift
             return sums
 
     monkeypatch.setattr(scan_mod, "TunnellTable", Skewed)
@@ -620,6 +639,7 @@ def test_scan_t1_violation_names_the_first_bad_n(monkeypatch, capsys, tmp_path):
     assert main(["scan", "--max", "60000", "--out", str(tmp_path / "x.csv")]) == 3
     assert "INVARIANT VIOLATION" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+    assert list(tmp_path.iterdir()) == []  # nor a partly written file beside it
 
 
 def test_scan_t2_violation_comes_from_the_pass_law_check(monkeypatch, capsys, tmp_path):
@@ -637,6 +657,7 @@ def test_scan_t2_violation_comes_from_the_pass_law_check(monkeypatch, capsys, tm
     assert main(["scan", "--max", "60000", "--out", str(tmp_path / "x.csv")]) == 3
     assert "INVARIANT VIOLATION: n = 23579" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+    assert list(tmp_path.iterdir()) == []  # nor a partly written file beside it
 
 
 def test_scan_builds_no_report(monkeypatch):

@@ -11,9 +11,11 @@ from congruent.arith import NotSquarefree, factor_squarefree, is_prime
 from congruent.classgroup import _count_reduced_forms, fundamental_discriminant
 from congruent.tunnell import (
     Classification,
+    NotDivisible,
     ThetaCounts,
     TunnellTable,
     _line_divisor_sums,
+    class_number,
     classify,
     counts,
     divisor_lines,
@@ -52,6 +54,12 @@ def squarefree_up_to(limit):
     return [n for n in range(1, limit + 1) if is_squarefree(n)]
 
 
+def column_counts(sums, centres):
+    """The ThetaCounts each column of line sums holds, for the centres in the order asked."""
+    _, c8, c32 = sums.tolist()
+    return [ThetaCounts(n=m, c32=b, c8=a) for m, a, b in zip(centres, c8, c32)]
+
+
 def test_counts_examples():
     assert theta_counts(1) == ThetaCounts(n=1, c32=2, c8=2)
     assert theta_counts(2) == ThetaCounts(n=2, c32=2, c8=2)
@@ -86,22 +94,23 @@ def test_against_signed_brute_force():
 def test_table_matches_per_n():
     # every squarefree n <= 4000, then a seeded sample of the n = 3 (mod 8)
     # that a scan reads and of even n, far enough out for the long z-ranges;
-    # the table holds odd n only, so every even n is refused
+    # the table holds odd n only, so its block refuses every even n
     table = TunnellTable(200_000)
     rng = random.Random(4)
     far = [n for n in rng.sample(range(4003, 200_001, 8), 60) if is_squarefree(n)]
     far_even = [n for n in rng.sample(range(4002, 200_001, 4), 30) if is_squarefree(n)]
     assert len(far) >= 40 and len(far_even) >= 20
     ns = squarefree_up_to(4000) + far[:40] + far_even[:20]
-    block = table.block(ns)
+    odd = [n for n in ns if n % 2]
+    from_block = dict(zip(odd, column_counts(table.block(odd), odd)))
     for n in ns:
         a = theta_counts(n)
         assert counts(n) == a, n
         if n % 2 == 0:
-            with pytest.raises(ValueError, match=f"^m = {n} is not a centre"):
-                block.counts(n)
+            with pytest.raises(ValueError, match=f"^m = {n} is not an odd centre"):
+                table.block([n])
             continue
-        assert block.counts(n) == a, n
+        assert from_block[n] == a, n
 
 
 def test_divisor_sums_match_the_table_and_a_direct_count():
@@ -142,9 +151,8 @@ def test_divisor_sum_class_numbers_match_reduced_forms():
         if m % 8 in (1, 3) and m > 3 and is_squarefree(m):
             ms.append(m)
     assert {m % 8 for m in ms} == {1, 3}
-    sums = divisor_lines(ms)
-    for m in ms:
-        assert sums.class_number(m) == _count_reduced_forms(fundamental_discriminant(m)), m
+    for m, t in zip(ms, divisor_lines(ms)[0].tolist()):
+        assert class_number(m, t) == _count_reduced_forms(fundamental_discriminant(m)), m
 
 
 def test_per_n_bounds():
@@ -154,19 +162,18 @@ def test_per_n_bounds():
         theta_counts(100_000_007)
     with pytest.raises(ValueError, match="n = 10000000001 exceeds the per-n bound 10000000000"):
         divisor_lines([3, 10_000_000_001])
-    sums = divisor_lines(range(1, 1000, 2))
-    with pytest.raises(ValueError, match="^m = 1001 is not a centre"):
-        sums.counts(1001)
-    with pytest.raises(ValueError, match="^m = 1003 is not a centre"):
-        sums.class_number(1003)
+    for bad in ([3, 0], [2], [-3]):
+        with pytest.raises(ValueError, match=f"^m = {bad[-1]} is not an odd centre in 1..10000000000$"):
+            divisor_lines(bad)
+    assert divisor_lines(range(1, 1000, 2)).shape == (3, 500)
 
 
 def test_table_range_checks():
-    block = TunnellTable(100).block(range(-1, 103))
-    with pytest.raises(ValueError, match="^m = 101 is not a centre"):
-        block.counts(101)
-    with pytest.raises(ValueError, match="^m = 0 is not a centre"):
-        block.counts(0)
+    table = TunnellTable(100)
+    for m in (-1, 0, 101, 102):
+        with pytest.raises(ValueError, match=f"^m = {m} is not an odd centre in 1..100$"):
+            table.block([1, m, 3])
+    assert table.block(range(1, 101, 2)).shape == (3, 50)
     with pytest.raises(ValueError):
         TunnellTable(0)
 
@@ -176,22 +183,24 @@ def test_table_class_numbers_match_reduced_forms():
     table = TunnellTable(30_000)
     ms = [m for m in range(9, 30_001, 2) if m % 8 in (1, 3) and is_squarefree(m)]
     assert len(ms) == 6076
-    block = table.block(ms)
-    for m in ms:
-        assert block.class_number(m) == _count_reduced_forms(fundamental_discriminant(m)), m
+    for m, t in zip(ms, table.block(ms)[0].tolist()):
+        assert class_number(m, t) == _count_reduced_forms(fundamental_discriminant(m)), m
 
 
 def test_table_class_number_refusals():
+    # T = 24 is divisible by both 24 and 4, so each refusal comes from m alone
     table = TunnellTable(1000)
-    block = table.block(range(-5, 1004))
-    for m in (1, 3, 0, -5, 10, 104, 13, 15, 21, 23, 1003):
+    for m in (1, 3, 0, -5, 10, 104, 13, 15, 21, 23):
         with pytest.raises(ValueError, match=f"^m = {m} is not"):
-            block.class_number(m)
-    assert (block.class_number(11), block.class_number(17)) == (1, 4)
+            class_number(m, 24)
+    with pytest.raises(ValueError, match="^m = 1003 is not"):
+        table.block([1003])
+    t = table.block([11, 17])[0].tolist()
+    assert (class_number(11, t[0]), class_number(17, t[1])) == (1, 4)
     # T(17) sums r(17 - 2 z^2) over z; one miscounted r leaves T indivisible by 4
     table._r[17 - 2 * 2 * 2] += 1
     with pytest.raises(ArithmeticError, match="not divisible by 4"):
-        table.block(range(1, 1000, 2)).class_number(17)
+        class_number(17, int(table.block(range(1, 1000, 2))[0, 8]))
 
 
 def test_table_blocks_match_per_n_sums():
@@ -206,29 +215,68 @@ def test_table_blocks_match_per_n_sums():
         if is_squarefree(m):
             ms.append(m)
     assert sum(m < 100_000 for m in ms) >= 20
-    # duplicates, even centres and centres out of range are left out of the block
-    block = table.block(ms + [ms[5], 2, 10_000_001, 0, -7])
-    for m in ms:
+    # a duplicate centre gets its own column, the same as the first
+    block = table.block(ms + [ms[5]])
+    assert np.array_equal(block[:, -1], block[:, 5])
+    for i, m in enumerate(ms):
         per_n, alone = divisor_lines([m]), table.block([m])
-        assert block.counts(m) == per_n.counts(m) == alone.counts(m), m
+        assert np.array_equal(block[:, i], per_n[:, 0]) and np.array_equal(block[:, i], alone[:, 0]), m
         if m < 100_000:
-            assert block.counts(m) == theta_counts(m), m
+            assert column_counts(block[:, i : i + 1], [m]) == [theta_counts(m)], m
         if m > 3 and m % 8 in (1, 3):
-            assert block.class_number(m) == per_n.class_number(m) == alone.class_number(m), m
-    assert (block.class_number(9_999_939), block.class_number(3_333_313)) == (788, 740)
-    for m in (2, 10_000_001, 0, -7, 9_999_937):
-        with pytest.raises(ValueError, match=f"^m = {m} is not a centre of these sums"):
-            block.counts(m)
-    with pytest.raises(ValueError, match="^m = 1 is not a centre"):
-        table.block([]).counts(1)
+            assert class_number(m, int(block[0, i])) == class_number(m, int(per_n[0, 0])), m
+    assert (class_number(9_999_939, int(block[0, 0])), class_number(3_333_313, int(block[0, 1]))) == (788, 740)
+    for m in (2, 10_000_001, 0, -7):
+        with pytest.raises(ValueError, match=f"^m = {m} is not an odd centre in 1..10000000$"):
+            table.block(ms + [m])
+    assert table.block([]).shape == (3, 0)
+
+
+def test_line_sums_come_back_in_the_order_asked():
+    # unsorted centres with duplicates: column i is centres[i], from the table
+    # and from divisor sums alike, and matches the box enumeration
+    table = TunnellTable(100_000)
+    centres = [99_991, 3, 41, 3, 1, 52_779, 41, 99_991, 17, 1, 219]
+    assert all(is_squarefree(m) for m in centres)
+    block, lines = table.block(centres), divisor_lines(centres)
+    assert block.shape == (3, len(centres)) and block.dtype == lines.dtype == np.int64
+    assert np.array_equal(block, lines)
+    assert column_counts(block, centres) == [theta_counts(m) for m in centres]
+    by_centre = dict(zip(centres, block[0].tolist()))
+    assert [class_number(m, by_centre[m]) for m in (41, 52_779, 17, 219)] == [
+        _count_reduced_forms(fundamental_discriminant(m)) for m in (41, 52_779, 17, 219)
+    ]
+
+    # a centre that is even, not positive or above the limit is refused before any r is read
+    class Unread:
+        def __getitem__(self, points):
+            raise AssertionError("a line was gathered")
+
+    table._r = Unread()
+    for m in (0, -7, 2, 100_002):
+        with pytest.raises(ValueError, match=f"^m = {m} is not an odd centre in 1..100000$"):
+            table.block([3, m, 5])
+
+
+def test_class_number_reads_h_from_t():
+    assert (class_number(11, 24), class_number(17, 16), class_number(52_779, 80 * 24)) == (1, 4, 80)
+    for m in (1, 3, 10, 13):
+        with pytest.raises(ValueError, match=rf"^m = {m} is not an m = 1 or 3 \(mod 8\) with m >= 4$"):
+            class_number(m, 24)
+    with pytest.raises(NotDivisible, match=r"^T\(11\) = 25 is not divisible by 24$"):
+        class_number(11, 25)
+    with pytest.raises(NotDivisible, match=r"^T\(17\) = 18 is not divisible by 4$"):
+        class_number(17, 18)
+    assert issubclass(NotDivisible, ArithmeticError)
 
 
 def test_block_class_number_refuses_an_indivisible_sum():
     table = TunnellTable(1000)
     table._r[17 - 2 * 2 * 2] += 1
+    t17, t19 = table.block([17, 19])[0].tolist()
     with pytest.raises(ArithmeticError, match=r"T\(17\) = \d+ is not divisible by 4"):
-        table.block([17, 19]).class_number(17)
-    assert table.block([17, 19]).class_number(19) == 1  # its line 19, 17, 11, 1 misses r(9)
+        class_number(17, t17)
+    assert class_number(19, t19) == 1  # its line 19, 17, 11, 1 misses r(9)
 
 
 def test_table_counts_are_int16_below_a_checked_bound(monkeypatch):
