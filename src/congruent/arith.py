@@ -2,9 +2,9 @@
 
 Everything here is pure integer arithmetic (no floats), safe for concurrent
 use, and deterministic for inputs below 2**63.  _pow_mod is the one modular
-power over numpy arrays and _smallest_prime_factors the one prime sieve; the
-scan's candidate filter and residue tests and the divisor sums' primes and
-square roots all use them.
+power over numpy arrays and _prime_sieve the one prime sieve, which
+_smallest_prime_factors builds on; the scan's candidate filter and residue
+tests and the divisor sums' primes and square roots all use them.
 """
 
 from __future__ import annotations
@@ -240,19 +240,25 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return result
 
 
+def _prime_sieve(limit: int) -> np.ndarray:
+    """A bool array whose entry i, for i = 0..limit, is True iff i is prime."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return sieve
+
+
 def _smallest_prime_factors(limit: int) -> np.ndarray:
     """spf[i] for i = 0..limit (0 at 0 and 1), as an int32 array.
 
-    The composites up to sqrt(limit) are marked 1; then each prime p up to sqrt(limit), the largest
-    first, is stored at p^2, p^2 + p, ... (which never reach a smaller p), so the smallest is stored last.
+    Each prime p up to sqrt(limit), the largest first, is stored at p^2, p^2 + p, ...
+    (which never reach a smaller p), so the smallest is stored last; the primes are left 0 until the end.
     """
     spf = np.zeros(limit + 1, dtype=np.int32)
-    root = isqrt(limit)
-    for p in range(2, isqrt(root) + 1):
-        spf[p * p : root + 1 : p] = 1
-    for p in range(root, 1, -1):
-        if spf[p] == 0:
-            spf[p * p :: p] = p
+    for p in np.flatnonzero(_prime_sieve(isqrt(limit)))[::-1].tolist():
+        spf[p * p :: p] = p
     primes = np.flatnonzero(spf == 0)[2:]
     spf[primes] = primes
     return spf

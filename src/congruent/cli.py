@@ -8,10 +8,8 @@ pipeline is independently inspectable.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
-import os
 import sys
 
 from .arith import NotSquarefree, factor_squarefree
@@ -89,33 +87,15 @@ def _cmd_scan(args) -> int:
         print(f"scan: n = {n} skipped: {exc}", file=sys.stderr)
         skipped.append(n)
 
-    with contextlib.nullcontext(sys.stdout) if args.out is None else _replacing(args.out) as fh:
-        rows = list(scan(args.max, t_filter=args.t, on_error=on_error))
-        emit(rows, args.format, fh)
+    rows = scan(args.max, t_filter=args.t, on_error=on_error)
+    # rows stream to --out, whose file is moved into place at the end; stdout gets none before every check passed
+    count = emit(list(rows), args.format, sys.stdout) if args.out is None else emit(rows, args.format, args.out)
     if args.verbose:
-        print(f"scan: {len(rows)} rows", file=sys.stderr)
+        print(f"scan: {count} rows", file=sys.stderr)
     if skipped:
         print(f"scan: {len(skipped)} rows skipped", file=sys.stderr)
         return COMPUTATION_ERROR
     return 0
-
-
-@contextlib.contextmanager
-def _replacing(path: str):
-    """A new file beside path, made on entry so a bad path fails before any work; moved onto path when
-    the block ends, removed if it raises, so path is never left half written."""
-    part = f"{path}.{os.getpid()}.part"
-    try:
-        fh = open(part, "x", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot write {path!r}: {exc}") from exc
-    try:
-        with fh:
-            yield fh
-        os.replace(part, path)
-    except BaseException:
-        os.unlink(part)
-        raise
 
 
 def _cmd_classnum(args) -> int:

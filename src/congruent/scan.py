@@ -24,13 +24,17 @@ hypothesis_from_factored, r8(-n_q) from eight_rank_neg_nq; for t = 1 these
 are fixed or a power residue mod p.  Rows come out in increasing n.
 
 CSV is the 7-bit machine format (prime product joined by "*"); the pretty
-printer uses the dot separator.
+printer uses the dot separator.  emit writes a path through a new file
+beside it, moved into place only once every row is written, and returns the
+row count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, TextIO, Union
@@ -39,8 +43,8 @@ import numpy as np
 
 from .arith import FactoredSquarefree, _pow_mod, _smallest_prime_factors
 from .classgroup import MAX_ABS_DISCRIMINANT
-from .criteria import CriterionReport, Verdict, check_invariant_laws
-from .redei import HypothesisN, HypothesisNotMet, eight_rank_neg_nq, hypothesis_from_factored
+from .criteria import Verdict, check_invariant_laws
+from .redei import HypothesisN, eight_rank_neg_nq, hypothesis_from_factored
 from .tunnell import Classification, NotDivisible, TunnellTable, congruent_under_bsd
 
 CSV_COLUMNS = (
@@ -78,43 +82,28 @@ class ScanRow:
     def triple_str(self) -> str:
         return "(" + ",".join(str(s) for s in self.legendre_triple) + ")"
 
+    def cells(self) -> tuple:
+        """The row's values in CSV_COLUMNS order."""
+        return (
+            self.n,
+            self.q,
+            self.p_product,
+            self.triple_str,
+            self.h_n,
+            self.h_nq,
+            self.modulus,
+            self.congruence_holds,
+            self.tunnell_label,
+            self.verdict,
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "p_product": self.p_product,
-            "legendre_triple": self.triple_str,
-            "h_n": self.h_n,
-            "h_nq": self.h_nq,
-            "modulus": self.modulus,
-            "congruence_holds": self.congruence_holds,
-            "tunnell_label": self.tunnell_label,
-            "verdict": self.verdict,
-        }
+        return dict(zip(CSV_COLUMNS, self.cells()))
 
 
 def _legendre_triple(h: HypothesisN) -> tuple[int, ...]:
     """(q/p_i) for every i, all +1 when the hypothesis holds, then (p_i/p_j) for i < j: entry (j, i) of A_n, the symbol mod p_j."""
     return (1,) * h.t + tuple(1 - 2 * (h.A[j] >> i & 1) for i in range(h.t) for j in range(i + 1, h.t))
-
-
-def row_from_report(report: CriterionReport) -> ScanRow:
-    """The row of a report whose hypothesis holds; its Legendre triple is read from the hypothesis."""
-    h = report.hypothesis
-    if h is None or not h.holds():
-        raise HypothesisNotMet(f"n = {report.n}: a row needs a hypothesis that holds")
-    return ScanRow(
-        n=report.n,
-        q=h.q,
-        p_list=h.p_list,
-        legendre_triple=_legendre_triple(h),
-        h_n=report.h_n,
-        h_nq=report.h_nq,
-        modulus=report.modulus,
-        congruence_holds=report.congruence_holds,
-        tunnell_label=report.tunnell_label.value,
-        verdict=report.verdict.value,
-    )
 
 
 # n = 3 (mod 8) per pass of the candidate filter; the rows of one pass read one
@@ -285,33 +274,53 @@ def _csv_cell(value):
     return value
 
 
-def emit(rows: Iterable[ScanRow], fmt: str, target) -> None:
-    """Write rows as CSV (header + one line each) or a JSON array.
+def emit(rows: Iterable[ScanRow], fmt: str, target) -> int:
+    """Write rows as CSV (header + one line each) or a JSON array; return how many rows were written.
 
-    target is a path or an open text file; I/O failures carry the path.
+    target is an open text file or a path.  A path goes through _replacing,
+    whose file is made before the first row is asked for; I/O failures carry
+    the path.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(target, (str, bytes)):
-        try:
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                _emit_to(rows, fmt, fh)
-        except OSError as exc:
-            raise OSError(f"cannot write {target!r}: {exc}") from exc
-    else:
-        _emit_to(rows, fmt, target)
+        with _replacing(target) as fh:
+            return _emit_to(rows, fmt, fh)
+    return _emit_to(rows, fmt, target)
 
 
-def _emit_to(rows: Iterable[ScanRow], fmt: str, fh: TextIO) -> None:
-    if fmt == "csv":
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            d = row.to_dict()
-            writer.writerow([_csv_cell(d[c]) for c in CSV_COLUMNS])
-    else:
-        json.dump([row.to_dict() for row in rows], fh, indent=2)
+@contextlib.contextmanager
+def _replacing(path):
+    """A new file beside path, made on entry so a bad path fails before any work; moved onto path when
+    the block ends, removed if it raises, so path is never left half written.  An OSError names path."""
+    part = f"{os.fsdecode(path)}.{os.getpid()}.part"
+    try:
+        fh = open(part, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot write {path!r}: {exc}") from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException as exc:
+        os.unlink(part)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path!r}: {exc}") from exc
+        raise
+
+
+def _emit_to(rows: Iterable[ScanRow], fmt: str, fh: TextIO) -> int:
+    if fmt == "json":
+        dicts = [row.to_dict() for row in rows]
+        json.dump(dicts, fh, indent=2)
         fh.write("\n")
+        return len(dicts)
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    count = 0
+    for count, row in enumerate(rows, 1):
+        writer.writerow([_csv_cell(value) for value in row.cells()])
+    return count
 
 
 def _row_from_dict(d: dict) -> ScanRow:

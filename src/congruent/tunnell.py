@@ -10,12 +10,16 @@ Every count is a sum over z of w_z * r(n - c z^2), with w_z = 1 at z = 0 and
 2 otherwise and r(m) a binary count such as #{2x^2 + y^2 = m}, and the class
 numbers a row needs are such sums too, by Gauss's three-square theorem.  For
 odd n all three sums read one line r(n - 2z^2): c8 is its sum over even z and
-c32 over z = 0 (mod 4).  One gather, _line_sums, sums the lines of a batch of
-centres in int64 into rows T, c8 and c32 with a column per centre; its two
-sources differ only in how r is read.  TunnellTable keeps r (int16,
-bound-checked) for a whole range, and its block serves a scan; divisor_lines
-takes r at the O(sqrt(n)) points of each line as divisor sums (Tunnell 1983;
-Hart, Tornaria and Watkins 2010), which counts, classify and a check read.
+c32 over z = 0 (mod 4).  z = 0 lies in every such set, so each weighted sum
+is 2 * (the plain sum of r over the set) - r(n), and no weight is formed.
+One gather, _line_sums, sums the lines of a batch of centres in int64 into
+rows T, c8 and c32 with a column per centre; its two sources are each a
+lines(part, k) that returns r at the k points m - 2z^2 of each sorted centre
+m, 0 at every point below 1.  TunnellTable keeps r (int16, bound-checked)
+for a whole range with a 0 sentinel at index 0, where every point below 1 is
+read, and its block serves a scan; divisor_lines takes r at the O(sqrt(n))
+points of each line as divisor sums (Tunnell 1983; Hart, Tornaria and
+Watkins 2010), which counts, classify and a check read.
 Its kernel, _line_divisor_sums, finds the points an odd prime p divides from
 the square roots of n/2 mod p, a sieve over z in
 O(sqrt(n) log log n + pi(sqrt(n)) log n).  theta_counts
@@ -34,7 +38,7 @@ from typing import Union
 
 import numpy as np
 
-from .arith import FactoredSquarefree, _pow_mod, _smallest_prime_factors, factor_squarefree
+from .arith import FactoredSquarefree, _pow_mod, _prime_sieve, factor_squarefree
 from .classgroup import MAX_ABS_DISCRIMINANT
 
 # n above this is refused before any per-n count: every point n - c z^2 stays
@@ -99,14 +103,6 @@ def theta_counts(n: int) -> ThetaCounts:
     return ThetaCounts(n=n, c32=_count_form(4, 32, half), c8=_count_form(4, 8, half))
 
 
-def _theta_weights(coeff: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices coeff*k^2 <= limit and their theta weights (1 at k=0, else 2)."""
-    ks = np.arange(isqrt(limit // coeff) + 1, dtype=np.int64)
-    w = np.full(ks.size, 2, dtype=np.int64)
-    w[0] = 1
-    return coeff * ks * ks, w
-
-
 def _binary_counts(limit: int) -> np.ndarray:
     """r(m) = #{(x, y) in Z^2 : 2x^2 + y^2 = m} for m = 0..limit, as int32.
 
@@ -114,17 +110,19 @@ def _binary_counts(limit: int) -> np.ndarray:
     weight 2 at x != 0), so r(m) <= 4 (isqrt(m/2) + 1), far below 2^31.
     """
     r = np.zeros(limit + 1, dtype=np.int32)
-    y_idx, y_w = _theta_weights(1, limit)
-    for xi, xw in zip(*_theta_weights(2, limit)):
-        cut = np.searchsorted(y_idx, limit - xi, side="right")
-        # indices xi + y^2 are distinct within one x, so fancy += is safe
-        r[xi + y_idx[:cut]] += xw * y_w[:cut]
+    squares = np.arange(isqrt(limit) + 1, dtype=np.int64) ** 2
+    for x in range(isqrt(limit // 2) + 1):
+        w = 2 if x else 1  # x and -x
+        # each y >= 0 counts for y and -y, so y = 0, counted twice, gives w back; indices are distinct within one x
+        r[2 * x * x + squares[: isqrt(limit - 2 * x * x) + 1]] += 2 * w
+        r[2 * x * x] -= w
     return r
 
 
-def _z_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sums along z (the last axis) of the terms w_z * r(m - c z^2): over every z, even z and z = 0 (mod 4)."""
-    return terms.sum(-1), terms[..., ::2].sum(-1), terms[..., ::4].sum(-1)
+def _z_sums(r: np.ndarray) -> np.ndarray:
+    """The sums of w_z * r(m - c z^2) along z (the last axis) over every z, even z and z = 0 (mod 4): 2 * sum(r) - r(m), in int64."""
+    sets = (r, r[..., ::2], r[..., ::4])
+    return 2 * np.stack([z.sum(-1, dtype=np.int64) for z in sets]) - r[..., 0]
 
 
 def class_number(m: int, t: int) -> int:
@@ -157,30 +155,25 @@ class NotDivisible(ArithmeticError):
 _BLOCK_CELLS = 1 << 14
 
 
-def _line_sums(centres, limit: int, r_at) -> np.ndarray:
+def _line_sums(centres, limit: int, lines) -> np.ndarray:
     """The lines r(m - 2z^2) of the centres, summed in int64: rows T, c8 and c32, column i for centres[i].
 
     Of w_z * r(m - 2z^2), w_z = 1 at z = 0, else 2, T sums every z, c8 the even
     z (the points m - 8z'^2) and c32 the z = 0 (mod 4) (m - 32z'^2).  Every
     centre must be odd in 1..limit; ValueError names the least that is not,
-    before any line is read.  Each distinct centre is gathered once.  r_at maps
-    a batch's points, the int64 matrix whose row i is m_i - 2z^2 for z < k (so
-    column 0 holds the centres), to their r; it is the one thing the sources
-    differ in.  Batches hold at most _BLOCK_CELLS points, so memory is bounded
-    whatever the centres; a point below 1 is read at 1 and gets weight 0.
+    before any line is read.  Each distinct centre is gathered once.
+    lines(part, k), the one thing the sources differ in, returns r at the
+    points m - 2z^2, z < k, of the sorted centres part: a len(part) x k matrix,
+    0 at every point below 1.  Batches hold at most _BLOCK_CELLS points.
     """
     ms, inverse = np.unique(np.asarray(centres, dtype=np.int64), return_inverse=True)
     if (bad := (ms < 1) | (ms > limit) | (ms % 2 == 0)).any():
         raise ValueError(f"m = {ms[bad.argmax()]} is not an odd centre in 1..{limit}")
-    z_idx, z_w = _theta_weights(2, int(ms[-1]) if ms.size else 0)
-    step = max(1, _BLOCK_CELLS // z_idx.size)
+    step = max(1, _BLOCK_CELLS // (isqrt(int(ms[-1]) // 2) + 1 if ms.size else 1))
     sums = np.zeros((3, ms.size), dtype=np.int64)
     for lo in range(0, ms.size, step):
         part = ms[lo : lo + step]
-        k = isqrt(int(part[-1]) // 2) + 1
-        points = part[:, None] - z_idx[:k]
-        weights = np.where(points > 0, z_w[:k], 0)
-        sums[:, lo : lo + step] = _z_sums(weights * r_at(np.maximum(points, 1)))
+        sums[:, lo : lo + step] = _z_sums(lines(part, isqrt(int(part[-1]) // 2) + 1))
     return sums[:, inverse]
 
 
@@ -191,8 +184,12 @@ _R_DTYPE = np.int16
 class TunnellTable:
     """The binary counts r(m) = #{2x^2 + y^2 = m} for every m up to a limit.
 
-    Built in one O(limit) pass and stored as int16 (checked before narrowing);
-    block() reads the lines of a batch of centres from it.
+    Built in one O(limit) pass and stored as int16, checked before narrowing.
+    The check is a guard, not a live limit: r(m) = 2 sum_{d | m} (-8/d) <=
+    2 tau(m), so r stays far below 2^15 (its maximum up to 10^7 is 144).
+    Entry 0 is set to 0, a sentinel that every point below 1 is read at; no
+    point m - 2z^2 of an odd centre is 0.  block() reads the lines of a
+    batch of centres from it.
     """
 
     def __init__(self, limit: int):
@@ -205,10 +202,14 @@ class TunnellTable:
         if r[top] > bound:
             raise OverflowError(f"r({top}) = {r[top]} exceeds the table bound {bound} of {np.dtype(_R_DTYPE).name}")
         self._r = r.astype(_R_DTYPE)
+        self._r[0] = 0
 
     def block(self, centres) -> np.ndarray:
         """The line sums of centres odd in 1..limit, as _line_sums returns them."""
-        return _line_sums(centres, self.limit, self._r.__getitem__)
+        return _line_sums(centres, self.limit, self._lines)
+
+    def _lines(self, part: np.ndarray, k: int) -> np.ndarray:
+        return self._r[np.maximum(part[:, None] - 2 * np.arange(k, dtype=np.int64) ** 2, 0)]
 
 
 def refuse_beyond_per_n_bound(n: int) -> None:
@@ -227,7 +228,7 @@ def divisor_lines(centres) -> np.ndarray:
     even or below 1 is refused before any work.
     """
     refuse_beyond_per_n_bound(max(centres, default=0))
-    return _line_sums(centres, MAX_PER_N, lambda points: _line_divisor_sums(points[:, 0], 2, points.shape[1], 8))
+    return _line_sums(centres, MAX_PER_N, lambda part, k: _line_divisor_sums(part, 2, k, 8))
 
 
 def counts(n: Union[int, FactoredSquarefree]) -> ThetaCounts:
@@ -247,9 +248,8 @@ def counts(n: Union[int, FactoredSquarefree]) -> ThetaCounts:
         _, c8, c32 = divisor_lines([n])[:, 0].tolist()
         return ThetaCounts(n=n, c32=c32, c8=c8)
     half = n // 2
-    _, z_w = _theta_weights(8, half)
-    c8, c32, _ = _z_sums(z_w * _line_divisor_sums(np.array([half], dtype=np.int64), 8, z_w.size, 4)[0])
-    return ThetaCounts(n=n, c32=int(c32), c8=int(c8))
+    c8, c32, _ = _z_sums(_line_divisor_sums(np.array([half], dtype=np.int64), 8, isqrt(half // 8) + 1, 4)[0]).tolist()
+    return ThetaCounts(n=n, c32=c32, c8=c8)
 
 
 def classify(n: Union[int, FactoredSquarefree]) -> Classification:
@@ -266,8 +266,7 @@ def _sieving_primes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     2-Sylow subgroup), else 1.  Built on first use and kept, read-only, for the
     process.
     """
-    spf = _smallest_prime_factors(isqrt(MAX_PER_N))
-    p = np.flatnonzero(spf == np.arange(spf.size, dtype=spf.dtype))[2:]  # the i with spf[i] = i but 0 and 2: the odd primes
+    p = np.flatnonzero(_prime_sieve(isqrt(MAX_PER_N)))[1:]  # the odd primes
     q, s = p - 1, np.zeros_like(p)
     while (even := q & 1 == 0).any():
         q[even] >>= 1

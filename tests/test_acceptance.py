@@ -23,12 +23,13 @@ from congruent.criteria import evaluate_hypothesis
 from congruent.descent import DivisorPair, kernel_K
 from congruent.norms import rep_2e2_f2
 from congruent.redei import build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank, redei_matrix
-from congruent.scan import _octic, emit, row_from_report, scan
+from congruent.scan import _octic, emit, scan
 from congruent.selmer import selmer_rank
 
 from tables import CONGRUENT_T2, EXCEPTIONS, NON_CONGRUENT_T2
 from test_classgroup import brute_force_h, fundamental_discs
 from test_norms import all_ef_reps, all_u_reps
+from test_scan_cli import row_from_report
 
 SCAN_LIMIT = 500_000
 

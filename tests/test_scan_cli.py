@@ -15,21 +15,21 @@ import congruent.arith
 import congruent.classgroup
 import congruent.criteria
 import congruent.tunnell
-from congruent.arith import FactoredSquarefree, is_prime, legendre
+from congruent.arith import FactoredSquarefree, _prime_sieve, is_prime, legendre
 from congruent.cli import main
 from congruent.scan import (
     CSV_COLUMNS,
     ScanRow,
+    _legendre_triple,
     _non_residues,
     _shape_block,
     _shape_candidates,
     _smallest_prime_factors,
     emit,
     read_rows,
-    row_from_report,
     scan,
 )
-from congruent.criteria import InvariantViolation, evaluate
+from congruent.criteria import CriterionReport, InvariantViolation, evaluate
 from congruent.redei import HypothesisNotMet, eight_rank_neg_nq, hypothesis_from_factored
 
 GOLDEN_ROW = ScanRow(
@@ -44,6 +44,27 @@ GOLDEN_ROW = ScanRow(
     tunnell_label="congruent_under_bsd",
     verdict="consistent",
 )
+
+
+def row_from_report(report: CriterionReport) -> ScanRow:
+    """The row of a report whose hypothesis holds, built report by report: the per-row path that
+    criterion 14 and the t = 3 test hold every scan row against.  Its Legendre triple is read from the
+    hypothesis."""
+    h = report.hypothesis
+    if h is None or not h.holds():
+        raise HypothesisNotMet(f"n = {report.n}: a row needs a hypothesis that holds")
+    return ScanRow(
+        n=report.n,
+        q=h.q,
+        p_list=h.p_list,
+        legendre_triple=_legendre_triple(h),
+        h_n=report.h_n,
+        h_nq=report.h_nq,
+        modulus=report.modulus,
+        congruence_holds=report.congruence_holds,
+        tunnell_label=report.tunnell_label.value,
+        verdict=report.verdict.value,
+    )
 
 
 def test_row_from_report():
@@ -120,6 +141,25 @@ def test_emit_io_error_carries_path(tmp_path):
         emit([], "csv", str(tmp_path))  # a directory is not writable as a file
 
 
+def test_emit_to_a_path_leaves_it_whole_when_the_rows_fail(tmp_path):
+    # the rows raise after 28 rows: the old file stays as it was and no part file is left
+    path = tmp_path / "rows.csv"
+    path.write_text("old\n")
+
+    def failing_rows():
+        yield from [GOLDEN_ROW] * 28
+        raise ArithmeticError("row 29")
+
+    for fmt in ("csv", "json"):
+        with pytest.raises(ArithmeticError, match="row 29"):
+            emit(failing_rows(), fmt, str(path))
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+    assert emit([GOLDEN_ROW] * 3, "csv", str(path)) == 3
+    assert read_rows(str(path), "csv") == [GOLDEN_ROW] * 3
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_read_rows_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -130,14 +170,14 @@ def test_read_rows_rejects_foreign_header(tmp_path):
 def test_csv_round_trip(tmp_path):
     rows = list(scan(60000, t_filter=2))
     path = str(tmp_path / "rows.csv")
-    emit(rows, "csv", path)
+    assert emit(rows, "csv", path) == len(rows) == 6
     assert read_rows(path, "csv") == rows
 
 
 def test_json_round_trip(tmp_path):
     rows = list(scan(60000, t_filter=2))
     path = str(tmp_path / "rows.json")
-    emit(rows, "json", path)
+    assert emit(rows, "json", path) == len(rows)
     assert read_rows(path, "json") == rows
     payload = json.loads((tmp_path / "rows.json").read_text())
     golden = next(d for d in payload if d["n"] == 52779)
@@ -167,6 +207,9 @@ def test_smallest_prime_factors_match_reference(limit):
     spf = _smallest_prime_factors(limit)
     assert spf.dtype == np.int32
     assert spf.tolist() == reference_smallest_prime_factors(limit)
+    sieve = _prime_sieve(limit)
+    assert sieve.dtype == bool
+    assert sieve.tolist() == [i >= 2 and p == i for i, p in enumerate(spf.tolist())]
 
 
 def reference_shape_candidates(limit):
@@ -669,7 +712,6 @@ def test_scan_builds_no_report(monkeypatch):
         raise AssertionError("a scan row was built from a report")
 
     monkeypatch.setattr(congruent.criteria, "evaluate_hypothesis", no_report)
-    monkeypatch.setattr(importlib.import_module("congruent.scan"), "row_from_report", no_report)
     assert list(scan(60000)) == expected
 
 

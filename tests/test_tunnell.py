@@ -234,7 +234,9 @@ def test_table_blocks_match_per_n_sums():
 
 def test_line_sums_come_back_in_the_order_asked():
     # unsorted centres with duplicates: column i is centres[i], from the table
-    # and from divisor sums alike, and matches the box enumeration
+    # and from divisor sums alike, and matches the box enumeration.  They fit
+    # one batch, so the short lines of 1, 3 and 17 run out to 99,991's 224
+    # points, far below 1, where both sources must read 0
     table = TunnellTable(100_000)
     centres = [99_991, 3, 41, 3, 1, 52_779, 41, 99_991, 17, 1, 219]
     assert all(is_squarefree(m) for m in centres)
@@ -256,6 +258,22 @@ def test_line_sums_come_back_in_the_order_asked():
     for m in (0, -7, 2, 100_002):
         with pytest.raises(ValueError, match=f"^m = {m} is not an odd centre in 1..100000$"):
             table.block([3, m, 5])
+
+
+def test_table_sums_are_exact_int64_on_a_line_of_large_r():
+    # r = 30,000 at every point of the line of 999,999, near int16's top: the
+    # sums, up to 30,000 * (2 * 708 - 1), need an int64 accumulator
+    table = TunnellTable(1_000_000)
+    m, k = 999_999, isqrt(999_999 // 2) + 1
+    table._r[m - 2 * np.arange(k) ** 2] = 30_000
+    sums = table.block([m])
+    assert sums.dtype == np.int64
+    assert sums[:, 0].tolist() == [30_000 * (2 * len(range(0, k, step)) - 1) for step in (1, 2, 4)]
+    assert sums[0, 0] == 42_450_000
+
+
+def test_table_reads_0_below_1():
+    assert TunnellTable(100)._r[0] == 0  # r(0) = 1, but no line of an odd centre reaches 0
 
 
 def test_class_number_reads_h_from_t():
