@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 
@@ -88,8 +89,14 @@ def _cmd_scan(args) -> int:
         skipped.append(n)
 
     rows = scan(args.max, t_filter=args.t, on_error=on_error)
-    # rows stream to --out, whose file is moved into place at the end; stdout gets none before every check passed
-    count = emit(list(rows), args.format, sys.stdout) if args.out is None else emit(rows, args.format, args.out)
+    if args.out is not None:
+        # each pass is written as it is done, to a file moved into place at the end
+        count = emit(rows, args.format, args.out)
+    else:
+        # stdout gets nothing before every check has passed
+        buffer = io.StringIO()
+        count = emit(rows, args.format, buffer)
+        sys.stdout.write(buffer.getvalue())
     if args.verbose:
         print(f"scan: {count} rows", file=sys.stderr)
     if skipped:

@@ -15,29 +15,36 @@ serves every row: for the rows of each pass its block sums the lines of all
 their n and n_q at once, the sums that give the Tunnell label and both class
 numbers.
 
-Every row of a pass, whatever its t, is built from the pass's columns: both
-class numbers from the block, the label from c8 and c32, the modulus
-2^(t+2), r8(-n) as a count of quartic non-residues, the congruence, and one
-call of the invariant laws for the whole pass.  Per-row Python is left to
-the t >= 2 rows alone: the rank condition and the Legendre triple from
-hypothesis_from_factored, r8(-n_q) from eight_rank_neg_nq; for t = 1 these
-are fixed or a power residue mod p.  Rows come out in increasing n.
+Every row of a pass, whatever its t, is built from the pass's columns
+(_pass_columns): both class numbers from the block, the label from c8 and
+c32, the modulus 2^(t+2), r8(-n) as a count of quartic non-residues, the
+congruence, and one call of the invariant laws for the whole pass.  Per-row
+Python is left to the t >= 2 rows alone: the rank condition and the Legendre
+triple from hypothesis_from_factored, r8(-n_q) from eight_rank_neg_nq; for
+t = 1 these are fixed or a power residue mod p.  Rows come out in increasing
+n.
 
-CSV is the 7-bit machine format (prime product joined by "*"); the pretty
-printer uses the dot separator.  emit writes a path through a new file
-beside it, moved into place only once every row is written, and returns the
-row count.
+scan() returns a Scan.  Iterated, it yields a ScanRow per row, the form
+library callers and read_rows use; its passes() give the same rows as plain
+lists, one pass at a time, and emit writes a Scan's CSV from those lists
+with no ScanRow.  Every CSV line, from a Scan or from any iterable of ScanRow, comes
+from one formatter, _csv_records, and the csv module's quoting.  CSV is the
+7-bit machine format (prime product joined by "*"); the pretty printer uses
+the dot separator.  emit writes a path through a new file beside it, moved
+into place only once every row is written, and returns the row count.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
+import operator
 import os
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
@@ -76,11 +83,11 @@ class ScanRow:
 
     @property
     def p_product(self) -> str:
-        return "*".join(str(p) for p in self.p_list)
+        return _p_product(self.p_list)
 
     @property
     def triple_str(self) -> str:
-        return "(" + ",".join(str(s) for s in self.legendre_triple) + ")"
+        return _triple_str(self.legendre_triple)
 
     def cells(self) -> tuple:
         """The row's values in CSV_COLUMNS order."""
@@ -99,6 +106,19 @@ class ScanRow:
 
     def to_dict(self) -> dict:
         return dict(zip(CSV_COLUMNS, self.cells()))
+
+
+# a ScanRow's values in field order, which is CSV_COLUMNS order
+_row_values = operator.attrgetter(*(field.name for field in fields(ScanRow)))
+
+
+def _p_product(p_list: tuple[int, ...]) -> str:
+    return "*".join(map(str, p_list))
+
+
+@functools.lru_cache(maxsize=256)  # a scan has few distinct triples: (1) on every t = 1 row
+def _triple_str(triple: tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, triple)) + ")"
 
 
 def _legendre_triple(h: HypothesisN) -> tuple[int, ...]:
@@ -165,8 +185,8 @@ def _shape_candidates(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield ns[keep], primes[keep]
 
 
-def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Iterator[ScanRow]:
-    """The ScanRow of every hypothesis n <= limit, in increasing n, as a generator.
+def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Scan:
+    """Every hypothesis n <= limit as a Scan: iterated, the ScanRow of each in increasing n.
 
     The limit is checked here, at the call; the sieve and the table are built
     when the first row is asked for.  Computation errors abort the offending
@@ -179,14 +199,29 @@ def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Iterator[
         raise ValueError(f"limit {limit} needs |D| up to 4*limit/3, beyond the supported bound {MAX_ABS_DISCRIMINANT}")
     if on_error is None:
         on_error = lambda n, exc: print(f"scan: n = {n} skipped: {exc}", file=sys.stderr)
-    return _rows(limit, t_filter, on_error)
+    return Scan(limit, t_filter, on_error)
 
 
-def _rows(limit: int, t_filter: Optional[int], on_error) -> Iterator[ScanRow]:
-    table = TunnellTable(limit)
-    for ns, primes in _shape_candidates(limit):
-        wanted = slice(None) if t_filter is None else (primes > 1).sum(axis=1) - 1 == t_filter
-        yield from _pass_rows(ns[wanted], primes[wanted], table, on_error)
+class Scan:
+    """The rows of a scan, as scan() returns them; each iteration runs the scan afresh.
+
+    Iterating yields ScanRow; passes() yields the same rows as the columns of
+    one filter pass at a time, which emit writes to CSV without a ScanRow.
+    """
+
+    def __init__(self, limit: int, t_filter: Optional[int], on_error: Callable[[int, Exception], None]):
+        self.limit, self.t_filter, self.on_error = limit, t_filter, on_error
+
+    def __iter__(self) -> Iterator[ScanRow]:
+        for columns in self.passes():
+            yield from map(ScanRow, *columns)
+
+    def passes(self) -> Iterator[tuple[list, ...]]:
+        """The rows of each filter pass as _pass_columns returns them, the passes in increasing n."""
+        table = TunnellTable(self.limit)
+        for ns, primes in _shape_candidates(self.limit):
+            wanted = slice(None) if self.t_filter is None else (primes > 1).sum(axis=1) - 1 == self.t_filter
+            yield _pass_columns(ns[wanted], primes[wanted], table, self.on_error)
 
 
 def _octic(ps: np.ndarray) -> np.ndarray:
@@ -211,8 +246,8 @@ _LABELS = (Classification.NON_CONGRUENT_UNCONDITIONAL.value, Classification.CONG
 _VERDICTS = (Verdict.NON_CONGRUENT_CERTIFICATE.value, Verdict.CONSISTENT_WITH_CONGRUENT.value)
 
 
-def _pass_rows(ns: np.ndarray, primes: np.ndarray, table: TunnellTable, on_error) -> Iterator[ScanRow]:
-    """The rows of one filter pass, whatever their t, in increasing n; a row that fails goes to on_error.
+def _pass_columns(ns: np.ndarray, primes: np.ndarray, table: TunnellTable, on_error) -> tuple[list, ...]:
+    """The rows of one filter pass, whatever their t: ten lists in ScanRow's field order, in increasing n.
 
     The filter has proved (q/p_i) = 1 for every p_i, so the hypothesis holds
     iff rank A_n = t - 1: always for t = 1, where A_n is the 1 x 1 zero matrix
@@ -220,20 +255,27 @@ def _pass_rows(ns: np.ndarray, primes: np.ndarray, table: TunnellTable, on_error
     is 2^(t+2), h(-n) = T(n)/24 and h(-4 n_q) = T(n_q)/4; r8(-n) = 1 iff the
     quartic symbol (q/n_q)_4 is +1, i.e. q is a quartic non-residue mod an
     even number of p_i.  r8(-n_q) is _octic for t = 1 and eight_rank_neg_nq
-    for t >= 2.  A row whose T is not divisible or whose _rank_step failed
-    goes to on_error; the laws of check_invariant_laws are checked once on
-    all the others.
+    for t >= 2.  The laws of check_invariant_laws are checked once on the
+    rows returned; then each row whose T is not divisible or whose _rank_step
+    failed goes to on_error, and is left out.
     """
     t = (primes > 1).sum(axis=1) - 1
-    # a t = 1 row has the triple (1) and takes its r8(-n_q) from _octic below
-    steps = [((1,), 0) if k == 1 else _rank_step(n, row) for n, row, k in zip(ns.tolist(), primes.tolist(), t.tolist())]
-    held = np.array([step is not None for step in steps], dtype=bool)
+    multi = np.flatnonzero(t >= 2)
+    steps = [_rank_step(n, row) for n, row in zip(ns[multi].tolist(), primes[multi].tolist())]
+    held = np.ones(ns.size, dtype=bool)
+    held[multi] = [step is not None for step in steps]
     ns, primes, t = ns[held], primes[held], t[held]
-    steps = [step for step in steps if step is not None]
-    failed = np.array([isinstance(step, Exception) for step in steps], dtype=bool)
+    # the row index of each t >= 2 row left, to its triple and r8(-n_q) or to the error that stopped it
+    steps = dict(zip(np.flatnonzero(t >= 2).tolist(), (step for step in steps if step is not None)))
     qs = _q(primes)
     nqs = ns // qs
-    r8_nq = np.array([isinstance(step, tuple) and step[1] == 1 for step in steps], dtype=bool)
+    failed, r8_nq = np.zeros((2, ns.size), dtype=bool)
+    triples = {}
+    for i, step in steps.items():
+        if isinstance(step, Exception):
+            failed[i] = True
+        else:
+            triples[i], r8_nq[i] = step[0], step[1] == 1
     r8_nq[t == 1] = _octic(nqs[t == 1])
     sums = table.block(np.concatenate([ns, nqs]))
     t_n, c8, c32 = sums[:, : ns.size]
@@ -245,41 +287,38 @@ def _pass_rows(ns: np.ndarray, primes: np.ndarray, table: TunnellTable, on_error
     bsd = congruent_under_bsd(c8, c32)
     laws = (ns, ~congruence, bsd, modulus, h_n, h_nq, congruence, r8_n, r8_nq)
     check_invariant_laws(*(column[ok] for column in laws))
-    p_cols = np.where((primes & 7 == 1) & (primes > 1), primes, 0)
-    columns = (ok, ns, nqs, p_cols, qs, t_n, t_nq, h_n, h_nq, modulus, congruence, bsd)
-    for step, good, n, nq, ps, q, tn, tnq, hn, hnq, mod, cong, label in zip(steps, *(c.tolist() for c in columns)):
-        if good:
-            yield ScanRow(
-                n=n,
-                q=q,
-                p_list=tuple(filter(None, ps)),
-                legendre_triple=step[0],
-                h_n=hn,
-                h_nq=hnq,
-                modulus=mod,
-                congruence_holds=cong,
-                tunnell_label=_LABELS[label],
-                verdict=_VERDICTS[cong],
-            )
-        elif tn % 24 or tnq % 4:
-            on_error(n, NotDivisible(n, tn, 24) if tn % 24 else NotDivisible(nq, tnq, 4))
+    for i in np.flatnonzero(~ok).tolist():
+        n, tn, tnq = int(ns[i]), int(t_n[i]), int(t_nq[i])
+        if tn % 24:
+            on_error(n, NotDivisible(n, tn, 24))
+        elif tnq % 4:
+            on_error(n, NotDivisible(int(nqs[i]), tnq, 4))
         else:
-            on_error(n, step)
-
-
-def _csv_cell(value):
-    """Booleans as the lowercase words JSON uses; every other value as is."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value
+            on_error(n, steps[i])
+    good = np.flatnonzero(ok)
+    p_cols = np.where((primes & 7 == 1) & (primes > 1), primes, 0)[good]
+    congruence = congruence[good].tolist()
+    return (
+        ns[good].tolist(),
+        qs[good].tolist(),
+        [tuple(filter(None, ps)) for ps in p_cols.tolist()],
+        [triples.get(i, (1,)) for i in good.tolist()],
+        h_n[good].tolist(),
+        h_nq[good].tolist(),
+        modulus[good].tolist(),
+        congruence,
+        [_LABELS[label] for label in bsd[good].tolist()],
+        [_VERDICTS[holds] for holds in congruence],
+    )
 
 
 def emit(rows: Iterable[ScanRow], fmt: str, target) -> int:
     """Write rows as CSV (header + one line each) or a JSON array; return how many rows were written.
 
-    target is an open text file or a path.  A path goes through _replacing,
-    whose file is made before the first row is asked for; I/O failures carry
-    the path.
+    rows is a Scan or any iterable of ScanRow; the CSV of a Scan is written
+    a filter pass at a time, from its columns.  target is an open text file
+    or a path.  A path goes through _replacing, whose file is made before
+    the first row is asked for; I/O failures carry the path.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -315,12 +354,25 @@ def _emit_to(rows: Iterable[ScanRow], fmt: str, fh: TextIO) -> int:
         json.dump(dicts, fh, indent=2)
         fh.write("\n")
         return len(dicts)
+    # any other iterable is written as batches of one row
+    batches = rows.passes() if isinstance(rows, Scan) else (tuple(zip(_row_values(row))) for row in rows)
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     count = 0
-    for count, row in enumerate(rows, 1):
-        writer.writerow([_csv_cell(value) for value in row.cells()])
+    for columns in batches:
+        writer.writerows(_csv_records(columns))
+        count += len(columns[0])
     return count
+
+
+_WORDS = ("false", "true")  # booleans as the lowercase words JSON uses
+
+
+def _csv_records(columns: tuple) -> Iterator[tuple]:
+    """The CSV cells of rows given as columns in ScanRow's field order, one tuple per row: the one CSV line format."""
+    n, q, p_lists, triples, h_n, h_nq, modulus, congruence, labels, verdicts = columns
+    words = map(_WORDS.__getitem__, congruence)
+    return zip(n, q, map(_p_product, p_lists), map(_triple_str, triples), h_n, h_nq, modulus, words, labels, verdicts)
 
 
 def _row_from_dict(d: dict) -> ScanRow:

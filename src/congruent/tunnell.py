@@ -267,19 +267,26 @@ def _sieving_primes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     process.
     """
     p = np.flatnonzero(_prime_sieve(isqrt(MAX_PER_N)))[1:]  # the odd primes
-    q, s = p - 1, np.zeros_like(p)
-    while (even := q & 1 == 0).any():
-        q[even] >>= 1
-        s += even
+    low = (p - 1) & (1 - p)  # 2^s, the lowest set bit of p - 1; frexp gives 2^s = 0.5 * 2^(s + 1) exactly
+    s, q = np.frexp(low)[1].astype(p.dtype) - 1, (p - 1) // low
     ex = np.select([s == 1, s == 2], [(p + 1) // 4, (p - 5) // 8], (q - 1) // 2)
     # the least non-residue of a p = 1 (mod 8) is an odd prime l < sqrt(p) + 1,
-    # and (l/p) = (p/l) by reciprocity, so it is read off the squares mod l
-    d = np.where(s >= 3, 0, 1)
+    # and (l/p) = (p/l) by reciprocity, so it is read off the squares mod l;
+    # each l is tried only on the primes that still lack one
+    shanks = np.flatnonzero(s >= 3)
+    ps = p[shanks]
+    d = np.zeros_like(ps)
+    pending = np.arange(ps.size)
     for l in p[p <= isqrt(int(p[-1])) + 1].tolist():
         squares = np.zeros(l, dtype=bool)
         squares[np.arange(l) ** 2 % l] = True
-        d[(d == 0) & ~squares[p % l]] = l
-    constants = p, s, ex, _pow_mod(d, q, p)
+        found = ~squares[ps[pending] % l]
+        d[pending[found]] = l
+        if (pending := pending[~found]).size == 0:
+            break
+    g = np.ones_like(p)
+    g[shanks] = _pow_mod(d, q[shanks], ps)
+    constants = p, s, ex, g
     for c in constants:
         c.flags.writeable = False  # every caller shares them
     return constants

@@ -1,5 +1,6 @@
 """Tests for the scanner, the CSV/JSON round-trip, and the CLI."""
 
+import csv
 import importlib
 import io
 import json
@@ -20,8 +21,10 @@ from congruent.cli import main
 from congruent.scan import (
     CSV_COLUMNS,
     ScanRow,
+    _csv_records,
     _legendre_triple,
     _non_residues,
+    _row_values,
     _shape_block,
     _shape_candidates,
     _smallest_prime_factors,
@@ -129,6 +132,31 @@ def test_emit_csv_golden_line():
     lines = buf.getvalue().splitlines()
     # the triple contains commas, so the csv layer quotes that one field
     assert lines[1] == '52779,3,73*241,"(1,1,-1)",80,48,16,true,congruent_under_bsd,consistent'
+
+
+def test_csv_line_format_matches_the_csv_module():
+    # a t = 1 row and a t = 3 row with a negative triple entry, between them both booleans and both labels
+    t1 = ScanRow(219, 3, (73,), (1,), 4, 4, 8, True, "congruent_under_bsd", "consistent")
+    labels = ("non_congruent_unconditional", "non_congruent_certificate")
+    t3 = ScanRow(5493907, 19, (17, 73, 233), (1, 1, 1, -1, -1, -1), 320, 176, 32, False, *labels)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in (t1, t3):
+        p_product, triple = "*".join(map(str, r.p_list)), "(" + ",".join(map(str, r.legendre_triple)) + ")"
+        cells = (r.n, r.q, p_product, triple, r.h_n, r.h_nq, r.modulus, str(r.congruence_holds).lower())
+        writer.writerow(cells + (r.tunnell_label, r.verdict))
+    assert expected.getvalue().splitlines()[1:] == [
+        "219,3,73,(1),4,4,8,true,congruent_under_bsd,consistent",
+        '5493907,19,17*73*233,"(1,1,1,-1,-1,-1)",320,176,32,false,non_congruent_unconditional,non_congruent_certificate',
+    ]
+    # row by row, as emit writes ScanRows, and both rows as the columns of one pass
+    by_row = io.StringIO()
+    assert emit([t1, t3], "csv", by_row) == 2
+    by_pass = io.StringIO()
+    by_pass.write(",".join(CSV_COLUMNS) + "\n")
+    csv.writer(by_pass, lineterminator="\n").writerows(_csv_records(tuple(zip(_row_values(t1), _row_values(t3)))))
+    assert by_row.getvalue() == by_pass.getvalue() == expected.getvalue()
 
 
 def test_emit_rejects_unknown_format():
@@ -500,6 +528,27 @@ def test_cli_scan_csv(tmp_path, capsys):
     assert capsys.readouterr().err == "scan: 6 rows\n"
 
 
+@pytest.mark.parametrize("t", [None, 2])
+def test_cli_scan_csv_matches_emit_of_the_rows(monkeypatch, capsys, tmp_path, t):
+    # the CLI writes each pass from its columns; emit of a list of ScanRow must give the same bytes
+    expected = io.StringIO()
+    count = emit(list(scan(60000, t_filter=t)), "csv", expected)
+    assert count > 0 and expected.getvalue().count("\n") == count + 1
+
+    def no_row(*args):
+        raise AssertionError("the CLI built a ScanRow")
+
+    monkeypatch.setattr(importlib.import_module("congruent.scan"), "ScanRow", no_row)
+    flags = ["scan", "--max", "60000"] + ([] if t is None else ["--t", str(t)])
+    assert main(flags + ["--verbose"]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == expected.getvalue()
+    assert printed.err == f"scan: {count} rows\n"
+    out = tmp_path / "rows.csv"
+    assert main(flags + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed.out.encode("utf-8")
+
+
 def test_cli_scan_cache_option_is_ignored(tmp_path, capsys):
     plain, cached = str(tmp_path / "plain.csv"), str(tmp_path / "cached.csv")
     assert main(["scan", "--max", "60000", "--t", "2", "--out", plain]) == 0
@@ -748,6 +797,24 @@ def test_cli_scan_exit_code_3_on_a_t1_invariant_violation(monkeypatch, capsys, t
     rc = main(["scan", "--max", "60000", "--t", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "INVARIANT VIOLATION" in capsys.readouterr().err
+
+
+def test_cli_scan_prints_no_row_before_exit_3(monkeypatch, capsys):
+    # the laws fail on the second filter pass only, after the first pass's rows are formatted
+    scan_mod = importlib.import_module("congruent.scan")
+    real = scan_mod.check_invariant_laws
+
+    def second_pass_fails(ns, *columns):
+        if ns.size and ns[0] > 8 * scan_mod._BLOCK:
+            raise InvariantViolation(f"n = {ns[0]}: injected")
+        real(ns, *columns)
+
+    monkeypatch.setattr(scan_mod, "check_invariant_laws", second_pass_fails)
+    for fmt in ("csv", "json"):
+        assert main(["scan", "--max", "60000", "--format", fmt]) == 3
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == "INVARIANT VIOLATION: n = 32979: injected\n"  # the second pass's first n
 
 
 def test_cli_check_exit_code_3_on_invariant_violation(monkeypatch, capsys):

@@ -13,8 +13,10 @@ from congruent.tunnell import (
     Classification,
     NotDivisible,
     ThetaCounts,
+    MAX_PER_N,
     TunnellTable,
     _line_divisor_sums,
+    _sieving_primes,
     class_number,
     classify,
     counts,
@@ -153,6 +155,21 @@ def test_divisor_sum_class_numbers_match_reduced_forms():
     assert {m % 8 for m in ms} == {1, 3}
     for m, t in zip(ms, divisor_lines(ms)[0].tolist()):
         assert class_number(m, t) == _count_reduced_forms(fundamental_discriminant(m)), m
+
+
+def test_sieving_primes_match_a_per_prime_reference():
+    # every odd prime p <= isqrt(MAX_PER_N), from p - 1 = q 2^s and Euler's criterion alone
+    p, s, ex, g = (column.tolist() for column in _sieving_primes())
+    primes = [m for m in range(3, isqrt(MAX_PER_N) + 1, 2) if is_prime(m)]
+    assert p == primes
+    for i, prime in enumerate(primes):
+        q, k = prime - 1, 0
+        while q % 2 == 0:
+            q, k = q // 2, k + 1
+        assert s[i] == k, prime
+        assert ex[i] == ((prime + 1) // 4 if k == 1 else (prime - 5) // 8 if k == 2 else (q - 1) // 2), prime
+        d = next(d for d in range(2, prime) if pow(d, (prime - 1) // 2, prime) == prime - 1)
+        assert g[i] == (pow(d, q, prime) if k >= 3 else 1), prime
 
 
 def test_per_n_bounds():
