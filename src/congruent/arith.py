@@ -231,12 +231,15 @@ def sqrt_mod_prime(a: int, p: int) -> int:
 
 
 def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base^exp mod mod elementwise (numpy broadcasting), for int64 arrays with 0 <= base < mod and mod^2 < 2^63."""
+    """base^exp mod mod elementwise (numpy broadcasting), for int64 arrays with 0 <= base < mod and mod^2 < 2^63.
+
+    One pass per bit of the largest exponent, none for an empty exp.
+    """
     result = np.ones_like(base)
-    while exp.any():
-        result = np.where(exp & 1 == 1, result * base % mod, result)
-        base = base * base % mod
-        exp = exp >> 1
+    for i in range(int(exp.max(initial=0)).bit_length()):
+        if i:
+            base = base * base % mod
+        result = np.where((exp >> i) & 1, result * base % mod, result)
     return result
 
 

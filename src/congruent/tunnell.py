@@ -21,7 +21,8 @@ read, and its block serves a scan; divisor_lines takes r at the O(sqrt(n))
 points of each line as divisor sums (Tunnell 1983; Hart, Tornaria and
 Watkins 2010), which counts, classify and a check read.
 Its kernel, _line_divisor_sums, finds the points an odd prime p divides from
-the square roots of n/2 mod p, a sieve over z in
+the square roots of n/2 mod p, each one modular power and one lookup in a
+table of the 2-power roots of unity mod p (Bernstein 2001), a sieve over z in
 O(sqrt(n) log log n + pi(sqrt(n)) log n).  theta_counts
 enumerates the lattice box per n and is the reference both are tested
 against.  congruent_under_bsd is the one place the label rule is written;
@@ -43,8 +44,8 @@ from .classgroup import MAX_ABS_DISCRIMINANT
 
 # n above this is refused before any per-n count: every point n - c z^2 stays
 # far inside int64 and every sieving prime p <= 10^5 has p^2 < 2^63.  On a
-# 2-core machine the counts of one check take about 2 ms near 10^7, 8 ms near
-# 10^9 and 40 ms near the bound, whose check process peaks near 45 MiB.
+# 2-core machine the counts of one check take about 1.5 ms near 10^7, 9 ms
+# near 10^9 and 33 ms near the bound, whose check process peaks near 39 MiB.
 MAX_PER_N = 10**10
 
 
@@ -256,74 +257,82 @@ def classify(n: Union[int, FactoredSquarefree]) -> Classification:
     return counts(n).label
 
 
-@functools.cache
-def _sieving_primes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The odd primes p <= isqrt(MAX_PER_N) and, per prime, the constants _square_roots reads.
+# the bound of a sieving-prime table is the least power of two >= sqrt(max c),
+# but at least this, so one table of 563 primes serves every centre below 2^24
+_LEAST_SIEVE_BOUND = 1 << 12
+# a table key is (index of p) << _KEY_BITS | g^i, and every g^i < p <= 10^5 < 2^17
+_KEY_BITS = 17
+# hits _line_divisor_sums expands at once; the two lines of a check of an
+# n <= 10^7 have under 8,000, so they take one slice
+_HIT_BUDGET = 1 << 15
 
-    With p - 1 = q 2^s, q odd: s; the exponent ex of the one modular power a
-    root takes, (p + 1)/4, (p - 5)/8 or (q - 1)/2 for s = 1, 2 or >= 3; and
-    g = d^q for the least non-residue d when s >= 3 (a generator of the
-    2-Sylow subgroup), else 1.  Built on first use and kept, read-only, for the
-    process.
+
+@functools.cache
+def _sieving_primes(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The odd primes p <= bound and the constants _square_roots reads, built once per bound and kept read-only.
+
+    With p - 1 = q 2^s, q odd: the exponent (q - 1)/2; c = d^q for a
+    non-residue d (p - 1 for s = 1, 2 for s = 2, else the least), which has
+    order 2^s; and a table of the 2^(s-1) powers g^i of g = c^2, the values
+    b^q takes at the residues b.  The table's keys, (index of p) << 17 | g^i,
+    are sorted (int32, one sort), and c^-i is stored next to each: about
+    2.3k entries for the bound 2^12 and 96k for 10^5.
     """
-    p = np.flatnonzero(_prime_sieve(isqrt(MAX_PER_N)))[1:]  # the odd primes
-    low = (p - 1) & (1 - p)  # 2^s, the lowest set bit of p - 1; frexp gives 2^s = 0.5 * 2^(s + 1) exactly
-    s, q = np.frexp(low)[1].astype(p.dtype) - 1, (p - 1) // low
-    ex = np.select([s == 1, s == 2], [(p + 1) // 4, (p - 5) // 8], (q - 1) // 2)
+    p = np.flatnonzero(_prime_sieve(bound))[1:]  # the odd primes
+    low = (p - 1) & (1 - p)  # 2^s, the lowest set bit of p - 1
+    q = (p - 1) // low
+    wide = np.flatnonzero(low > 2)  # s >= 2; for s = 1, d = -1 and c = -1
+    d = np.full(wide.size, 2)
     # the least non-residue of a p = 1 (mod 8) is an odd prime l < sqrt(p) + 1,
     # and (l/p) = (p/l) by reciprocity, so it is read off the squares mod l;
     # each l is tried only on the primes that still lack one
-    shanks = np.flatnonzero(s >= 3)
-    ps = p[shanks]
-    d = np.zeros_like(ps)
-    pending = np.arange(ps.size)
+    pending = np.flatnonzero(low[wide] >= 8)
     for l in p[p <= isqrt(int(p[-1])) + 1].tolist():
         squares = np.zeros(l, dtype=bool)
         squares[np.arange(l) ** 2 % l] = True
-        found = ~squares[ps[pending] % l]
+        found = ~squares[p[wide[pending]] % l]
         d[pending[found]] = l
         if (pending := pending[~found]).size == 0:
             break
-    g = np.ones_like(p)
-    g[shanks] = _pow_mod(d, q[shanks], ps)
-    constants = p, s, ex, g
-    for c in constants:
-        c.flags.writeable = False  # every caller shares them
+    c = p - 1
+    c[wide] = _pow_mod(d, q[wide], p[wide])
+    # the primes of one s at a time: the powers c^i, i < L = 2^(s-1), by
+    # doubling i; g^i is their square and c^-i = -c^(L-i), as c^L = -1
+    size = low >> 1
+    packed = []
+    for run in (1 << k for k in range(int(size.max()).bit_length())):
+        j = np.flatnonzero(size == run)
+        pj = p[j, None]
+        power = np.ones((j.size, run), dtype=np.int64)
+        step, half = c[j, None], 1
+        while half < run:
+            power[:, half : 2 * half] = power[:, :half] * step % pj
+            step, half = step * step % pj, 2 * half
+        inverse = np.ones_like(power)
+        inverse[:, 1:] = pj - power[:, :0:-1]
+        packed.append(((j[:, None] << _KEY_BITS | power * power % pj) << _KEY_BITS | inverse).ravel())
+    packed = np.sort(np.concatenate(packed))
+    constants = p, q >> 1, c, (packed >> _KEY_BITS).astype(np.int32), packed & (1 << _KEY_BITS) - 1
+    for column in constants:
+        column.flags.writeable = False  # every caller shares them
     return constants
 
 
-def _square_roots(b: np.ndarray, p: np.ndarray, s: np.ndarray, ex: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _square_roots(b: np.ndarray, p: np.ndarray, half_q: np.ndarray, keys: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     """A square root of b modulo the odd prime p, elementwise, or -1 where b is a non-residue.
 
-    b is an int64 matrix reduced mod p whose columns are indexed like p and
-    its _sieving_primes constants.  One modular power per element: for
-    p = 3 (mod 4) the root is b^((p+1)/4); for p = 5 (mod 8), with
-    v = (2b)^((p-5)/8) and i = 2b v^2, it is b v (i - 1) (Atkin); for
-    p = 1 (mod 8) Tonelli-Shanks starts from x = b^((q+1)/2) and t = b^q and
-    takes its steps in the fixed order k = s, ..., 2 (multiply x by g and t by
-    g^2 where t^(2^(k-2)) != 1, then square g), so every pair steps together.
-    A candidate whose square is not b marks a non-residue; b = 0 has root 0.
+    b is an int64 matrix reduced mod p whose columns are indexed like p, the
+    first primes of a _sieving_primes table, and its (q - 1)/2, keys and c^-i.
+    One modular power and one table lookup per element: with y = b^((q-1)/2),
+    x = b y and t = x y = b^q, a residue's t is some g^i = c^(2i), found by
+    its key, and x c^-i squares to b t c^(-2i) = b.  A non-residue's t is no
+    g^i, so its candidate's square is not b and marks it; b = 0 has root 0.
     """
-    y = _pow_mod(np.where(s == 2, 2 * b % p, b), ex, p)
-    by = b * y % p
-    x = np.select([s == 1, s == 2], [y, by * ((2 * by % p * y - 1) % p) % p], by)
-    shanks = s >= 3
-    if shanks.any():
-        p1, s1, g1 = p[shanks], s[shanks], g[shanks]
-        x1 = x[:, shanks]
-        t = x1 * y[:, shanks] % p1
-        for k in range(int(s1.max()), 1, -1):
-            # a residue's t has order dividing 2^(s-1), so a pair with s < k never flips
-            tk = t
-            for _ in range(k - 2):
-                tk = tk * tk % p1
-            flip = tk != 1
-            x1 = np.where(flip, x1 * g1 % p1, x1)
-            g2 = g1 * g1 % p1
-            t = np.where(flip, t * g2 % p1, t)
-            g1 = np.where(s1 >= k, g2, g1)
-        x[:, shanks] = x1
-    return np.where(x * x % p == b, x, -1)
+    y = _pow_mod(b, half_q, p)
+    x = b * y % p
+    at = np.searchsorted(keys, np.arange(p.size) << _KEY_BITS | x * y % p)
+    root = x * inverse[np.minimum(at, keys.size - 1)] % p
+    return np.where(root * root % p == b, root, -1)
 
 
 def _line_divisor_sums(centres: np.ndarray, a: int, k: int, modulus: int) -> np.ndarray:
@@ -342,22 +351,28 @@ def _line_divisor_sums(centres: np.ndarray, a: int, k: int, modulus: int) -> np.
     A sieve over z finds the factors: an odd p divides c - a z^2 exactly when
     z^2 = c/a (mod p), so the points p divides are the progressions
     z = +-root (mod p), one progression when p | c.  The roots of every
-    (centre, prime) pair with p <= sqrt(max c) are taken at once; each hit's
-    exponent comes from dividing its point.  What the sieving primes leave of
-    m is 1 or a prime, so no primality test is made.  A line of K points costs
-    O(K log log c) for the hits and O(pi(sqrt(c)) log c) for the roots.
+    (centre, prime) pair with p <= sqrt(max c) are taken at once, by
+    _square_roots; the progressions become hits a slice of about _HIT_BUDGET
+    hits at a time, so memory holds one slice, not every hit of the batch.
+    Each hit's exponent comes from dividing its point.  What the sieving
+    primes leave of m is 1 or a prime, so no primality test is made.  A line
+    of K points costs O(K log log c) for the hits and O(pi(sqrt(c)) log c)
+    for the roots.
     """
     if int(centres.min()) < 1 or not (centres & 1).all():
         raise ValueError("divisor sums need odd m >= 1 at every centre")
-    primes, s, ex, g = _sieving_primes()
-    cut = int(np.searchsorted(primes, isqrt(int(centres.max())), side="right"))
+    top = int(centres.max())
+    primes, half_q, _, keys, inverse = _sieving_primes(
+        min(max(1 << (isqrt(top) - 1).bit_length(), _LEAST_SIEVE_BOUND), isqrt(MAX_PER_N))
+    )
+    cut = int(np.searchsorted(primes, isqrt(top), side="right"))
     p = primes[:cut]
     m = centres[:, None] - a * np.arange(k, dtype=np.int64) ** 2
     inside = m >= 1
     b = centres[:, None] % p
     for _ in range(a.bit_length() - 1):  # b = c/a (mod p), a power of 2: halve mod p
         b = (b + (b & 1) * p) >> 1
-    root = _square_roots(b, p, s[:cut], ex[:cut], g[:cut])
+    root = _square_roots(b, p, half_q[:cut], keys, inverse)
     rows, cols = np.nonzero(root >= 0)
     start, step = root[rows, cols], p[cols]
     other = start > 0
@@ -366,21 +381,30 @@ def _line_divisor_sums(centres: np.ndarray, a: int, k: int, modulus: int) -> np.
     rows = np.concatenate([rows, rows[other]])
     # the hits z = start, start + step, ... below each row's count of points >= 1
     count = (inside.sum(axis=1)[rows] - start + step - 1) // step
-    which = np.repeat(np.arange(start.size), count)
-    hp = step[which]
-    hit = rows[which] * k + start[which] + hp * (np.arange(which.size) - (np.cumsum(count) - count)[which])
-    point = m.ravel()[hit]
-    rest = point // hp
-    e = np.ones_like(rest)
-    more = np.flatnonzero(rest % hp == 0)
-    while more.size:
-        rest[more] //= hp[more]
-        e[more] += 1
-        more = more[rest[more] % hp[more] == 0]
+    end = np.cumsum(count)
+    before = end - count
+    total = int(end[-1]) if end.size else 0
     local = np.ones_like(m)
     sieved = np.ones_like(m)  # the product of the p^e found at each point
-    np.multiply.at(local.ravel(), hit, np.where(hp % modulus < modulus // 2, e + 1, 1 - (e & 1)))
-    np.multiply.at(sieved.ravel(), hit, point // rest)
+    lo = done = 0
+    while done < total:  # the progressions lo..hi - 1 hold the hits done.. of this slice
+        hi = end.size
+        if total - done > _HIT_BUDGET:
+            hi = max(lo + 1, int(np.searchsorted(end, done + _HIT_BUDGET, side="right")))
+        which = np.repeat(np.arange(lo, hi), count[lo:hi])
+        hp = step[which]
+        hit = rows[which] * k + start[which] + hp * (np.arange(done, done + which.size) - before[which])
+        point = m.ravel()[hit]
+        rest = point // hp
+        e = np.ones_like(rest)
+        more = np.flatnonzero(rest % hp == 0)
+        while more.size:
+            rest[more] //= hp[more]
+            e[more] += 1
+            more = more[rest[more] % hp[more] == 0]
+        np.multiply.at(local.ravel(), hit, np.where(hp % modulus < modulus // 2, e + 1, 1 - (e & 1)))
+        np.multiply.at(sieved.ravel(), hit, point // rest)
+        lo, done = hi, done + which.size
     cofactor = np.where(inside, m, 1) // sieved
     local *= np.where(cofactor == 1, 1, np.where(cofactor % modulus < modulus // 2, 2, 0))
     return np.where(inside, 2 * local, 0)

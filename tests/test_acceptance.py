@@ -18,6 +18,7 @@ import pytest
 import numpy as np
 
 from congruent.arith import FactoredSquarefree, factor_squarefree, is_prime, jacobi
+from congruent.cli import main
 from congruent.classgroup import class_number
 from congruent.criteria import evaluate_hypothesis
 from congruent.descent import DivisorPair, kernel_K
@@ -224,6 +225,20 @@ def test_criterion_13_scan_csv_to_2m_is_byte_identical():
     assert len(rows) == SCAN_2M_ROWS
     assert hashlib.md5(out.getvalue().encode("utf-8")).hexdigest() == SCAN_2M_CSV_MD5
     print(f"PASS criterion 13: the CSV of the scan to 2,000,000 ({SCAN_2M_ROWS:,} rows) has md5 {SCAN_2M_CSV_MD5}")
+
+
+# md5 of the reports `congruent check -n N --json` prints for these n, one
+# after another: t = 1 and t = 2 rows, the largest q = 3 n of check_large, the
+# last hypothesis n below the per-n bound, and two shape failures
+CHECK_JSON_NS = (219, 42267, 52779, 9999939, 9999999771, 42, 12)
+CHECK_JSON_MD5 = "71c513dcc92e752048bacfb2f7204412"
+
+
+def test_criterion_13_check_json_is_byte_identical(capsys):
+    assert [main(["check", "-n", str(n), "--json"]) for n in CHECK_JSON_NS] == [0] * len(CHECK_JSON_NS)
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == CHECK_JSON_MD5
+    print(f"PASS criterion 13: the check --json reports of n = {', '.join(map(str, CHECK_JSON_NS))} have md5 {CHECK_JSON_MD5}")
 
 
 def test_criterion_14_every_row_matches_the_per_row_path(full_scan):

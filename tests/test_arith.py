@@ -2,11 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from congruent.arith import (
     FactoredSquarefree,
     NotSquarefree,
+    _pow_mod,
     factor_squarefree,
     hilbert,
     is_prime,
@@ -204,3 +206,18 @@ def test_sqrt_mod_prime():
             x = rng.randrange(1, p)
             r = sqrt_mod_prime(x * x % p, p)
             assert r * r % p == x * x % p
+
+
+def test_pow_mod_matches_python_pow():
+    # seeded triples, exp = 0 among them, with moduli up to 3.03e9 (mod^2 < 2^63),
+    # one exponent per bit length up to 62; and empty arrays, which pass no bit
+    rng = random.Random(19)
+    mod = [rng.choice([3, 5, 17, 65537, 3_037_000_493, rng.randrange(2, 3_037_000_499)]) for _ in range(400)]
+    base = [rng.randrange(m) for m in mod]
+    exp = [0, 0, 1] + [rng.randrange(1 << rng.randrange(1, 63)) for _ in range(397)]
+    got = _pow_mod(*(np.array(v, dtype=np.int64) for v in (base, exp, mod)))
+    assert got.tolist() == [pow(b, e, m) for b, e, m in zip(base, exp, mod)]
+    assert _pow_mod(np.array([5, 0]), np.array([0, 0]), np.array([7, 7])).tolist() == [1, 1]
+    empty = np.zeros((2, 0), dtype=np.int64)
+    assert _pow_mod(empty, empty[0], empty[0]).shape == (2, 0)
+    assert _pow_mod(empty[0], empty[0], empty[0]).shape == (0,)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import congruent.tunnell
-from congruent.arith import NotSquarefree, factor_squarefree, is_prime
+from congruent.arith import NotSquarefree, _pow_mod, factor_squarefree, is_prime
 from congruent.classgroup import _count_reduced_forms, fundamental_discriminant
 from congruent.tunnell import (
     Classification,
@@ -17,6 +17,7 @@ from congruent.tunnell import (
     TunnellTable,
     _line_divisor_sums,
     _sieving_primes,
+    _square_roots,
     class_number,
     classify,
     counts,
@@ -157,19 +158,46 @@ def test_divisor_sum_class_numbers_match_reduced_forms():
         assert class_number(m, t) == _count_reduced_forms(fundamental_discriminant(m)), m
 
 
-def test_sieving_primes_match_a_per_prime_reference():
-    # every odd prime p <= isqrt(MAX_PER_N), from p - 1 = q 2^s and Euler's criterion alone
-    p, s, ex, g = (column.tolist() for column in _sieving_primes())
+def test_sieving_table_matches_a_per_prime_reference():
+    # every odd prime p <= isqrt(MAX_PER_N), from p - 1 = q 2^s and Python pow alone
+    p, half_q, c, keys, inverse = (column.tolist() for column in _sieving_primes(isqrt(MAX_PER_N)))
     primes = [m for m in range(3, isqrt(MAX_PER_N) + 1, 2) if is_prime(m)]
     assert p == primes
-    for i, prime in enumerate(primes):
-        q, k = prime - 1, 0
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert len(keys) == len(inverse)
+    runs = {}  # prime index -> {g^i: c^-i}
+    for key, v in zip(keys, inverse):
+        runs.setdefault(key >> 17, {})[key & (1 << 17) - 1] = v
+    assert sorted(runs) == list(range(len(primes)))
+    for j, prime in enumerate(primes):
+        q, s = prime - 1, 0
         while q % 2 == 0:
-            q, k = q // 2, k + 1
-        assert s[i] == k, prime
-        assert ex[i] == ((prime + 1) // 4 if k == 1 else (prime - 5) // 8 if k == 2 else (q - 1) // 2), prime
-        d = next(d for d in range(2, prime) if pow(d, (prime - 1) // 2, prime) == prime - 1)
-        assert g[i] == (pow(d, q, prime) if k >= 3 else 1), prime
+            q, s = q // 2, s + 1
+        assert half_q[j] == (q - 1) // 2, prime
+        assert pow(c[j], 1 << (s - 1), prime) == prime - 1, prime  # c has order exactly 2^s
+        # the key g^i = c^(2i) of every i < 2^(s-1), and c^-i next to it
+        run = runs[j]
+        assert len(run) == 1 << (s - 1), prime
+        for i in range(1 << (s - 1)):
+            assert run[pow(c[j], 2 * i, prime)] * pow(c[j], i, prime) % prime == 1, (prime, i)
+
+
+def test_square_roots_of_every_b_below_2000():
+    # every b mod every odd prime p < 2,000: a root squares to b exactly for the
+    # residues and 0 by Euler's criterion, and -1 marks every non-residue
+    p, half_q, _, keys, inverse = _sieving_primes(1 << 12)
+    cut = int(np.searchsorted(p, 2_000))
+    b = np.arange(2_000, dtype=np.int64)[:, None] % p[:cut]
+    root = _square_roots(b, p[:cut], half_q[:cut], keys, inverse)
+    euler = _pow_mod(b, (p[:cut] - 1) // 2, p[:cut])
+    residue = euler != p[:cut] - 1
+    assert residue.sum() > 0 and (~residue).sum() > 0
+    assert np.array_equal(root * root % p[:cut] == b, residue)
+    assert np.array_equal(root == -1, ~residue)
+    for j, prime in enumerate(p[:cut].tolist()):
+        assert [pow(x, 2, prime) for x in root[:prime, j].tolist() if x >= 0] == [
+            x for x in range(prime) if x == 0 or pow(x, (prime - 1) // 2, prime) == 1
+        ], prime
 
 
 def test_per_n_bounds():
