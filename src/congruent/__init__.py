@@ -8,6 +8,12 @@ counts and by reduced-form counting, norm-form representations, divisor-pair
 descent, and Tunnell theta counts as an independent classification.
 """
 
+import os
+
+# numpy's OpenBLAS starts a thread pool at import, and the package makes no BLAS
+# call; one thread saves the pool's start-up unless the user chose a size
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .arith import FactoredSquarefree, NotSquarefree, factor_squarefree, hilbert, jacobi, legendre, quartic_symbol
 from .classgroup import class_number, fundamental_discriminant, genus_two_rank
 from .criteria import CriterionReport, InvariantViolation, Verdict, evaluate, evaluate_prime_pair

@@ -233,13 +233,16 @@ def sqrt_mod_prime(a: int, p: int) -> int:
 def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """base^exp mod mod elementwise (numpy broadcasting), for int64 arrays with 0 <= base < mod and mod^2 < 2^63.
 
-    One pass per bit of the largest exponent, none for an empty exp.
+    The exponent's bits are taken once, as one bool array per bit, and walked
+    from the most significant: a square, and a multiply where the bit is set.
+    No pass is made for an empty exp.
     """
+    top = int(exp.max(initial=0)).bit_length()
+    bits = (exp & (1 << np.arange(top - 1, -1, -1)).reshape((-1,) + (1,) * exp.ndim)) != 0
     result = np.ones_like(base)
-    for i in range(int(exp.max(initial=0)).bit_length()):
-        if i:
-            base = base * base % mod
-        result = np.where((exp >> i) & 1, result * base % mod, result)
+    for bit in bits:
+        result = result * result % mod
+        result = np.where(bit, result * base % mod, result)
     return result
 
 

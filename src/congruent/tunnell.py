@@ -20,10 +20,13 @@ for a whole range with a 0 sentinel at index 0, where every point below 1 is
 read, and its block serves a scan; divisor_lines takes r at the O(sqrt(n))
 points of each line as divisor sums (Tunnell 1983; Hart, Tornaria and
 Watkins 2010), which counts, classify and a check read.
-Its kernel, _line_divisor_sums, finds the points an odd prime p divides from
-the square roots of n/2 mod p, each one modular power and one lookup in a
-table of the 2-power roots of unity mod p (Bernstein 2001), a sieve over z in
-O(sqrt(n) log log n + pi(sqrt(n)) log n).  theta_counts
+Its kernel, _line_divisor_sums, factors only a line's live points, where the
+class of m mod 8 (mod 4 on an even n's line) lets r(m) be non-zero: every z
+of an n = 3 (mod 8), the even z of an n_q = 1 (mod 8).  It finds the points
+an odd prime p <= sqrt(c) divides from the square roots of c/2 mod p, each
+one modular power and one lookup in a table of the 2-power roots of unity
+mod p (Bernstein 2001), a sieve in O(K log log c + pi(sqrt(c)) log c) for a
+line of centre c with K live points.  theta_counts
 enumerates the lattice box per n and is the reference both are tested
 against.  congruent_under_bsd is the one place the label rule is written;
 ThetaCounts.label and every scan row read it.
@@ -44,8 +47,8 @@ from .classgroup import MAX_ABS_DISCRIMINANT
 
 # n above this is refused before any per-n count: every point n - c z^2 stays
 # far inside int64 and every sieving prime p <= 10^5 has p^2 < 2^63.  On a
-# 2-core machine the counts of one check take about 1.5 ms near 10^7, 9 ms
-# near 10^9 and 33 ms near the bound, whose check process peaks near 39 MiB.
+# 2-core machine the counts of one check take about 1.4 ms near 10^7, 6.5 ms
+# near 10^9 and 28 ms near the bound, whose check process peaks near 38 MiB.
 MAX_PER_N = 10**10
 
 
@@ -223,7 +226,8 @@ def divisor_lines(centres) -> np.ndarray:
     """The line sums of odd centres in 1..MAX_PER_N, as _line_sums returns them, with r(m) by divisor sums.
 
     All lines of a batch go through one _line_divisor_sums pass, which sieves
-    the O(sqrt(n)) points of each line by the primes up to sqrt(n): time is
+    the O(sqrt(n)) live points of each line by the primes up to the square
+    root of its own centre n: time is
     O(sqrt(n) log log n + pi(sqrt(n)) log n) and memory O(sqrt(n) log log n),
     where a table or a reduced-form count is O(n).  A centre above MAX_PER_N,
     even or below 1 is refused before any work.
@@ -318,19 +322,25 @@ def _sieving_primes(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return constants
 
 
-def _square_roots(b: np.ndarray, p: np.ndarray, half_q: np.ndarray, keys: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+def _square_roots(
+    b: np.ndarray, p: np.ndarray, half_q: np.ndarray, keys: np.ndarray, inverse: np.ndarray, index: np.ndarray | None = None
+) -> np.ndarray:
     """A square root of b modulo the odd prime p, elementwise, or -1 where b is a non-residue.
 
-    b is an int64 matrix reduced mod p whose columns are indexed like p, the
-    first primes of a _sieving_primes table, and its (q - 1)/2, keys and c^-i.
-    One modular power and one table lookup per element: with y = b^((q-1)/2),
-    x = b y and t = x y = b^q, a residue's t is some g^i = c^(2i), found by
-    its key, and x c^-i squares to b t c^(-2i) = b.  A non-residue's t is no
-    g^i, so its candidate's square is not b and marks it; b = 0 has root 0.
+    b is an int64 array reduced mod p; p, its (q - 1)/2 and index, the index of
+    p in a _sieving_primes table whose keys and c^-i are given, broadcast
+    against it.  By default index is 0, 1, ... along the last axis, as for
+    the first primes of the table.  One modular power and one table lookup
+    per element: with y = b^((q-1)/2), x = b y and t = x y = b^q, a residue's
+    t is some g^i = c^(2i), found by its key, and x c^-i squares to
+    b t c^(-2i) = b.  A non-residue's t is no g^i, so its candidate's square
+    is not b and marks it; b = 0 has root 0.
     """
+    if index is None:
+        index = np.arange(p.shape[-1])
     y = _pow_mod(b, half_q, p)
     x = b * y % p
-    at = np.searchsorted(keys, np.arange(p.size) << _KEY_BITS | x * y % p)
+    at = np.searchsorted(keys, index << _KEY_BITS | x * y % p)
     root = x * inverse[np.minimum(at, keys.size - 1)] % p
     return np.where(root * root % p == b, root, -1)
 
@@ -348,43 +358,64 @@ def _line_divisor_sums(centres: np.ndarray, a: int, k: int, modulus: int) -> np.
     else 1 for even e and 0 for odd e.  For odd p, (-8/p) = 1 iff p = 1, 3
     (mod 8) and (-4/p) = 1 iff p = 1 (mod 4): both read p % modulus < modulus / 2.
 
-    A sieve over z finds the factors: an odd p divides c - a z^2 exactly when
+    Only live points are factored.  The sum is 0 at an odd m with
+    (-modulus/m) = -1, where the divisors d and m/d have opposite characters,
+    and a z^2 is 0 (mod modulus) at even z and a at odd z, so each parity of
+    z is live or dead on the whole line.  A line reads every z, the even z
+    (the sub-line c - 4a z'^2, as for c = 1 (mod 8) with a = 2), the odd z, or
+    none, and stops at its last point >= 1; every other entry is 0.
+
+    A sieve finds the factors: an odd p divides c - a z^2 exactly when
     z^2 = c/a (mod p), so the points p divides are the progressions
-    z = +-root (mod p), one progression when p | c.  The roots of every
-    (centre, prime) pair with p <= sqrt(max c) are taken at once, by
-    _square_roots; the progressions become hits a slice of about _HIT_BUDGET
-    hits at a time, so memory holds one slice, not every hit of the batch.
-    Each hit's exponent comes from dividing its point.  What the sieving
-    primes leave of m is 1 or a prime, so no primality test is made.  A line
-    of K points costs O(K log log c) for the hits and O(pi(sqrt(c)) log c)
-    for the roots.
+    z = +-root (mod p), one progression when p | c, and on a sub-line
+    z = first + 2j they are progressions in j of the same step p.  Line i
+    pairs with the primes p <= sqrt(c_i): they leave 1 or a prime of each of
+    its points, so no primality test is made.  _square_roots takes the roots
+    of every (centre, prime) pair at once; the progressions become hits a
+    slice of about _HIT_BUDGET hits at a time, so memory holds one slice, not
+    every hit of the batch, and each hit's exponent comes from dividing its
+    point.  A line of K_i live points costs O(K_i log log c_i) for the hits
+    and O(pi(sqrt(c_i)) log c_i) for the roots.
     """
     if int(centres.min()) < 1 or not (centres & 1).all():
         raise ValueError("divisor sums need odd m >= 1 at every centre")
-    top = int(centres.max())
     primes, half_q, _, keys, inverse = _sieving_primes(
-        min(max(1 << (isqrt(top) - 1).bit_length(), _LEAST_SIEVE_BOUND), isqrt(MAX_PER_N))
+        min(max(1 << (isqrt(int(centres.max())) - 1).bit_length(), _LEAST_SIEVE_BOUND), isqrt(MAX_PER_N))
     )
-    cut = int(np.searchsorted(primes, isqrt(top), side="right"))
-    p = primes[:cut]
-    m = centres[:, None] - a * np.arange(k, dtype=np.int64) ** 2
-    inside = m >= 1
-    b = centres[:, None] % p
+    shape = []  # of each line: its first live z, their stride and count, and its prime bound sqrt(c), 0 if none is live
+    for c in centres.tolist():
+        even, odd = c % modulus < modulus // 2, (c - a) % modulus < modulus // 2  # live at even, odd z
+        first, stride = int(not even), 2 - (even and odd)
+        size = (min(k - 1, isqrt((c - 1) // a)) - first) // stride + 1 if even or odd else 0
+        shape.append((first, stride, size, isqrt(c) if size else 0))
+    first, stride, size, bound = np.array(shape).T
+    m = np.concatenate([c - a * np.arange(f, f + s * n, s) ** 2 for c, (f, s, n, _) in zip(centres.tolist(), shape)])
+    # the (line, prime) pairs: the primes p <= sqrt(c) of each live line
+    cut = np.searchsorted(primes, bound, side="right")
+    pair = np.repeat(np.arange(centres.size), cut)
+    index = np.concatenate([np.arange(n) for n in cut.tolist()])
+    p = primes[index]
+    b = centres[pair] % p
     for _ in range(a.bit_length() - 1):  # b = c/a (mod p), a power of 2: halve mod p
         b = (b + (b & 1) * p) >> 1
-    root = _square_roots(b, p, half_q[:cut], keys, inverse)
-    rows, cols = np.nonzero(root >= 0)
-    start, step = root[rows, cols], p[cols]
-    other = start > 0
-    start = np.concatenate([start, step[other] - start[other]])
-    step = np.concatenate([step, step[other]])
-    rows = np.concatenate([rows, rows[other]])
-    # the hits z = start, start + step, ... below each row's count of points >= 1
-    count = (inside.sum(axis=1)[rows] - start + step - 1) // step
+    root = _square_roots(b, p, half_q[index], keys, inverse, index)
+    found = np.flatnonzero(root >= 0)
+    pair, p, root = pair[found], p[found], root[found]
+    other = np.flatnonzero(root)
+    rows = np.concatenate([pair, pair[other]])
+    step = np.concatenate([p, p[other]])
+    # z = +-root (mod p) is j = (z - first)/stride (mod p) on the sub-line z = first + stride j
+    start = (np.concatenate([root, p[other] - root[other]]) - first[rows]) % step
+    halve = stride[rows] >> 1
+    start = (start + (start & halve) * step) >> halve
+    # the hits j = start, start + step, ... below each line's count of live points
+    count = (size[rows] - start + step - 1) // step
+    start += (np.cumsum(size) - size)[rows]  # the line's offset among the points m
+    plus = step % modulus < modulus // 2  # (-modulus/p) = 1
     end = np.cumsum(count)
     before = end - count
     total = int(end[-1]) if end.size else 0
-    local = np.ones_like(m)
+    local = np.full_like(m, 2)  # 2 * the product of the contributions found at each point
     sieved = np.ones_like(m)  # the product of the p^e found at each point
     lo = done = 0
     while done < total:  # the progressions lo..hi - 1 hold the hits done.. of this slice
@@ -393,18 +424,21 @@ def _line_divisor_sums(centres: np.ndarray, a: int, k: int, modulus: int) -> np.
             hi = max(lo + 1, int(np.searchsorted(end, done + _HIT_BUDGET, side="right")))
         which = np.repeat(np.arange(lo, hi), count[lo:hi])
         hp = step[which]
-        hit = rows[which] * k + start[which] + hp * (np.arange(done, done + which.size) - before[which])
-        point = m.ravel()[hit]
-        rest = point // hp
+        hit = start[which] + hp * (np.arange(done, done + which.size) - before[which])
+        rest = m[hit] // hp
         e = np.ones_like(rest)
+        np.multiply.at(sieved, hit, hp)
         more = np.flatnonzero(rest % hp == 0)
         while more.size:
             rest[more] //= hp[more]
             e[more] += 1
+            np.multiply.at(sieved, hit[more], hp[more])
             more = more[rest[more] % hp[more] == 0]
-        np.multiply.at(local.ravel(), hit, np.where(hp % modulus < modulus // 2, e + 1, 1 - (e & 1)))
-        np.multiply.at(sieved.ravel(), hit, point // rest)
+        np.multiply.at(local, hit, np.where(plus[which], e + 1, 1 - (e & 1)))
         lo, done = hi, done + which.size
-    cofactor = np.where(inside, m, 1) // sieved
-    local *= np.where(cofactor == 1, 1, np.where(cofactor % modulus < modulus // 2, 2, 0))
-    return np.where(inside, 2 * local, 0)
+    # what the primes leave of a live m is 1 or a prime P, and (-modulus/P) = 1
+    # wherever the primes' part of the sum is not already 0
+    local <<= m > sieved  # doubled where a prime is left
+    out = np.zeros(centres.size * k, dtype=np.int64)
+    out[np.concatenate([np.arange(i * k + f, i * k + f + s * n, s) for i, (f, s, n, _) in enumerate(shape)])] = local
+    return out.reshape(centres.size, k)

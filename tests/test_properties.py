@@ -144,6 +144,14 @@ def divisor_sum_by_sympy(m, modulus):
 # the last hypothesis n below the per-n bound and its n_q
 @example([9_999_999_771, 3_333_333_257], (2, 8), 48)
 @example([9_999_999_771, 3_333_333_257], (8, 4), 48)
+# odd prime squares, each = 1 (mod 8) and so read at even z on the a = 2 line,
+# whose point p^2 at z = 0 needs p = isqrt(c) itself; the last centre puts
+# the lines' prime bounds 10^5 apart
+@example([9, 121, 289, 361, 529, 9_999_999_771], (2, 8), 48)
+@example([9, 121, 289, 361, 529, 9_999_999_771], (8, 4), 48)
+# one centre of each class 1, 3, 5 and 7 (mod 8)
+@example([1_000_001, 1_000_003, 1_000_005, 1_000_007], (2, 8), 48)
+@example([1_000_001, 1_000_003, 1_000_005, 1_000_007], (8, 4), 48)
 def test_line_divisor_sums_match_sympy(centres, shape, k):
     a, modulus = shape
     got = _line_divisor_sums(np.array(centres, dtype=np.int64), a, k, modulus)

@@ -834,3 +834,21 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "congruent_under_bsd" in proc.stdout
+
+
+def test_import_gives_openblas_one_thread_unless_the_user_set_it():
+    # the package makes no BLAS call, so numpy's OpenBLAS pool gets one thread
+    # when the variable is unset at import; a user's value is kept
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    read = "import os, congruent; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for user, expected in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")):
+        proc = subprocess.run(
+            [sys.executable, "-c", read],
+            capture_output=True,
+            text=True,
+            env={**env, **user, "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected + "\n"

@@ -144,6 +144,21 @@ def test_divisor_sums_match_the_table_and_a_direct_count():
             _line_divisor_sums(np.array(bad, dtype=np.int64), 2, 1, 8)
 
 
+@pytest.mark.parametrize("budget", [1, 7, 1_000])
+def test_hit_slices_leave_the_divisor_sums_unchanged(monkeypatch, budget):
+    # the batches of the test above, their hits expanded a slice of about
+    # `budget` at a time (1: one progression per slice), against one slice
+    for a, modulus, top in ((2, 8, 200_000), (8, 4, 50_000)):
+        top_lines = np.arange(top - 1299, top, 2, dtype=np.int64)
+        short_and_long = np.array([1, 3, 9, 17, 225, 2_431, top - 1001, top - 1], dtype=np.int64)
+        for centres in (top_lines, short_and_long):
+            k = isqrt(int(centres[-1]) // a) + 1
+            monkeypatch.setattr(congruent.tunnell, "_HIT_BUDGET", 1 << 62)
+            whole = _line_divisor_sums(centres, a, k, modulus)
+            monkeypatch.setattr(congruent.tunnell, "_HIT_BUDGET", budget)
+            assert np.array_equal(_line_divisor_sums(centres, a, k, modulus), whole)
+
+
 def test_divisor_sum_class_numbers_match_reduced_forms():
     # a seeded log-uniform sample of squarefree m of both shapes up to 10^7,
     # with check_large's largest n and its n_q
