@@ -257,16 +257,18 @@ def _prime_sieve(limit: int) -> np.ndarray:
 
 
 def _smallest_prime_factors(limit: int) -> np.ndarray:
-    """spf[i] for i = 0..limit (0 at 0 and 1), as an int32 array.
+    """spf[i] for i = 0..limit as a uint16 array: the least prime factor of a composite i, 0 at a prime and at 0 and 1.
 
     Each prime p up to sqrt(limit), the largest first, is stored at p^2, p^2 + p, ...
-    (which never reach a smaller p), so the smallest is stored last; the primes are left 0 until the end.
+    (which never reach a smaller p), so the smallest is stored last.  Every
+    stored p is at most sqrt(limit), so uint16 holds it for limit < 2^32;
+    a larger limit is refused before anything is allocated.
     """
-    spf = np.zeros(limit + 1, dtype=np.int32)
+    if limit >= 1 << 32:
+        raise ValueError(f"limit {limit} needs prime factors above 2^16, beyond the uint16 sieve")
+    spf = np.zeros(limit + 1, dtype=np.uint16)
     for p in np.flatnonzero(_prime_sieve(isqrt(limit)))[::-1].tolist():
         spf[p * p :: p] = p
-    primes = np.flatnonzero(spf == 0)[2:]
-    spf[primes] = primes
     return spf
 
 

@@ -136,13 +136,16 @@ def _shape_block(spf: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Returns those n and their primes, one row per n in increasing order and
     padded with 1.  Each step divides every n by its smallest prime factor and
-    drops the n where that prime is repeated or of another residue.
+    drops the n where that prime is repeated or of another residue.  spf is
+    _smallest_prime_factors' array, 0 at a prime rest and at 1, where rest
+    is its own factor.
     """
     rest = ns.copy()
     ok = np.ones(ns.size, dtype=bool)
     columns = []
     while (live := rest > 1).any():
-        p = np.where(live, spf[rest], 1)
+        p = spf[rest]
+        p = np.where(p > 0, p, rest)
         rest //= p
         r8 = p & 7
         ok &= ~live | ((rest % p != 0) & ((r8 == 1) | (r8 == 3)))

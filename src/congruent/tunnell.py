@@ -12,17 +12,21 @@ numbers a row needs are such sums too, by Gauss's three-square theorem.  For
 odd n all three sums read one line r(n - 2z^2): c8 is its sum over even z and
 c32 over z = 0 (mod 4).  z = 0 lies in every such set, so each weighted sum
 is 2 * (the plain sum of r over the set) - r(n), and no weight is formed.
-One gather, _line_sums, sums the lines of a batch of centres in int64 into
-rows T, c8 and c32 with a column per centre; its two sources are each a
-lines(part, k) that returns r at the k points m - 2z^2 of each sorted centre
-m, 0 at every point below 1.  TunnellTable keeps r (int16, bound-checked)
-for a whole range with a 0 sentinel at index 0, where every point below 1 is
-read, and its block serves a scan; divisor_lines takes r at the O(sqrt(n))
-points of each line as divisor sums (Tunnell 1983; Hart, Tornaria and
-Watkins 2010), which counts, classify and a check read.
-Its kernel, _line_divisor_sums, factors only a line's live points, where the
-class of m mod 8 (mod 4 on an even n's line) lets r(m) be non-zero: every z
-of an n = 3 (mod 8), the even z of an n_q = 1 (mod 8).  It finds the points
+Both sources of r sum the lines of a batch of centres in int64 into rows T,
+c8 and c32 with a column per centre, after one check and deduplication of
+the centres, _distinct_centres.  y^2 = 1 (mod 8) for odd y, so r(m) = 0 at
+every odd m = 5 or 7 (mod 8), and a line m - 2z^2 is live at every z (m = 3
+mod 8), at even z (1), at odd z (5) or nowhere (7).  TunnellTable keeps r
+(int16, bound-checked) only at the m = 1, 3 (mod 8) up to a limit, a quarter
+of the range, with a 0 sentinel in slot 0 where every point below 1 is read;
+its block reads each class of centres z-major at its live z and serves a
+scan.  divisor_lines takes r at the O(sqrt(n)) points of each line as
+divisor sums (Tunnell 1983; Hart, Tornaria and Watkins 2010), through
+_line_sums and a lines(part, k) that returns r at the k points m - 2z^2 of
+each sorted centre m, 0 at every point below 1; counts, classify and a
+check read it.  Its kernel, _line_divisor_sums, factors only a line's live
+points (mod 4 on an even n's line): every z of an n = 3 (mod 8), the even z
+of an n_q = 1 (mod 8).  It finds the points
 an odd prime p <= sqrt(c) divides from the square roots of c/2 mod p, each
 one modular power and one lookup in a table of the 2-power roots of unity
 mod p (Bernstein 2001), a sieve in O(K log log c + pi(sqrt(c)) log c) for a
@@ -107,22 +111,6 @@ def theta_counts(n: int) -> ThetaCounts:
     return ThetaCounts(n=n, c32=_count_form(4, 32, half), c8=_count_form(4, 8, half))
 
 
-def _binary_counts(limit: int) -> np.ndarray:
-    """r(m) = #{(x, y) in Z^2 : 2x^2 + y^2 = m} for m = 0..limit, as int32.
-
-    int32 cannot wrap: one x adds at most 4 to an entry (y and -y, each of
-    weight 2 at x != 0), so r(m) <= 4 (isqrt(m/2) + 1), far below 2^31.
-    """
-    r = np.zeros(limit + 1, dtype=np.int32)
-    squares = np.arange(isqrt(limit) + 1, dtype=np.int64) ** 2
-    for x in range(isqrt(limit // 2) + 1):
-        w = 2 if x else 1  # x and -x
-        # each y >= 0 counts for y and -y, so y = 0, counted twice, gives w back; indices are distinct within one x
-        r[2 * x * x + squares[: isqrt(limit - 2 * x * x) + 1]] += 2 * w
-        r[2 * x * x] -= w
-    return r
-
-
 def _z_sums(r: np.ndarray) -> np.ndarray:
     """The sums of w_z * r(m - c z^2) along z (the last axis) over every z, even z and z = 0 (mod 4): 2 * sum(r) - r(m), in int64."""
     sets = (r, r[..., ::2], r[..., ::4])
@@ -155,24 +143,33 @@ class NotDivisible(ArithmeticError):
         super().__init__(f"T({m}) = {t} is not divisible by {divisor}")
 
 
-# cells of one batch of lines in _line_sums: 128 KiB per int64 array
+# cells of one batch of lines in _line_sums and TunnellTable.block: 128 KiB per int64 array
 _BLOCK_CELLS = 1 << 14
+
+
+def _distinct_centres(centres, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct centres and, for each centre asked, the index of its own.
+
+    Every centre must be odd in 1..limit; ValueError names the least that is
+    not, before any line is read.  Both sources of r take their centres here.
+    """
+    ms, inverse = np.unique(np.asarray(centres, dtype=np.int64), return_inverse=True)
+    if (bad := (ms < 1) | (ms > limit) | (ms % 2 == 0)).any():
+        raise ValueError(f"m = {ms[bad.argmax()]} is not an odd centre in 1..{limit}")
+    return ms, inverse
 
 
 def _line_sums(centres, limit: int, lines) -> np.ndarray:
     """The lines r(m - 2z^2) of the centres, summed in int64: rows T, c8 and c32, column i for centres[i].
 
     Of w_z * r(m - 2z^2), w_z = 1 at z = 0, else 2, T sums every z, c8 the even
-    z (the points m - 8z'^2) and c32 the z = 0 (mod 4) (m - 32z'^2).  Every
-    centre must be odd in 1..limit; ValueError names the least that is not,
-    before any line is read.  Each distinct centre is gathered once.
-    lines(part, k), the one thing the sources differ in, returns r at the
-    points m - 2z^2, z < k, of the sorted centres part: a len(part) x k matrix,
-    0 at every point below 1.  Batches hold at most _BLOCK_CELLS points.
+    z (the points m - 8z'^2) and c32 the z = 0 (mod 4) (m - 32z'^2); the
+    centres go through _distinct_centres.  lines(part, k), the source of r,
+    returns r at the points m - 2z^2, z < k, of the sorted centres part: a
+    len(part) x k matrix, 0 at every point below 1.  Batches hold at most
+    _BLOCK_CELLS points.
     """
-    ms, inverse = np.unique(np.asarray(centres, dtype=np.int64), return_inverse=True)
-    if (bad := (ms < 1) | (ms > limit) | (ms % 2 == 0)).any():
-        raise ValueError(f"m = {ms[bad.argmax()]} is not an odd centre in 1..{limit}")
+    ms, inverse = _distinct_centres(centres, limit)
     step = max(1, _BLOCK_CELLS // (isqrt(int(ms[-1]) // 2) + 1 if ms.size else 1))
     sums = np.zeros((3, ms.size), dtype=np.int64)
     for lo in range(0, ms.size, step):
@@ -185,35 +182,104 @@ def _line_sums(centres, limit: int, lines) -> np.ndarray:
 _R_DTYPE = np.int16
 
 
-class TunnellTable:
-    """The binary counts r(m) = #{2x^2 + y^2 = m} for every m up to a limit.
+def _slot(m):
+    """The table slot of m = 1 or 3 (mod 8), 1 + (m >> 2) + ((m >> 1) & 1), which is (m + 5) >> 2.
 
-    Built in one O(limit) pass and stored as int16, checked before narrowing.
-    The check is a guard, not a live limit: r(m) = 2 sum_{d | m} (-8/d) <=
-    2 tau(m), so r stays far below 2^15 (its maximum up to 10^7 is 144).
-    Entry 0 is set to 0, a sentinel that every point below 1 is read at; no
-    point m - 2z^2 of an odd centre is 0.  block() reads the lines of a
-    batch of centres from it.
+    8k + 1 goes to slot 2k + 1 and 8k + 3 to 2k + 2, so slot(m - 8t) =
+    slot(m) - 2t.  m is clamped at -5, so every m below 1 of the two
+    classes, the greatest of which is -5, reads slot 0.
+    """
+    return (np.maximum(m, -5) + 5) >> 2
+
+
+def _class_counts(limit: int, residue: int) -> np.ndarray:
+    """r(8k + residue) = #{2x^2 + y^2 = 8k + residue} for k = 0..(limit - residue) // 8, residue 1 or 3, as int32.
+
+    y is odd, y = 2v + 1 with v >= 0 for the sign of y, so y^2 = 8 v(v+1)/2 + 1.
+    For residue 1, x = 2u: r(8k + 1) = 2 sum w_u over u^2 + v(v+1)/2 = k,
+    w_u = 1 at u = 0 and 2 otherwise.  For residue 3, x = 2u + 1:
+    r(8k + 3) = 4 #{u, v >= 0 : u(u+1) + v(v+1)/2 = k}.  int32 cannot wrap:
+    one u adds at most 4 to an entry.
+    """
+    size = max(0, (limit - residue) // 8 + 1)
+    r = np.zeros(size, dtype=np.int32)
+    v = np.arange(isqrt(2 * size) + 1, dtype=np.int64)
+    triangles = v * (v + 1) // 2
+    u = 0
+    while (square := u * u + (residue >> 1) * u) < size:  # u^2 or u(u+1)
+        # each triangle once for this u, so the indices are distinct
+        r[square + triangles[: np.searchsorted(triangles, size - square)]] += 2 if residue == 1 and u == 0 else 4
+        u += 1
+    return r
+
+
+class TunnellTable:
+    """The binary counts r(m) = #{2x^2 + y^2 = m} at every m = 1 or 3 (mod 8) up to a limit.
+
+    y^2 = 1 (mod 8) for odd y, so 2x^2 + y^2 is 1 or 3 (mod 8) at every odd
+    value: r(m) = 0 at every odd m = 5 or 7 (mod 8), and the table stores
+    only the two live classes, m at _slot(m), in limit // 4 + 3 int16 slots.
+    Each class is built in int32 by _class_counts and narrowed once its
+    maximum is checked.  The check is a guard, not a live limit: r(m) =
+    2 sum_{d | m} (-8/d) <= 2 tau(m), so r stays far below 2^15 (its
+    maximum up to 10^7 is 144).  Slot 0 holds 0, a sentinel that every
+    point below 1 is read at; no point m - 2z^2 of an odd centre is 0.
+    block() reads the lines of a batch of centres from it.
     """
 
     def __init__(self, limit: int):
         if limit < 1:
             raise ValueError("limit must be positive")
         self.limit = limit
-        r = _binary_counts(limit)
-        top = int(r.argmax())
+        self._r = np.zeros((limit >> 2) + 3, dtype=_R_DTYPE)
         bound = int(np.iinfo(_R_DTYPE).max)
-        if r[top] > bound:
-            raise OverflowError(f"r({top}) = {r[top]} exceeds the table bound {bound} of {np.dtype(_R_DTYPE).name}")
-        self._r = r.astype(_R_DTYPE)
-        self._r[0] = 0
+        for residue in (1, 3):
+            r = _class_counts(limit, residue)
+            if r.max(initial=0) > bound:
+                top = int(r.argmax())
+                raise OverflowError(f"r({8 * top + residue}) = {r[top]} exceeds the table bound {bound} of {np.dtype(_R_DTYPE).name}")
+            first = int(_slot(residue))
+            self._r[first : first + 2 * r.size : 2] = r
 
     def block(self, centres) -> np.ndarray:
-        """The line sums of centres odd in 1..limit, as _line_sums returns them."""
-        return _line_sums(centres, self.limit, self._lines)
+        """The line sums of centres odd in 1..limit, as _line_sums returns them.
 
-    def _lines(self, part: np.ndarray, k: int) -> np.ndarray:
-        return self._r[np.maximum(part[:, None] - 2 * np.arange(k, dtype=np.int64) ** 2, 0)]
+        Each class of centres mod 8 is read at its live z only, z-major: a
+        row is one z across a batch's centres, summed down axis 0.  Even
+        z = 2j reads m - 8j^2 and odd z = 2j + 1 reads m - 2 - 8j(j+1).
+        Class 3 reads both: c32 sums the even rows of even j, c8 every even
+        row, and T adds the odd rows.  Class 1 reads the even rows, so
+        T = c8; class 5 the odd rows, so c8 = c32 = 0; class 7 nothing.
+        Batches hold at most _BLOCK_CELLS points.
+        """
+        ms, inverse = _distinct_centres(centres, self.limit)
+        sums = np.zeros((3, ms.size), dtype=np.int64)
+        for residue in (1, 3, 5):
+            at = np.flatnonzero(ms & 7 == residue)
+            if at.size:
+                sums[:, at] = self._class_sums(ms[at], residue != 5, residue != 1)
+        return sums[:, inverse]
+
+    def _class_sums(self, ms: np.ndarray, even: bool, odd: bool) -> np.ndarray:
+        """Rows T, c8 and c32 of sorted centres of one class, live at even z, odd z or both."""
+        sums = np.zeros((3, ms.size), dtype=np.int64)
+        step = max(1, _BLOCK_CELLS // ((even + odd) * (isqrt(int(ms[-1]) // 2) // 2 + 1)))
+        for lo in range(0, ms.size, step):
+            part = ms[lo : lo + step]
+            j = np.arange(isqrt(int(part[-1]) // 2) // 2 + 1, dtype=np.int64)  # z = 2j or 2j + 1 <= sqrt(m / 2)
+            out = sums[:, lo : lo + step]
+            if even:
+                r = self._read(part, j * j)
+                c32 = r[::2].sum(axis=0, dtype=np.int64)
+                c8 = c32 + r[1::2].sum(axis=0, dtype=np.int64)
+                out[:] = 2 * np.stack([c8, c8, c32]) - r[0]
+            if odd:
+                out[0] += 2 * self._read(part - 2, j * (j + 1)).sum(axis=0, dtype=np.int64)
+        return sums
+
+    def _read(self, firsts: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """r at the points first - 8t of each first = 1 or 3 (mod 8): a len(t) x len(firsts) int16 matrix, 0 below 1."""
+        return self._r[np.maximum(_slot(firsts) - 2 * t[:, None], 0)]
 
 
 def refuse_beyond_per_n_bound(n: int) -> None:
@@ -429,6 +495,7 @@ def _line_divisor_sums(centres: np.ndarray, a: int, k: int, modulus: int) -> np.
         e = np.ones_like(rest)
         np.multiply.at(sieved, hit, hp)
         more = np.flatnonzero(rest % hp == 0)
+        more = more[rest[more] > 0]  # a wrong hit below its prime leaves 0, which every p divides
         while more.size:
             rest[more] //= hp[more]
             e[more] += 1

@@ -232,12 +232,30 @@ def reference_smallest_prime_factors(limit):
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 100, 120, 121, 9973, 100000, 200000])
 def test_smallest_prime_factors_match_reference(limit):
+    # uint16, with 0 at a prime and at 0 and 1, where the reference holds the prime itself
     spf = _smallest_prime_factors(limit)
-    assert spf.dtype == np.int32
-    assert spf.tolist() == reference_smallest_prime_factors(limit)
+    assert spf.dtype == np.uint16
+    assert spf.tolist() == [0 if p == i else p for i, p in enumerate(reference_smallest_prime_factors(limit))]
     sieve = _prime_sieve(limit)
     assert sieve.dtype == bool
-    assert sieve.tolist() == [i >= 2 and p == i for i, p in enumerate(spf.tolist())]
+    assert sieve.tolist() == [i >= 2 and p == 0 for i, p in enumerate(spf.tolist())]
+
+
+class _Allocated(Exception):
+    """Raised in place of the sieve's array."""
+
+
+def test_smallest_prime_factors_refuse_a_limit_beyond_uint16_before_allocating(monkeypatch):
+    # a composite i <= limit has a prime factor <= isqrt(limit), below 2^16 only for limit < 2^32
+    def allocated(*args, **kwargs):
+        raise _Allocated
+
+    monkeypatch.setattr(congruent.arith.np, "zeros", allocated)
+    for limit in (1 << 32, 10**12):
+        with pytest.raises(ValueError, match=f"^limit {limit} needs prime factors above 2\\^16"):
+            _smallest_prime_factors(limit)
+    with pytest.raises(_Allocated):
+        _smallest_prime_factors((1 << 32) - 1)
 
 
 def reference_shape_candidates(limit):

@@ -1,6 +1,9 @@
 """Tests for theta-count classification: the table's blocks, divisor_lines and the reference counts."""
 
+import os
 import random
+import subprocess
+import sys
 from math import isqrt
 
 import numpy as np
@@ -17,6 +20,7 @@ from congruent.tunnell import (
     TunnellTable,
     _line_divisor_sums,
     _sieving_primes,
+    _slot,
     _square_roots,
     class_number,
     classify,
@@ -116,29 +120,49 @@ def test_table_matches_per_n():
         assert from_block[n] == a, n
 
 
+def signed_count(a, limit):
+    """#{(x, y) : a x^2 + y^2 = m} for m = 0..limit, by a signed loop over x."""
+    direct = np.zeros(limit + 1, dtype=np.int64)
+    ys = np.arange(-isqrt(limit), isqrt(limit) + 1, dtype=np.int64)
+    for x in range(-isqrt(limit // a), isqrt(limit // a) + 1):
+        vals = a * x * x + ys * ys
+        np.add.at(direct, vals[vals <= limit], 1)
+    return direct
+
+
 def test_divisor_sums_match_the_table_and_a_direct_count():
     # r(m) = #{2x^2 + y^2 = m} against the table on every odd m <= 200,000, and
     # r'(m) = #{4x^2 + y^2 = m} against a signed count on every odd m <= 50,000:
     # the lines c - a z^2 of the odd centres c in the top 1,300 of each range
     # reach every odd m in it, and a batch of short and long lines reads 0 at
-    # its points below 1
+    # its points below 1.  The table holds only m = 1, 3 (mod 8); a signed
+    # count of 2x^2 + y^2 is 0 at every odd m = 5, 7 (mod 8), as y^2 = 1
+    # (mod 8), and so are the divisor sums: that zero makes the table exact
     table = TunnellTable(200_000)
     limit = 50_000
-    direct = np.zeros(limit + 1, dtype=np.int64)
-    ys = np.arange(-isqrt(limit), isqrt(limit) + 1, dtype=np.int64)
-    for x in range(-isqrt(limit // 4), isqrt(limit // 4) + 1):
-        vals = 4 * x * x + ys * ys
-        np.add.at(direct, vals[vals <= limit], 1)
-    for a, modulus, r, top in ((2, 8, table._r, 200_000), (8, 4, direct, limit)):
+    direct = signed_count(4, limit)
+    binary = signed_count(2, 200_000)
+    odd = np.arange(1, 200_000, 2)
+    live, dead = odd[odd % 8 < 4], odd[odd % 8 > 4]
+    assert not binary[dead].any()
+    assert np.array_equal(table._r[_slot(live)], binary[live])
+    from_table = np.zeros_like(binary)
+    from_table[live] = table._r[_slot(live)]
+    for a, modulus, r, top in ((2, 8, from_table, 200_000), (8, 4, direct, limit)):
         top_lines = np.arange(top - 1299, top, 2, dtype=np.int64)
         short_and_long = np.array([1, 3, 9, 17, 225, 2_431, top - 1001, top - 1], dtype=np.int64)
         for centres in (top_lines, short_and_long):
             k = isqrt(int(centres[-1]) // a) + 1
             points = centres[:, None] - a * np.arange(k, dtype=np.int64) ** 2
             expected = np.where(points >= 1, r[np.maximum(points, 1)], 0)
-            assert np.array_equal(_line_divisor_sums(centres, a, k, modulus), expected)
+            sums = _line_divisor_sums(centres, a, k, modulus)
+            assert np.array_equal(sums, expected)
             if centres is top_lines:
                 assert np.isin(np.arange(1, top, 2), points).all()
+                if a == 2:
+                    at = np.zeros(top + 1, dtype=np.int64)
+                    at[points[points >= 1]] = sums[points >= 1]
+                    assert np.array_equal(at[live], table._r[_slot(live)]) and not at[dead].any()
     for bad in ([0, 1], [2], [-3]):
         with pytest.raises(ValueError, match="odd m >= 1"):
             _line_divisor_sums(np.array(bad, dtype=np.int64), 2, 1, 8)
@@ -157,6 +181,34 @@ def test_hit_slices_leave_the_divisor_sums_unchanged(monkeypatch, budget):
             whole = _line_divisor_sums(centres, a, k, modulus)
             monkeypatch.setattr(congruent.tunnell, "_HIT_BUDGET", budget)
             assert np.array_equal(_line_divisor_sums(centres, a, k, modulus), whole)
+
+
+def test_wrong_hits_give_a_wrong_sum_and_end():
+    # roots moved by one send hits to points their prime does not divide, some
+    # of them below the prime, where the quotient is 0 and 0 % p == 0; the
+    # exponent loop must still end, with sums that differ.  A subprocess with
+    # a timeout, so that a loop that never ends fails the test
+    script = """
+from math import isqrt
+import numpy as np
+import congruent.tunnell as tunnell
+centres = np.arange(198_701, 200_000, 2, dtype=np.int64)
+k = isqrt(199_999 // 2) + 1
+right = tunnell._line_divisor_sums(centres, 2, k, 8)
+real = tunnell._square_roots
+def moved(b, p, *rest):
+    root = real(b, p, *rest)
+    return np.where(root >= 0, (root + 1) % p, root)
+tunnell._square_roots = moved
+print(np.array_equal(tunnell._line_divisor_sums(centres, 2, k, 8), right))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": pythonpath}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_divisor_sum_class_numbers_match_reduced_forms():
@@ -258,7 +310,7 @@ def test_table_class_number_refusals():
     t = table.block([11, 17])[0].tolist()
     assert (class_number(11, t[0]), class_number(17, t[1])) == (1, 4)
     # T(17) sums r(17 - 2 z^2) over z; one miscounted r leaves T indivisible by 4
-    table._r[17 - 2 * 2 * 2] += 1
+    table._r[_slot(17 - 2 * 2 * 2)] += 1
     with pytest.raises(ArithmeticError, match="not divisible by 4"):
         class_number(17, int(table.block(range(1, 1000, 2))[0, 8]))
 
@@ -321,11 +373,12 @@ def test_line_sums_come_back_in_the_order_asked():
 
 
 def test_table_sums_are_exact_int64_on_a_line_of_large_r():
-    # r = 30,000 at every point of the line of 999,999, near int16's top: the
-    # sums, up to 30,000 * (2 * 708 - 1), need an int64 accumulator
+    # r = 30,000 at every point of the line of 999,995, near int16's top: the
+    # sums, up to 30,000 * (2 * 708 - 1), need an int64 accumulator.  The
+    # centre is 3 (mod 8), so every point of its line is in the table
     table = TunnellTable(1_000_000)
-    m, k = 999_999, isqrt(999_999 // 2) + 1
-    table._r[m - 2 * np.arange(k) ** 2] = 30_000
+    m, k = 999_995, isqrt(999_995 // 2) + 1
+    table._r[_slot(m - 2 * np.arange(k) ** 2)] = 30_000
     sums = table.block([m])
     assert sums.dtype == np.int64
     assert sums[:, 0].tolist() == [30_000 * (2 * len(range(0, k, step)) - 1) for step in (1, 2, 4)]
@@ -334,6 +387,14 @@ def test_table_sums_are_exact_int64_on_a_line_of_large_r():
 
 def test_table_reads_0_below_1():
     assert TunnellTable(100)._r[0] == 0  # r(0) = 1, but no line of an odd centre reaches 0
+    # every m = 1, 3 (mod 8) below 1 reads that sentinel, and 1 and 3 the first slots
+    assert _slot(np.array([-5, -7, -13, -15, -10**9 + 3, 1, 3, 9, 11])).tolist() == [0, 0, 0, 0, 0, 1, 2, 3, 4]
+
+
+def test_table_holds_a_quarter_of_the_range():
+    # int16 slots for m = 1, 3 (mod 8) and the sentinel: L/4 + 3 at most
+    table = TunnellTable(10**6)
+    assert table._r.dtype == np.int16 and table._r.nbytes <= 2 * (10**6 // 4 + 3)
 
 
 def test_class_number_reads_h_from_t():
@@ -350,7 +411,7 @@ def test_class_number_reads_h_from_t():
 
 def test_block_class_number_refuses_an_indivisible_sum():
     table = TunnellTable(1000)
-    table._r[17 - 2 * 2 * 2] += 1
+    table._r[_slot(17 - 2 * 2 * 2)] += 1
     t17, t19 = table.block([17, 19])[0].tolist()
     with pytest.raises(ArithmeticError, match=r"T\(17\) = \d+ is not divisible by 4"):
         class_number(17, t17)
@@ -358,16 +419,17 @@ def test_block_class_number_refuses_an_indivisible_sum():
 
 
 def test_table_counts_are_int16_below_a_checked_bound(monkeypatch):
-    # the build counts in int32, which cannot wrap; the maximum is checked before narrowing
+    # the build counts each class in int32, which cannot wrap; the maximum is checked before narrowing
     assert TunnellTable(1000)._r.dtype == np.int16
-    real = congruent.tunnell._binary_counts
+    real = congruent.tunnell._class_counts
 
-    def swollen(limit):
-        r = real(limit)
-        r[41] = 40_000
+    def swollen(limit, residue):
+        r = real(limit, residue)
+        if residue == 41 % 8:
+            r[41 // 8] = 40_000
         return r
 
-    monkeypatch.setattr(congruent.tunnell, "_binary_counts", swollen)
+    monkeypatch.setattr(congruent.tunnell, "_class_counts", swollen)
     with pytest.raises(OverflowError, match=r"r\(41\) = 40000 exceeds the table bound 32767 of int16"):
         TunnellTable(1000)
 
