@@ -21,19 +21,18 @@ mod 8), at even z (1), at odd z (5) or nowhere (7).  TunnellTable keeps r
 of the range, with a 0 sentinel in slot 0 where every point below 1 is read;
 its block reads each class of centres z-major at its live z and serves a
 scan.  divisor_lines takes r at the O(sqrt(n)) points of each line as
-divisor sums (Tunnell 1983; Hart, Tornaria and Watkins 2010), through
-_line_sums and a lines(part, k) that returns r at the k points m - 2z^2 of
-each sorted centre m, 0 at every point below 1; counts, classify and a
-check read it.  Its kernel, _line_divisor_sums, factors only a line's live
-points (mod 4 on an even n's line): every z of an n = 3 (mod 8), the even z
-of an n_q = 1 (mod 8).  It finds the points
-an odd prime p <= sqrt(c) divides from the square roots of c/2 mod p, each
-one modular power and one lookup in a table of the 2-power roots of unity
-mod p (Bernstein 2001), a sieve in O(K log log c + pi(sqrt(c)) log c) for a
-line of centre c with K live points.  theta_counts
-enumerates the lattice box per n and is the reference both are tested
-against.  congruent_under_bsd is the one place the label rule is written;
-ThetaCounts.label and every scan row read it.
+divisor sums (Tunnell 1983; Hart, Tornaria and Watkins 2010); counts,
+classify and a check read it.  Its kernel, _line_divisor_sums, lists only
+the live points >= 1 of each line (mod 4 on an even n's line), flat, with
+their z and r: every z of an n = 3 (mod 8), the even z of an n_q = 1 (mod
+8), none of an n = 7 (mod 8); _live_sums sums them into the rows.  The
+kernel finds the points an odd prime p <= sqrt(c) divides from the square
+roots of c/2 mod p, each one modular power and one lookup in a table of the
+2-power roots of unity mod p (Bernstein 2001), a sieve in
+O(K log log c + pi(sqrt(c)) log c) for a line of centre c with K live
+points.  theta_counts enumerates the lattice box per n and is the reference
+both are tested against.  congruent_under_bsd is the one place the label
+rule is written; ThetaCounts.label and every scan row read it.
 """
 
 from __future__ import annotations
@@ -111,22 +110,17 @@ def theta_counts(n: int) -> ThetaCounts:
     return ThetaCounts(n=n, c32=_count_form(4, 32, half), c8=_count_form(4, 8, half))
 
 
-def _z_sums(r: np.ndarray) -> np.ndarray:
-    """The sums of w_z * r(m - c z^2) along z (the last axis) over every z, even z and z = 0 (mod 4): 2 * sum(r) - r(m), in int64."""
-    sets = (r, r[..., ::2], r[..., ::4])
-    return 2 * np.stack([z.sum(-1, dtype=np.int64) for z in sets]) - r[..., 0]
-
-
 def class_number(m: int, t: int) -> int:
     """h(-m) for m = 3 (mod 8), h(-4m) for m = 1 (mod 8), from T = T(m); m must be squarefree.
 
     The line of an odd centre m is r(m - 2z^2) over z, with r(m) = #{2x^2 + y^2 = m},
-    and T(m) = #{2x^2 + y^2 + 2z^2 = m} is its sum over every z (row 0 of
-    _line_sums).  It counts the a^2 + b^2 + y^2 = m with a = b (mod 2), through
-    the bijection (a, b) = (x + z, x - z).  By Gauss's r_3: for m = 3 (mod 8)
-    all three are odd, T = r_3 = 24 h(-m); for m = 1 (mod 8) only y is odd, in
-    a third of them by symmetry, T = r_3 / 3 = 4 h(-4m).  NotDivisible if T is
-    not divisible; ValueError unless m >= 4 has a shape above.
+    and T(m) = #{2x^2 + y^2 + 2z^2 = m} is its sum over every z (row T of
+    divisor_lines and TunnellTable.block).  It counts the a^2 + b^2 + y^2 = m
+    with a = b (mod 2), through the bijection (a, b) = (x + z, x - z).  By
+    Gauss's r_3: for m = 3 (mod 8) all three are odd, T = r_3 = 24 h(-m); for
+    m = 1 (mod 8) only y is odd, in a third of them by symmetry,
+    T = r_3 / 3 = 4 h(-4m).  NotDivisible if T is not divisible; ValueError
+    unless m >= 4 has a shape above.
     """
     if m < 4 or m % 8 not in (1, 3):
         raise ValueError(f"m = {m} is not an m = 1 or 3 (mod 8) with m >= 4")
@@ -143,39 +137,21 @@ class NotDivisible(ArithmeticError):
         super().__init__(f"T({m}) = {t} is not divisible by {divisor}")
 
 
-# cells of one batch of lines in _line_sums and TunnellTable.block: 128 KiB per int64 array
+# points of one batch of lines in divisor_lines and TunnellTable.block, at most: 128 KiB per int64 array
 _BLOCK_CELLS = 1 << 14
 
 
 def _distinct_centres(centres, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct centres and, for each centre asked, the index of its own.
 
-    Every centre must be odd in 1..limit; ValueError names the least that is
-    not, before any line is read.  Both sources of r take their centres here.
+    Every centre must be an odd integer in 1..limit; ValueError names the
+    least that is not before any line is read, and before int64 could
+    truncate it (3.5 to 3).  Both sources of r take their centres here.
     """
-    ms, inverse = np.unique(np.asarray(centres, dtype=np.int64), return_inverse=True)
-    if (bad := (ms < 1) | (ms > limit) | (ms % 2 == 0)).any():
+    ms, inverse = np.unique(np.asarray(centres), return_inverse=True)
+    if (bad := (ms < 1) | (ms > limit) | (ms % 2 != 1)).any():
         raise ValueError(f"m = {ms[bad.argmax()]} is not an odd centre in 1..{limit}")
-    return ms, inverse
-
-
-def _line_sums(centres, limit: int, lines) -> np.ndarray:
-    """The lines r(m - 2z^2) of the centres, summed in int64: rows T, c8 and c32, column i for centres[i].
-
-    Of w_z * r(m - 2z^2), w_z = 1 at z = 0, else 2, T sums every z, c8 the even
-    z (the points m - 8z'^2) and c32 the z = 0 (mod 4) (m - 32z'^2); the
-    centres go through _distinct_centres.  lines(part, k), the source of r,
-    returns r at the points m - 2z^2, z < k, of the sorted centres part: a
-    len(part) x k matrix, 0 at every point below 1.  Batches hold at most
-    _BLOCK_CELLS points.
-    """
-    ms, inverse = _distinct_centres(centres, limit)
-    step = max(1, _BLOCK_CELLS // (isqrt(int(ms[-1]) // 2) + 1 if ms.size else 1))
-    sums = np.zeros((3, ms.size), dtype=np.int64)
-    for lo in range(0, ms.size, step):
-        part = ms[lo : lo + step]
-        sums[:, lo : lo + step] = _z_sums(lines(part, isqrt(int(part[-1]) // 2) + 1))
-    return sums[:, inverse]
+    return ms.astype(np.int64, copy=False), inverse
 
 
 # a table's binary counts are narrowed to this type once their maximum is checked
@@ -242,7 +218,7 @@ class TunnellTable:
             self._r[first : first + 2 * r.size : 2] = r
 
     def block(self, centres) -> np.ndarray:
-        """The line sums of centres odd in 1..limit, as _line_sums returns them.
+        """The line sums of centres odd in 1..limit: rows T, c8 and c32 in int64, column i for centres[i].
 
         Each class of centres mod 8 is read at its live z only, z-major: a
         row is one z across a batch's centres, summed down axis 0.  Even
@@ -288,26 +264,47 @@ def refuse_beyond_per_n_bound(n: int) -> None:
         raise ValueError(f"n = {n} exceeds the per-n bound {MAX_PER_N}")
 
 
-def divisor_lines(centres) -> np.ndarray:
-    """The line sums of odd centres in 1..MAX_PER_N, as _line_sums returns them, with r(m) by divisor sums.
+# row j: whether a z = j (mod 4) enters the sum over every z, over the even z and over the z = 0 (mod 4)
+_Z_SETS = np.array([[1, 1, 1], [1, 0, 0], [1, 1, 0], [1, 0, 0]])
 
-    All lines of a batch go through one _line_divisor_sums pass, which sieves
-    the O(sqrt(n)) live points of each line by the primes up to the square
-    root of its own centre n: time is
-    O(sqrt(n) log log n + pi(sqrt(n)) log n) and memory O(sqrt(n) log log n),
-    where a table or a reduced-form count is O(n).  A centre above MAX_PER_N,
-    even or below 1 is refused before any work.
+
+def _live_sums(size: np.ndarray, z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The sums of the lines whose live points _line_divisor_sums lists, a column per line, in int64.
+
+    The rows sum w_z * r, w_z = 1 at z = 0, else 2, over every z, the even z
+    and the z = 0 (mod 4): T, c8 and c32 on the line c - 2z^2 of an odd
+    centre, c8 and c32 first on the line n/2 - 8z^2 of an even n.  Each point
+    adds into its line's sum of its z mod 4, and _Z_SETS adds those up.
+    """
+    parts = np.zeros(4 * size.size, dtype=np.int64)
+    np.add.at(parts, np.repeat(np.arange(0, 4 * size.size, 4), size) + (z & 3), np.where(z, 2 * r, r))
+    return (parts.reshape(-1, 4) @ _Z_SETS).T
+
+
+def divisor_lines(centres) -> np.ndarray:
+    """The line sums of odd centres in 1..MAX_PER_N, with r(m) by divisor sums: rows T, c8 and c32, column i for centres[i].
+
+    Batches of at most _BLOCK_CELLS points of the distinct centres go through
+    _line_divisor_sums, which sieves the live points of each line by the
+    primes up to the square root of its centre n, in O(sqrt(n) log log n +
+    pi(sqrt(n)) log n) time and O(sqrt(n) log log n) memory, and _live_sums.
+    A bad centre is refused before any work.
     """
     refuse_beyond_per_n_bound(max(centres, default=0))
-    return _line_sums(centres, MAX_PER_N, lambda part, k: _line_divisor_sums(part, 2, k, 8))
+    ms, inverse = _distinct_centres(centres, MAX_PER_N)
+    step = max(1, _BLOCK_CELLS // (isqrt(int(ms[-1]) // 2) + 1 if ms.size else 1))
+    sums = np.zeros((3, ms.size), dtype=np.int64)
+    for lo in range(0, ms.size, step):
+        sums[:, lo : lo + step] = _live_sums(*_line_divisor_sums(ms[lo : lo + step], 2, 8))
+    return sums[:, inverse]
 
 
 def counts(n: Union[int, FactoredSquarefree]) -> ThetaCounts:
     """Tunnell's counts for one squarefree n <= MAX_PER_N, in O(sqrt(n)) time and memory.
 
     An int n is factored (NotSquarefree if it is not); a FactoredSquarefree
-    is not factored again.  Odd n reads its line by divisor_lines; even n sums
-    the line r'(n/2 - 8z^2), r'(m) = #{4x^2 + y^2 = m}.
+    is not factored again.  Odd n sums its line r(n - 2z^2), as divisor_lines
+    does; even n sums the line r'(n/2 - 8z^2), r'(m) = #{4x^2 + y^2 = m}.
     """
     factored = isinstance(n, FactoredSquarefree)
     if factored:
@@ -315,12 +312,9 @@ def counts(n: Union[int, FactoredSquarefree]) -> ThetaCounts:
     refuse_beyond_per_n_bound(n)
     if not factored:
         factor_squarefree(n)  # raises NotSquarefree otherwise
-    if n % 2:
-        _, c8, c32 = divisor_lines([n])[:, 0].tolist()
-        return ThetaCounts(n=n, c32=c32, c8=c8)
-    half = n // 2
-    c8, c32, _ = _z_sums(_line_divisor_sums(np.array([half], dtype=np.int64), 8, isqrt(half // 8) + 1, 4)[0]).tolist()
-    return ThetaCounts(n=n, c32=c32, c8=c8)
+    a, modulus, centre = (2, 8, n) if n % 2 else (8, 4, n // 2)
+    sums = _live_sums(*_line_divisor_sums(np.array([centre], dtype=np.int64), a, modulus))[:, 0].tolist()
+    return ThetaCounts(n=n, c32=sums[1 + n % 2], c8=sums[n % 2])  # rows T, c8, c32 for odd n; c8, c32 for even n
 
 
 def classify(n: Union[int, FactoredSquarefree]) -> Classification:
@@ -411,25 +405,27 @@ def _square_roots(
     return np.where(root * root % p == b, root, -1)
 
 
-def _line_divisor_sums(centres: np.ndarray, a: int, k: int, modulus: int) -> np.ndarray:
-    """2 * sum over d | m of (-modulus/d) at the points m = c - a z^2, z < k, of the odd centres c >= 1.
+def _line_divisor_sums(centres: np.ndarray, a: int, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """2 * sum over d | m of (-modulus/d) at the live points m = c - a z^2 >= 1 of the lines of odd centres c >= 1.
 
-    The result is an int64 len(centres) x k matrix, 0 at points below 1.  With
-    a = 2 and modulus 8 it is r(m) = #{2x^2 + y^2 = m} on the line of an odd
+    The result is flat, in int64: each line's count of live points, then z
+    and the sum at each point, line by line in increasing z.  With a = 2 and
+    modulus 8 the sum is r(m) = #{2x^2 + y^2 = m} on the line of an odd
     centre; with a = 8 and modulus 4, #{4x^2 + y^2 = m} on the n/2 line of an
     even n.  x^2 + 2y^2 and x^2 + y^2 are the only reduced forms of
     discriminant -8 and -4, so #{x^2 + 2y^2 = m} = 2 sum (-8/d) and
-    #{x^2 + y^2 = m} = 4 sum (-4/d); for odd m, x is even in half of the latter.
-    The sum is multiplicative: p^e || m contributes e + 1 when (-modulus/p) = 1,
-    else 1 for even e and 0 for odd e.  For odd p, (-8/p) = 1 iff p = 1, 3
-    (mod 8) and (-4/p) = 1 iff p = 1 (mod 4): both read p % modulus < modulus / 2.
+    #{x^2 + y^2 = m} = 4 sum (-4/d); for odd m, x is even in half of the
+    latter.  The sum is multiplicative: p^e || m contributes e + 1 when
+    (-modulus/p) = 1, else 1 for even e and 0 for odd e.  For odd p,
+    (-8/p) = 1 iff p = 1, 3 (mod 8) and (-4/p) = 1 iff p = 1 (mod 4): both
+    read p % modulus < modulus / 2.
 
-    Only live points are factored.  The sum is 0 at an odd m with
+    Only live points are listed and factored.  The sum is 0 at an odd m with
     (-modulus/m) = -1, where the divisors d and m/d have opposite characters,
     and a z^2 is 0 (mod modulus) at even z and a at odd z, so each parity of
-    z is live or dead on the whole line.  A line reads every z, the even z
+    z is live or dead on the whole line.  A line lists every z, the even z
     (the sub-line c - 4a z'^2, as for c = 1 (mod 8) with a = 2), the odd z, or
-    none, and stops at its last point >= 1; every other entry is 0.
+    none, up to its last point >= 1; the sum is 0 at every point it omits.
 
     A sieve finds the factors: an odd p divides c - a z^2 exactly when
     z^2 = c/a (mod p), so the points p divides are the progressions
@@ -452,10 +448,15 @@ def _line_divisor_sums(centres: np.ndarray, a: int, k: int, modulus: int) -> np.
     for c in centres.tolist():
         even, odd = c % modulus < modulus // 2, (c - a) % modulus < modulus // 2  # live at even, odd z
         first, stride = int(not even), 2 - (even and odd)
-        size = (min(k - 1, isqrt((c - 1) // a)) - first) // stride + 1 if even or odd else 0
+        size = (isqrt((c - 1) // a) - first) // stride + 1 if even or odd else 0
         shape.append((first, stride, size, isqrt(c) if size else 0))
     first, stride, size, bound = np.array(shape).T
-    m = np.concatenate([c - a * np.arange(f, f + s * n, s) ** 2 for c, (f, s, n, _) in zip(centres.tolist(), shape)])
+    offset = np.cumsum(size) - size  # of each line's first point
+
+    def live_z():  # made again for the result, so that the sieve does not hold it
+        return np.repeat(first - stride * offset, size) + np.repeat(stride, size) * np.arange(int(size.sum()))
+
+    m = np.repeat(centres, size) - a * live_z() ** 2
     # the (line, prime) pairs: the primes p <= sqrt(c) of each live line
     cut = np.searchsorted(primes, bound, side="right")
     pair = np.repeat(np.arange(centres.size), cut)
@@ -476,7 +477,7 @@ def _line_divisor_sums(centres: np.ndarray, a: int, k: int, modulus: int) -> np.
     start = (start + (start & halve) * step) >> halve
     # the hits j = start, start + step, ... below each line's count of live points
     count = (size[rows] - start + step - 1) // step
-    start += (np.cumsum(size) - size)[rows]  # the line's offset among the points m
+    start += offset[rows]  # the line's offset among the points m
     plus = step % modulus < modulus // 2  # (-modulus/p) = 1
     end = np.cumsum(count)
     before = end - count
@@ -506,6 +507,4 @@ def _line_divisor_sums(centres: np.ndarray, a: int, k: int, modulus: int) -> np.
     # what the primes leave of a live m is 1 or a prime P, and (-modulus/P) = 1
     # wherever the primes' part of the sum is not already 0
     local <<= m > sieved  # doubled where a prime is left
-    out = np.zeros(centres.size * k, dtype=np.int64)
-    out[np.concatenate([np.arange(i * k + f, i * k + f + s * n, s) for i, (f, s, n, _) in enumerate(shape)])] = local
-    return out.reshape(centres.size, k)
+    return size, live_z(), local

@@ -127,9 +127,9 @@ def test_a_check_factors_both_lines_in_one_pass(monkeypatch):
     real = congruent.tunnell._line_divisor_sums
     calls = []
 
-    def spy(centres, a, k, modulus):
+    def spy(centres, a, modulus):
         calls.append(centres.tolist())
-        return real(centres, a, k, modulus)
+        return real(centres, a, modulus)
 
     monkeypatch.setattr(congruent.tunnell, "_line_divisor_sums", spy)
     r = evaluate(9999939)

@@ -16,9 +16,10 @@ from congruent.arith import NotSquarefree, factor_squarefree, jacobi
 from congruent.descent import star
 from congruent.gf2 import rank_f2
 from congruent.norms import represent
-from congruent.tunnell import MAX_PER_N, _line_divisor_sums
+from congruent.tunnell import MAX_PER_N
 
 from test_norms import all_ef_reps, all_u_reps
+from test_tunnell import dense_lines
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -154,5 +155,7 @@ def divisor_sum_by_sympy(m, modulus):
 @example([1_000_001, 1_000_003, 1_000_005, 1_000_007], (8, 4), 48)
 def test_line_divisor_sums_match_sympy(centres, shape, k):
     a, modulus = shape
-    got = _line_divisor_sums(np.array(centres, dtype=np.int64), a, k, modulus)
-    assert got.tolist() == [[divisor_sum_by_sympy(c - a * z * z, modulus) for z in range(k)] for c in centres]
+    got, listed = dense_lines(centres, a, k, modulus)
+    expected = [[divisor_sum_by_sympy(c - a * z * z, modulus) for z in range(k)] for c in centres]
+    assert got.tolist() == expected
+    assert not np.array(expected)[~listed].any()  # no live point is left out

@@ -19,6 +19,7 @@ from congruent.tunnell import (
     MAX_PER_N,
     TunnellTable,
     _line_divisor_sums,
+    _live_sums,
     _sieving_primes,
     _slot,
     _square_roots,
@@ -65,6 +66,25 @@ def column_counts(sums, centres):
     """The ThetaCounts each column of line sums holds, for the centres in the order asked."""
     _, c8, c32 = sums.tolist()
     return [ThetaCounts(n=m, c32=b, c8=a) for m, a, b in zip(centres, c8, c32)]
+
+
+def dense_lines(centres, a, k, modulus):
+    """The r that _line_divisor_sums lists at z < k as a len(centres) x k matrix, 0 elsewhere, and the mask of listed points.
+
+    Every listed point c - a z^2 must be >= 1, at increasing z along its line.
+    """
+    centres = np.asarray(centres, dtype=np.int64)
+    size, z, r = _line_divisor_sums(centres, a, modulus)
+    assert size.size == centres.size and size.sum() == z.size == r.size
+    line = np.repeat(np.arange(centres.size), size)
+    assert (centres[line] - a * z * z >= 1).all()
+    assert (np.diff(z)[np.diff(line) == 0] > 0).all()
+    keep = z < k
+    dense = np.zeros((centres.size, k), dtype=np.int64)
+    listed = np.zeros((centres.size, k), dtype=bool)
+    dense[line[keep], z[keep]] = r[keep]
+    listed[line[keep], z[keep]] = True
+    return dense, listed
 
 
 def test_counts_examples():
@@ -155,8 +175,9 @@ def test_divisor_sums_match_the_table_and_a_direct_count():
             k = isqrt(int(centres[-1]) // a) + 1
             points = centres[:, None] - a * np.arange(k, dtype=np.int64) ** 2
             expected = np.where(points >= 1, r[np.maximum(points, 1)], 0)
-            sums = _line_divisor_sums(centres, a, k, modulus)
+            sums, listed = dense_lines(centres, a, k, modulus)
             assert np.array_equal(sums, expected)
+            assert not expected[~listed].any()  # no live point is left out
             if centres is top_lines:
                 assert np.isin(np.arange(1, top, 2), points).all()
                 if a == 2:
@@ -165,7 +186,7 @@ def test_divisor_sums_match_the_table_and_a_direct_count():
                     assert np.array_equal(at[live], table._r[_slot(live)]) and not at[dead].any()
     for bad in ([0, 1], [2], [-3]):
         with pytest.raises(ValueError, match="odd m >= 1"):
-            _line_divisor_sums(np.array(bad, dtype=np.int64), 2, 1, 8)
+            _line_divisor_sums(np.array(bad, dtype=np.int64), 2, 8)
 
 
 @pytest.mark.parametrize("budget", [1, 7, 1_000])
@@ -176,11 +197,11 @@ def test_hit_slices_leave_the_divisor_sums_unchanged(monkeypatch, budget):
         top_lines = np.arange(top - 1299, top, 2, dtype=np.int64)
         short_and_long = np.array([1, 3, 9, 17, 225, 2_431, top - 1001, top - 1], dtype=np.int64)
         for centres in (top_lines, short_and_long):
-            k = isqrt(int(centres[-1]) // a) + 1
             monkeypatch.setattr(congruent.tunnell, "_HIT_BUDGET", 1 << 62)
-            whole = _line_divisor_sums(centres, a, k, modulus)
+            whole = _line_divisor_sums(centres, a, modulus)
             monkeypatch.setattr(congruent.tunnell, "_HIT_BUDGET", budget)
-            assert np.array_equal(_line_divisor_sums(centres, a, k, modulus), whole)
+            sliced = _line_divisor_sums(centres, a, modulus)
+            assert len(sliced) == 3 and all(np.array_equal(x, y) for x, y in zip(sliced, whole))
 
 
 def test_wrong_hits_give_a_wrong_sum_and_end():
@@ -189,18 +210,18 @@ def test_wrong_hits_give_a_wrong_sum_and_end():
     # exponent loop must still end, with sums that differ.  A subprocess with
     # a timeout, so that a loop that never ends fails the test
     script = """
-from math import isqrt
 import numpy as np
 import congruent.tunnell as tunnell
 centres = np.arange(198_701, 200_000, 2, dtype=np.int64)
-k = isqrt(199_999 // 2) + 1
-right = tunnell._line_divisor_sums(centres, 2, k, 8)
+size, z, right = tunnell._line_divisor_sums(centres, 2, 8)
 real = tunnell._square_roots
 def moved(b, p, *rest):
     root = real(b, p, *rest)
     return np.where(root >= 0, (root + 1) % p, root)
 tunnell._square_roots = moved
-print(np.array_equal(tunnell._line_divisor_sums(centres, 2, k, 8), right))
+moved_size, moved_z, wrong = tunnell._line_divisor_sums(centres, 2, 8)
+assert np.array_equal(moved_size, size) and np.array_equal(moved_z, z)
+print(np.array_equal(wrong, right))
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -274,7 +295,8 @@ def test_per_n_bounds():
         theta_counts(100_000_007)
     with pytest.raises(ValueError, match="n = 10000000001 exceeds the per-n bound 10000000000"):
         divisor_lines([3, 10_000_000_001])
-    for bad in ([3, 0], [2], [-3]):
+    # 3.5 would be truncated to 3 by an int64 cast
+    for bad in ([3, 0], [2], [-3], [11, 3.5]):
         with pytest.raises(ValueError, match=f"^m = {bad[-1]} is not an odd centre in 1..10000000000$"):
             divisor_lines(bad)
     assert divisor_lines(range(1, 1000, 2)).shape == (3, 500)
@@ -282,7 +304,7 @@ def test_per_n_bounds():
 
 def test_table_range_checks():
     table = TunnellTable(100)
-    for m in (-1, 0, 101, 102):
+    for m in (-1, 0, 101, 102, 3.5):
         with pytest.raises(ValueError, match=f"^m = {m} is not an odd centre in 1..100$"):
             table.block([1, m, 3])
     assert table.block(range(1, 101, 2)).shape == (3, 50)
@@ -348,14 +370,19 @@ def test_line_sums_come_back_in_the_order_asked():
     # unsorted centres with duplicates: column i is centres[i], from the table
     # and from divisor sums alike, and matches the box enumeration.  They fit
     # one batch, so the short lines of 1, 3 and 17 run out to 99,991's 224
-    # points, far below 1, where both sources must read 0
+    # points, far below 1, where both sources must read 0.  Sorted, the
+    # lines of 7, 15 and 99,991 (7 mod 8), which have no live point, come in
+    # the middle and last, and 5 and 13 (5 mod 8) are live at odd z only
     table = TunnellTable(100_000)
-    centres = [99_991, 3, 41, 3, 1, 52_779, 41, 99_991, 17, 1, 219]
+    centres = [99_991, 3, 41, 3, 1, 52_779, 13, 41, 99_991, 17, 5, 1, 15, 219, 7]
     assert all(is_squarefree(m) for m in centres)
     block, lines = table.block(centres), divisor_lines(centres)
     assert block.shape == (3, len(centres)) and block.dtype == lines.dtype == np.int64
     assert np.array_equal(block, lines)
     assert column_counts(block, centres) == [theta_counts(m) for m in centres]
+    for m, (t, c8, c32) in zip(centres, lines.T.tolist()):
+        if m % 8 > 4:  # T alone on a class-5 line, nothing on a class-7 line
+            assert c8 == c32 == 0 and (t > 0) == (m % 8 == 5), m
     by_centre = dict(zip(centres, block[0].tolist()))
     assert [class_number(m, by_centre[m]) for m in (41, 52_779, 17, 219)] == [
         _count_reduced_forms(fundamental_discriminant(m)) for m in (41, 52_779, 17, 219)
@@ -370,6 +397,24 @@ def test_line_sums_come_back_in_the_order_asked():
     for m in (0, -7, 2, 100_002):
         with pytest.raises(ValueError, match=f"^m = {m} is not an odd centre in 1..100000$"):
             table.block([3, m, 5])
+
+
+def test_lines_with_no_live_point_sum_to_zero():
+    # a line of a centre = 7 (mod 8) has no live point: first in a batch, and
+    # in batches of such lines only (the test above has them in the middle
+    # and last), against the table and the box enumeration
+    table = TunnellTable(1_000)
+    for centres in ([7, 11, 15, 17, 23], [7], [7, 15, 23]):
+        lines = divisor_lines(centres)
+        assert np.array_equal(lines, table.block(centres))
+        assert column_counts(lines, centres) == [theta_counts(m) for m in centres]
+        assert not lines[:, [m % 8 == 7 for m in centres]].any()
+    # the sums alone: lines with no point around one with points at z = 0 and
+    # 1, whose sums over every z, the even z and z = 0 (mod 4) are
+    # 2(5 + 3) - 5, 2 * 5 - 5 and 2 * 5 - 5
+    size, z, r = (np.array(x, dtype=np.int64) for x in ([0, 2, 0], [0, 1], [5, 3]))
+    assert _live_sums(size, z, r).tolist() == [[0, 11, 0], [0, 5, 0], [0, 5, 0]]
+    assert _live_sums(np.zeros(2, dtype=np.int64), z[:0], r[:0]).tolist() == [[0, 0]] * 3
 
 
 def test_table_sums_are_exact_int64_on_a_line_of_large_r():
