@@ -2,9 +2,10 @@
 
 Everything here is pure integer arithmetic (no floats), safe for concurrent
 use, and deterministic for inputs below 2**63.  _pow_mod is the one modular
-power over numpy arrays and _prime_sieve the one prime sieve, which
-_smallest_prime_factors builds on; the scan's candidate filter and residue
-tests and the divisor sums' primes and square roots all use them.
+power over numpy arrays, _prime_sieve the one prime sieve and _progressions
+the one expansion of arithmetic progressions into their terms; the scan's
+segmented candidate filter and residue tests and the divisor sums' live
+points, primes and square roots all use them.
 """
 
 from __future__ import annotations
@@ -256,20 +257,9 @@ def _prime_sieve(limit: int) -> np.ndarray:
     return sieve
 
 
-def _smallest_prime_factors(limit: int) -> np.ndarray:
-    """spf[i] for i = 0..limit as a uint16 array: the least prime factor of a composite i, 0 at a prime and at 0 and 1.
-
-    Each prime p up to sqrt(limit), the largest first, is stored at p^2, p^2 + p, ...
-    (which never reach a smaller p), so the smallest is stored last.  Every
-    stored p is at most sqrt(limit), so uint16 holds it for limit < 2^32;
-    a larger limit is refused before anything is allocated.
-    """
-    if limit >= 1 << 32:
-        raise ValueError(f"limit {limit} needs prime factors above 2^16, beyond the uint16 sieve")
-    spf = np.zeros(limit + 1, dtype=np.uint16)
-    for p in np.flatnonzero(_prime_sieve(isqrt(limit)))[::-1].tolist():
-        spf[p * p :: p] = p
-    return spf
+def _progressions(start: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The terms start + step * j, j < count, of each progression, flat, progression by progression."""
+    return np.repeat(start - step * (np.cumsum(count) - count), count) + np.repeat(step, count) * np.arange(int(count.sum()))
 
 
 def is_square(n: int) -> bool:

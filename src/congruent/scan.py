@@ -6,11 +6,13 @@ survivor in increasing n.  Rows carry the exact table columns: class numbers,
 the Legendre triple, the congruence verdict, and the independent Tunnell
 label.
 
-The scan works in blocks.  A numpy pass over the smallest-prime-factor
-sieve factors a block of n = 3 (mod 8) at once and drops, before any Python
-object is built, the n with a square factor, a prime not 1 or 3 (mod 8), a
-q-count other than 1, or a p_i modulo which q is a non-residue (Euler's
-criterion); that factorisation is the only one a row needs.  One TunnellTable
+The scan works in blocks.  Each pass sieves a block of n = 3 (mod 8) by the
+odd primes up to sqrt(limit), each of which hits the block along one
+progression, and drops, before any Python object is built, the n with a
+square factor, a prime not 1 or 3 (mod 8), a q-count other than 1, or a p_i
+modulo which q is a non-residue (Euler's criterion); the primes leave 1 or
+the last prime of each n, and that factorisation is the only one a row
+needs.  No array spans the range but the table.  One TunnellTable
 serves every row: for the rows of each pass its block sums the lines of all
 their n and n_q at once, the sums that give the Tunnell label and both class
 numbers.
@@ -44,12 +46,12 @@ import operator
 import os
 import sys
 from dataclasses import dataclass, fields
+from math import isqrt
 from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
-from .arith import FactoredSquarefree, _pow_mod, _smallest_prime_factors
-from .classgroup import MAX_ABS_DISCRIMINANT
+from .arith import FactoredSquarefree, _pow_mod, _prime_sieve, _progressions
 from .criteria import Verdict, check_invariant_laws
 from .redei import HypothesisN, eight_rank_neg_nq, hypothesis_from_factored
 from .tunnell import Classification, NotDivisible, TunnellTable, congruent_under_bsd
@@ -126,43 +128,22 @@ def _legendre_triple(h: HypothesisN) -> tuple[int, ...]:
     return (1,) * h.t + tuple(1 - 2 * (h.A[j] >> i & 1) for i in range(h.t) for j in range(i + 1, h.t))
 
 
+# the largest limit scan() takes, checked before anything is built; a cold
+# scan to it took 150 s and 173 MiB on a 2-core machine
+MAX_SCAN_LIMIT = 10**8
+
 # n = 3 (mod 8) per pass of the candidate filter; the rows of one pass read one
 # TunnellTable.block, so this bounds the arrays of both
 _BLOCK = 1 << 12
 
 
-def _shape_block(spf: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The n among ns (each >= 2) of shape p_1 ... p_t * q: squarefree, t >= 1, one prime = 3 and the rest = 1 (mod 8).
-
-    Returns those n and their primes, one row per n in increasing order and
-    padded with 1.  Each step divides every n by its smallest prime factor and
-    drops the n where that prime is repeated or of another residue.  spf is
-    _smallest_prime_factors' array, 0 at a prime rest and at 1, where rest
-    is its own factor.
-    """
-    rest = ns.copy()
-    ok = np.ones(ns.size, dtype=bool)
-    columns = []
-    while (live := rest > 1).any():
-        p = spf[rest]
-        p = np.where(p > 0, p, rest)
-        rest //= p
-        r8 = p & 7
-        ok &= ~live | ((rest % p != 0) & ((r8 == 1) | (r8 == 3)))
-        rest[~ok] = 1
-        columns.append(p)
-    primes = np.stack(columns, axis=1)
-    ok &= ((primes & 7 == 3).sum(axis=1) == 1) & ((primes > 1).sum(axis=1) >= 2)
-    return ns[ok], primes[ok]
-
-
 def _q(primes: np.ndarray) -> np.ndarray:
-    """The prime q = 3 (mod 8) of each row of _shape_block's primes, as int64."""
+    """The prime q = 3 (mod 8) of each row of _shape_candidates' primes, as int64."""
     return np.where(primes & 7 == 3, primes, 0).max(axis=1).astype(np.int64)
 
 
 def _non_residues(primes: np.ndarray, k: int) -> np.ndarray:
-    """For each row of _shape_block's primes: the number of p_i modulo which q is not a k-th power, for k | p_i - 1.
+    """For each row of _shape_candidates' primes: the number of p_i modulo which q is not a k-th power, for k | p_i - 1.
 
     q is a k-th power mod p iff q^((p-1)/k) = 1 (mod p), Euler's criterion for
     k = 2; every pair (q, p_i) is taken at once.  The scan's p_i are below
@@ -175,17 +156,41 @@ def _non_residues(primes: np.ndarray, k: int) -> np.ndarray:
 
 
 def _shape_candidates(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Squarefree n <= limit of shape p_1 ... p_t * q with q a residue mod every p_i, one filter pass at a time.
+    """Squarefree n <= limit of shape p_1 ... p_t * q, t >= 1, with q a residue mod every p_i, one filter pass at a time.
 
-    Each pass takes _BLOCK values n = 3 (mod 8) through the sieve's array and
-    yields its survivors and their primes, as _shape_block returns them.
+    A pass takes _BLOCK values n = 3 + 8k and yields its survivors, ascending,
+    and their primes, one row per n in increasing order and padded with 1.
+    An odd prime p divides n iff k = -3/8 (mod p), so each p <= sqrt(limit)
+    hits the pass's n along one progression.  An n is dropped at a hit where
+    p^2 | n or p = 5, 7 (mod 8); the hits divided out leave 1 or a prime
+    above sqrt(limit), the last factor; then n needs t >= 1 and one prime
+    = 3 (mod 8).  Memory is one pass and the primes up to sqrt(limit).
     """
-    spf = _smallest_prime_factors(limit)
-    for start in range(3, limit + 1, 8 * _BLOCK):
-        ns = np.arange(start, min(start + 8 * _BLOCK, limit + 1), 8, dtype=np.int64)
-        ns, primes = _shape_block(spf, ns)
+    p = np.flatnonzero(_prime_sieve(isqrt(limit)))[1:]
+    root = -3 * (((p + 1) >> 1) ** 3 % p) % p  # 1/2 = (p + 1)/2 (mod p)
+    last = (limit - 3) // 8
+    for k in range(0, last + 1, _BLOCK):
+        ns = np.arange(8 * k + 3, 8 * min(k + _BLOCK, last + 1), 8, dtype=np.int64)
+        count = (ns.size - (first := (root - k) % p) + p - 1) // p
+        hit, hp = _progressions(first, p, count), np.repeat(p, count)
+        ok = np.ones(ns.size, dtype=bool)
+        ok[hit[(hp & 4 != 0) | (ns[hit] % (hp * hp) == 0)]] = False
+        rest = ns.copy()
+        np.floor_divide.at(rest, hit, hp)
+        big = rest > 1
+        threes = np.bincount(hit[hp & 7 == 3], minlength=ns.size) + (big & (rest & 7 == 3))
+        ok &= (threes == 1) & (np.bincount(hit, minlength=ns.size) + big >= 2)
+        # the survivors' hits by n, each n's primes ascending, its big prime last
+        kept = ok[hit]
+        at = np.concatenate([hit[kept], np.flatnonzero(ok & big)])
+        order = np.argsort(at, kind="stable")
+        at, factor = at[order], np.concatenate([hp[kept], rest[ok & big]])[order]
+        col = np.arange(at.size) - np.searchsorted(at, at)
+        survivors = np.flatnonzero(ok)
+        primes = np.ones((survivors.size, col.max(initial=0) + 1), dtype=np.int64)
+        primes[np.searchsorted(survivors, at), col] = factor
         keep = _non_residues(primes, 2) == 0
-        yield ns[keep], primes[keep]
+        yield ns[survivors][keep], primes[keep]
 
 
 def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Scan:
@@ -198,8 +203,11 @@ def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Scan:
     """
     if limit < 3:
         raise ValueError(f"need limit >= 3, got {limit}")
-    if 4 * limit > 3 * MAX_ABS_DISCRIMINANT:
-        raise ValueError(f"limit {limit} needs |D| up to 4*limit/3, beyond the supported bound {MAX_ABS_DISCRIMINANT}")
+    if limit > MAX_SCAN_LIMIT:
+        raise ValueError(
+            f"limit {limit} is beyond the scan bound {MAX_SCAN_LIMIT}: its residue tests need p^2 < 2^63 for p <= limit/3, its"
+            " int16 table a checked maximum, and the table about limit/2 bytes, plus as much again while a class is built"
+        )
     if on_error is None:
         on_error = lambda n, exc: print(f"scan: n = {n} skipped: {exc}", file=sys.stderr)
     return Scan(limit, t_filter, on_error)

@@ -45,7 +45,7 @@ from typing import Union
 
 import numpy as np
 
-from .arith import FactoredSquarefree, _pow_mod, _prime_sieve, factor_squarefree
+from .arith import FactoredSquarefree, _pow_mod, _prime_sieve, _progressions, factor_squarefree
 from .classgroup import MAX_ABS_DISCRIMINANT
 
 # n above this is refused before any per-n count: every point n - c z^2 stays
@@ -452,11 +452,8 @@ def _line_divisor_sums(centres: np.ndarray, a: int, modulus: int) -> tuple[np.nd
         shape.append((first, stride, size, isqrt(c) if size else 0))
     first, stride, size, bound = np.array(shape).T
     offset = np.cumsum(size) - size  # of each line's first point
-
-    def live_z():  # made again for the result, so that the sieve does not hold it
-        return np.repeat(first - stride * offset, size) + np.repeat(stride, size) * np.arange(int(size.sum()))
-
-    m = np.repeat(centres, size) - a * live_z() ** 2
+    # z is made again for the result, so that the sieve does not hold it
+    m = np.repeat(centres, size) - a * _progressions(first, stride, size) ** 2
     # the (line, prime) pairs: the primes p <= sqrt(c) of each live line
     cut = np.searchsorted(primes, bound, side="right")
     pair = np.repeat(np.arange(centres.size), cut)
@@ -507,4 +504,4 @@ def _line_divisor_sums(centres: np.ndarray, a: int, modulus: int) -> tuple[np.nd
     # what the primes leave of a live m is 1 or a prime P, and (-modulus/P) = 1
     # wherever the primes' part of the sum is not already 0
     local <<= m > sieved  # doubled where a prime is left
-    return size, live_z(), local
+    return size, _progressions(first, stride, size), local

@@ -8,6 +8,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -20,14 +22,13 @@ from congruent.arith import FactoredSquarefree, _prime_sieve, is_prime, legendre
 from congruent.cli import main
 from congruent.scan import (
     CSV_COLUMNS,
+    MAX_SCAN_LIMIT,
     ScanRow,
     _csv_records,
     _legendre_triple,
     _non_residues,
     _row_values,
-    _shape_block,
     _shape_candidates,
-    _smallest_prime_factors,
     emit,
     read_rows,
     scan,
@@ -232,30 +233,10 @@ def reference_smallest_prime_factors(limit):
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 100, 120, 121, 9973, 100000, 200000])
 def test_smallest_prime_factors_match_reference(limit):
-    # uint16, with 0 at a prime and at 0 and 1, where the reference holds the prime itself
-    spf = _smallest_prime_factors(limit)
-    assert spf.dtype == np.uint16
-    assert spf.tolist() == [0 if p == i else p for i, p in enumerate(reference_smallest_prime_factors(limit))]
+    # the prime sieve marks exactly the i >= 2 that are their own smallest prime factor in the reference
     sieve = _prime_sieve(limit)
     assert sieve.dtype == bool
-    assert sieve.tolist() == [i >= 2 and p == 0 for i, p in enumerate(spf.tolist())]
-
-
-class _Allocated(Exception):
-    """Raised in place of the sieve's array."""
-
-
-def test_smallest_prime_factors_refuse_a_limit_beyond_uint16_before_allocating(monkeypatch):
-    # a composite i <= limit has a prime factor <= isqrt(limit), below 2^16 only for limit < 2^32
-    def allocated(*args, **kwargs):
-        raise _Allocated
-
-    monkeypatch.setattr(congruent.arith.np, "zeros", allocated)
-    for limit in (1 << 32, 10**12):
-        with pytest.raises(ValueError, match=f"^limit {limit} needs prime factors above 2\\^16"):
-            _smallest_prime_factors(limit)
-    with pytest.raises(_Allocated):
-        _smallest_prime_factors((1 << 32) - 1)
+    assert sieve.tolist() == [i >= 2 and p == i for i, p in enumerate(reference_smallest_prime_factors(limit))]
 
 
 def reference_shape_candidates(limit):
@@ -315,23 +296,66 @@ def test_block_filter_matches_the_python_walk(monkeypatch, walked, block):
         assert found == [(c.value, c.primes) for c, qr in walked if c.value <= limit and qr], limit
 
 
-def test_residue_reject_matches_the_hypothesis(walked):
-    ns, primes = _shape_block(_smallest_prime_factors(200_000), np.arange(3, 200_001, 8, dtype=np.int64))
-    assert ns.tolist() == [c.value for c, _ in walked]
-    assert [tuple(p for p in row if p > 1) for row in primes.tolist()] == [c.primes for c, _ in walked]
-    residue = _non_residues(primes, 2) == 0
+def test_residue_reject_matches_the_hypothesis(monkeypatch, walked):
+    # the shape candidates of every pass, as the filter hands them to the residue test
+    scan_mod = importlib.import_module("congruent.scan")
+    shaped = []
+
+    def non_residues(primes, k):
+        shaped.append(primes)
+        return _non_residues(primes, k)
+
+    monkeypatch.setattr(scan_mod, "_non_residues", non_residues)
+    passes = list(_shape_candidates(200_000))
+    rows = [tuple(p for p in row if p > 1) for primes in shaped for row in primes.tolist()]
+    assert [prod(row) for row in rows] == [c.value for c, _ in walked]
+    assert rows == [c.primes for c, _ in walked]
+    residue = np.concatenate([_non_residues(primes, 2) == 0 for primes in shaped])
     assert residue.tolist() == [qr for _, qr in walked]
     assert 0 < residue.sum() < residue.size
+    assert [n for ns, _ in passes for n in ns.tolist()] == [c.value for c, qr in walked if qr]
+
+
+@pytest.mark.parametrize("block", [27, None])
+def test_filter_matches_the_python_walk_where_the_sieving_primes_step(monkeypatch, walked, block):
+    # below p^2 the filter sieves with the primes below p, so p itself is a
+    # cofactor there; at p^2 it sieves with p.  The cofactor is q in some n
+    # and a p_i in others.  For twin primes p = 1 (mod 8), n = p(p + 2) is a
+    # candidate whose isqrt is p, so at that limit p must be sieved.
+    scan_mod = importlib.import_module("congruent.scan")
+    if block is not None:
+        monkeypatch.setattr(scan_mod, "_BLOCK", block)
+    limits = [p * p + d for p in (5, 7, 11, 17, 19, 43, 97, 331, 443) for d in (-8, 0, 8)]
+    cofactors = set()
+    for limit in limits + [17 * 19, 41 * 43, 137 * 139, 281 * 283]:
+        found = [
+            (n, tuple(f for f in row if f > 1)) for ns, primes in _shape_candidates(limit) for n, row in zip(ns.tolist(), primes.tolist())
+        ]
+        assert found == [(c.value, c.primes) for c, qr in walked if c.value <= limit and qr], limit
+        cofactors.update(primes[-1] % 8 for _, primes in found if primes[-1] > isqrt(limit))
+    assert cofactors == {1, 3}
+
+
+def test_filter_holds_one_pass_not_the_range():
+    # the parent's smallest-prime-factor array alone took 3.8 MiB at this limit
+    tracemalloc.start()
+    try:
+        for _ in _shape_candidates(2_000_000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_residue_reject_at_the_largest_scan_primes():
-    # a scan to its bound 75,000,000 meets p_i up to 25,000,000, where p^2 is
+    # a scan to its bound 100,000,000 meets p_i up to 33,333,333, where p^2 is
     # near 2^50; Euler's criterion must stay exact in int64 there
     rng = random.Random(11)
-    large_q = [q for q in range(24_000_003, 24_010_000, 8) if is_prime(q)]
+    large_q = [q for q in range(32_000_003, 32_010_000, 8) if is_prime(q)]
     pairs = []
     while len(pairs) < 200:
-        p = rng.randrange(20_000_001, 25_000_000, 8)
+        p = rng.randrange(30_000_001, 33_333_333, 8)
         if is_prime(p):
             pairs.append((rng.choice((3, 11, 19, rng.choice(large_q))), p))
     residue = _non_residues(np.array([sorted(pair) for pair in pairs], dtype=np.int32), 2) == 0
@@ -366,20 +390,21 @@ class _Built(Exception):
     """Raised in place of the first large allocation of a scan."""
 
 
-def test_scan_refuses_a_limit_beyond_the_class_number_bound(monkeypatch, capsys):
+def test_scan_refuses_a_limit_beyond_the_scan_bound(monkeypatch, capsys):
     scan_mod = importlib.import_module("congruent.scan")
 
     def built(limit):
         raise _Built(limit)
 
     monkeypatch.setattr(scan_mod, "TunnellTable", built)
-    monkeypatch.setattr(scan_mod, "_smallest_prime_factors", built)
-    with pytest.raises(ValueError, match="beyond the supported bound 100000000"):
-        list(scan(75_000_001))
+    assert MAX_SCAN_LIMIT == 100_000_000
+    message = "^limit 100000001 is beyond the scan bound 100000000: .*p\\^2 < 2\\^63 for p <= limit/3.*int16 table.*limit/2 bytes"
+    with pytest.raises(ValueError, match=message):
+        scan(100_000_001)  # refused at the call, before the table is built
     with pytest.raises(_Built):
-        list(scan(75_000_000))  # 4 * 75_000_000 / 3 is the bound itself
-    assert main(["scan", "--max", "75000001"]) == 2
-    assert "beyond the supported bound 100000000" in capsys.readouterr().err
+        list(scan(100_000_000))  # the bound itself is taken up to the first allocation
+    assert main(["scan", "--max", "100000001"]) == 2
+    assert "beyond the scan bound 100000000" in capsys.readouterr().err
 
 
 def test_cli_scan_refuses_an_unwritable_out_before_the_scan(monkeypatch, capsys, tmp_path):
@@ -388,9 +413,9 @@ def test_cli_scan_refuses_an_unwritable_out_before_the_scan(monkeypatch, capsys,
     def built(limit):
         raise _Built(limit)
 
-    monkeypatch.setattr(scan_mod, "_smallest_prime_factors", built)
+    monkeypatch.setattr(scan_mod, "TunnellTable", built)
     out = str(tmp_path / "missing" / "x.csv")
-    assert main(["scan", "--max", "10000000", "--out", out]) == 2
+    assert main(["scan", "--max", "100000000", "--out", out]) == 2
     assert f"error: cannot write {out!r}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
