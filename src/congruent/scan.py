@@ -13,14 +13,14 @@ square factor, a prime not 1 or 3 (mod 8), a q-count other than 1, or a p_i
 modulo which q is a non-residue (Euler's criterion); the primes leave 1 or
 the last prime of each n, and that factorisation is the only one a row
 needs.  No array spans the range but the table.  One TunnellTable
-serves every row: for the rows of each pass its block sums the lines of all
-their n and n_q at once, the sums that give the Tunnell label and both class
-numbers.
+serves every row with the sums that give the Tunnell label and both class
+numbers: the scan holds one window of the sums of _WINDOW consecutive n = 3
+(mod 8) until the filter moves past it, and reads T(n_q) by index.
 
 Every row of a pass, whatever its t, is built from the pass's columns
-(_pass_columns): both class numbers from the block, the label from c8 and
-c32, the modulus 2^(t+2), r8(-n) as a count of quartic non-residues, the
-congruence, and one call of the invariant laws for the whole pass.  Per-row
+(_pass_columns): both class numbers from the table's sums, the label from
+c8 and c32, the modulus 2^(t+2), r8(-n) as a count of quartic non-residues,
+the congruence, and one call of the invariant laws for the whole pass.  Per-row
 Python is left to the t >= 2 rows alone: the rank condition and the Legendre
 triple from hypothesis_from_factored, r8(-n_q) from eight_rank_neg_nq; for
 t = 1 these are fixed or a power residue mod p.  Rows come out in increasing
@@ -54,7 +54,7 @@ import numpy as np
 from .arith import FactoredSquarefree, _pow_mod, _prime_sieve, _progressions
 from .criteria import Verdict, check_invariant_laws
 from .redei import HypothesisN, eight_rank_neg_nq, hypothesis_from_factored
-from .tunnell import Classification, NotDivisible, TunnellTable, congruent_under_bsd
+from .tunnell import _WINDOW, Classification, NotDivisible, TunnellTable, congruent_under_bsd
 
 CSV_COLUMNS = (
     "n",
@@ -129,11 +129,11 @@ def _legendre_triple(h: HypothesisN) -> tuple[int, ...]:
 
 
 # the largest limit scan() takes, checked before anything is built; a cold
-# scan to it took 150 s and 173 MiB on a 2-core machine
+# scan to it took 50 s and 125 MiB on a 2-core machine
 MAX_SCAN_LIMIT = 10**8
 
-# n = 3 (mod 8) per pass of the candidate filter; the rows of one pass read one
-# TunnellTable.block, so this bounds the arrays of both
+# n = 3 (mod 8) per pass of the candidate filter; _WINDOW is a multiple of it,
+# so the rows of one pass read one TunnellTable.window and no two windows overlap
 _BLOCK = 1 << 12
 
 
@@ -230,9 +230,14 @@ class Scan:
     def passes(self) -> Iterator[tuple[list, ...]]:
         """The rows of each filter pass as _pass_columns returns them, the passes in increasing n."""
         table = TunnellTable(self.limit)
+        start, window = 0, table.window(0, 0)  # the window held: the sums of the n = 8k + 3 from k = start
         for ns, primes in _shape_candidates(self.limit):
             wanted = slice(None) if self.t_filter is None else (primes > 1).sum(axis=1) - 1 == self.t_filter
-            yield _pass_columns(ns[wanted], primes[wanted], table, self.on_error)
+            ns, primes = ns[wanted], primes[wanted]
+            if ns.size and ns[-1] >> 3 >= start + window.shape[1]:
+                start = int(ns[0] >> 3) // _BLOCK * _BLOCK  # the first k of this pass
+                window = table.window(start, min(start + _WINDOW, table.r3.size))
+            yield _pass_columns(ns, primes, window, start, table.t1, self.on_error)
 
 
 def _octic(ps: np.ndarray) -> np.ndarray:
@@ -257,13 +262,14 @@ _LABELS = (Classification.NON_CONGRUENT_UNCONDITIONAL.value, Classification.CONG
 _VERDICTS = (Verdict.NON_CONGRUENT_CERTIFICATE.value, Verdict.CONSISTENT_WITH_CONGRUENT.value)
 
 
-def _pass_columns(ns: np.ndarray, primes: np.ndarray, table: TunnellTable, on_error) -> tuple[list, ...]:
+def _pass_columns(ns: np.ndarray, primes: np.ndarray, window: np.ndarray, start: int, t1: np.ndarray, on_error) -> tuple[list, ...]:
     """The rows of one filter pass, whatever their t: ten lists in ScanRow's field order, in increasing n.
 
-    The filter has proved (q/p_i) = 1 for every p_i, so the hypothesis holds
-    iff rank A_n = t - 1: always for t = 1, where A_n is the 1 x 1 zero matrix
-    and the triple is (1), and tested by _rank_step for t >= 2.  The modulus
-    is 2^(t+2), h(-n) = T(n)/24 and h(-4 n_q) = T(n_q)/4; r8(-n) = 1 iff the
+    window is the TunnellTable.window of the n = 8k + 3 from k = start that
+    holds the pass, and t1 is TunnellTable.t1.  The filter has proved
+    (q/p_i) = 1 for every p_i, so the hypothesis holds iff rank A_n = t - 1:
+    always for t = 1, where A_n is the 1 x 1 zero matrix and the triple is
+    (1), and tested by _rank_step for t >= 2.  The modulus is 2^(t+2), h(-n) = T(n)/24 and h(-4 n_q) = T(n_q)/4; r8(-n) = 1 iff the
     quartic symbol (q/n_q)_4 is +1, i.e. q is a quartic non-residue mod an
     even number of p_i.  r8(-n_q) is _octic for t = 1 and eight_rank_neg_nq
     for t >= 2.  The laws of check_invariant_laws are checked once on the
@@ -288,9 +294,8 @@ def _pass_columns(ns: np.ndarray, primes: np.ndarray, table: TunnellTable, on_er
         else:
             triples[i], r8_nq[i] = step[0], step[1] == 1
     r8_nq[t == 1] = _octic(nqs[t == 1])
-    sums = table.block(np.concatenate([ns, nqs]))
-    t_n, c8, c32 = sums[:, : ns.size]
-    t_nq = sums[0, ns.size :]
+    t_n, c8, c32 = window[:, (ns >> 3) - start]  # n = 8k + 3
+    t_nq = t1[nqs >> 3]  # n_q = 8k + 1
     ok = (t_n % 24 == 0) & (t_nq % 4 == 0) & ~failed
     h_n, h_nq, modulus = t_n // 24, t_nq // 4, 4 << t
     congruence = (h_n - h_nq) % modulus == 0

@@ -12,25 +12,25 @@ numbers a row needs are such sums too, by Gauss's three-square theorem.  For
 odd n all three sums read one line r(n - 2z^2): c8 is its sum over even z and
 c32 over z = 0 (mod 4).  z = 0 lies in every such set, so each weighted sum
 is 2 * (the plain sum of r over the set) - r(n), and no weight is formed.
-Both sources of r sum the lines of a batch of centres in int64 into rows T,
-c8 and c32 with a column per centre, after one check and deduplication of
-the centres, _distinct_centres.  y^2 = 1 (mod 8) for odd y, so r(m) = 0 at
-every odd m = 5 or 7 (mod 8), and a line m - 2z^2 is live at every z (m = 3
-mod 8), at even z (1), at odd z (5) or nowhere (7).  TunnellTable keeps r
-(int16, bound-checked) only at the m = 1, 3 (mod 8) up to a limit, a quarter
-of the range, with a 0 sentinel in slot 0 where every point below 1 is read;
-its block reads each class of centres z-major at its live z and serves a
-scan.  divisor_lines takes r at the O(sqrt(n)) points of each line as
-divisor sums (Tunnell 1983; Hart, Tornaria and Watkins 2010); counts,
-classify and a check read it.  Its kernel, _line_divisor_sums, lists only
-the live points >= 1 of each line (mod 4 on an even n's line), flat, with
-their z and r: every z of an n = 3 (mod 8), the even z of an n_q = 1 (mod
-8), none of an n = 7 (mod 8); _live_sums sums them into the rows.  The
-kernel finds the points an odd prime p <= sqrt(c) divides from the square
-roots of c/2 mod p, each one modular power and one lookup in a table of the
-2-power roots of unity mod p (Bernstein 2001), a sieve in
-O(K log log c + pi(sqrt(c)) log c) for a line of centre c with K live
-points.  theta_counts enumerates the lattice box per n and is the reference
+y^2 = 1 (mod 8) for odd y, so r(m) = 0 at every odd m = 5 or 7 (mod 8), and
+a line m - 2z^2 is live at every z (m = 3 mod 8), at even z (1), at odd z
+(5) or nowhere (7).  TunnellTable keeps r (int16, bound-checked) only at the
+m = 1, 3 (mod 8) up to a limit, a contiguous array per class, a quarter of
+the range, and serves a scan: its window sums the lines of every n = 3
+(mod 8) in a range of n by contiguous slice adds, and its t1 holds T of
+every m = 1 (mod 8) up to limit/3, each n_q's class number.  divisor_lines
+sums the lines of a batch of checked and deduplicated centres in int64 into
+rows T, c8 and c32 with a column per centre, taking r at the O(sqrt(n))
+points of each line as divisor sums (Tunnell 1983; Hart, Tornaria and
+Watkins 2010); counts, classify and a check read it.  Its kernel,
+_line_divisor_sums, lists only the live points >= 1 of each line (mod 4 on
+an even n's line), flat, with their z and r: every z of an n = 3 (mod 8),
+the even z of an n_q = 1 (mod 8), none of an n = 7 (mod 8); _live_sums sums
+them into the rows.  The kernel finds the points an odd prime p <= sqrt(c)
+divides from the square roots of c/2 mod p, each one modular power and one
+lookup in a table of the 2-power roots of unity mod p (Bernstein 2001), a
+sieve in O(K log log c + pi(sqrt(c)) log c) for a line of centre c with K
+live points.  theta_counts enumerates the lattice box per n and is the reference
 both are tested against.  congruent_under_bsd is the one place the label
 rule is written; ThetaCounts.label and every scan row read it.
 """
@@ -115,8 +115,9 @@ def class_number(m: int, t: int) -> int:
 
     The line of an odd centre m is r(m - 2z^2) over z, with r(m) = #{2x^2 + y^2 = m},
     and T(m) = #{2x^2 + y^2 + 2z^2 = m} is its sum over every z (row T of
-    divisor_lines and TunnellTable.block).  It counts the a^2 + b^2 + y^2 = m
-    with a = b (mod 2), through the bijection (a, b) = (x + z, x - z).  By
+    divisor_lines and of TunnellTable.window, and TunnellTable.t1).  It
+    counts the a^2 + b^2 + y^2 = m with a = b (mod 2), through the bijection
+    (a, b) = (x + z, x - z).  By
     Gauss's r_3: for m = 3 (mod 8) all three are odd, T = r_3 = 24 h(-m); for
     m = 1 (mod 8) only y is odd, in a third of them by symmetry,
     T = r_3 / 3 = 4 h(-4m).  NotDivisible if T is not divisible; ValueError
@@ -137,35 +138,12 @@ class NotDivisible(ArithmeticError):
         super().__init__(f"T({m}) = {t} is not divisible by {divisor}")
 
 
-# points of one batch of lines in divisor_lines and TunnellTable.block, at most: 128 KiB per int64 array
+# points of one batch of lines in divisor_lines, at most: 128 KiB per int64 array
 _BLOCK_CELLS = 1 << 14
 
-
-def _distinct_centres(centres, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct centres and, for each centre asked, the index of its own.
-
-    Every centre must be an odd integer in 1..limit; ValueError names the
-    least that is not before any line is read, and before int64 could
-    truncate it (3.5 to 3).  Both sources of r take their centres here.
-    """
-    ms, inverse = np.unique(np.asarray(centres), return_inverse=True)
-    if (bad := (ms < 1) | (ms > limit) | (ms % 2 != 1)).any():
-        raise ValueError(f"m = {ms[bad.argmax()]} is not an odd centre in 1..{limit}")
-    return ms.astype(np.int64, copy=False), inverse
-
-
-# a table's binary counts are narrowed to this type once their maximum is checked
-_R_DTYPE = np.int16
-
-
-def _slot(m):
-    """The table slot of m = 1 or 3 (mod 8), 1 + (m >> 2) + ((m >> 1) & 1), which is (m + 5) >> 2.
-
-    8k + 1 goes to slot 2k + 1 and 8k + 3 to 2k + 2, so slot(m - 8t) =
-    slot(m) - 2t.  m is clamped at -5, so every m below 1 of the two
-    classes, the greatest of which is -5, reads slot 0.
-    """
-    return (np.maximum(m, -5) + 5) >> 2
+# values of k per window of the table's slice sums: below this numpy's cost per
+# slice dominates, above it the rows leave the cache (BENCH_scan.json)
+_WINDOW = 1 << 16
 
 
 def _class_counts(limit: int, residue: int) -> np.ndarray:
@@ -189,73 +167,79 @@ def _class_counts(limit: int, residue: int) -> np.ndarray:
     return r
 
 
+def _narrowed_class(limit: int, residue: int) -> np.ndarray:
+    """_class_counts(limit, residue) as int16, OverflowError if its maximum does not fit; the int32 counts die on return."""
+    r = _class_counts(limit, residue)
+    bound = int(np.iinfo(np.int16).max)
+    if r.max(initial=0) > bound:
+        top = int(r.argmax())
+        raise OverflowError(f"r({8 * top + residue}) = {r[top]} exceeds the table bound {bound} of int16")
+    return r.astype(np.int16)
+
+
+def _add_shifted(out: np.ndarray, r: np.ndarray, k0: int, shifts: list[int]) -> None:
+    """out[k - k0] += r[k - s] for each s of the ascending shifts and each k >= s of k0..k0 + len(out) - 1: one slice per s."""
+    k1 = k0 + out.size
+    for s in shifts:
+        if s >= k1:
+            break
+        lo = max(k0, s)
+        out[lo - k0 :] += r[lo - s : k1 - s]
+
+
 class TunnellTable:
-    """The binary counts r(m) = #{2x^2 + y^2 = m} at every m = 1 or 3 (mod 8) up to a limit.
+    """The binary counts r(m) = #{2x^2 + y^2 = m} at every m = 1 or 3 (mod 8) up to a limit, and T(m) at the m = 1 up to limit/3.
 
     y^2 = 1 (mod 8) for odd y, so 2x^2 + y^2 is 1 or 3 (mod 8) at every odd
     value: r(m) = 0 at every odd m = 5 or 7 (mod 8), and the table stores
-    only the two live classes, m at _slot(m), in limit // 4 + 3 int16 slots.
-    Each class is built in int32 by _class_counts and narrowed once its
-    maximum is checked.  The check is a guard, not a live limit: r(m) =
+    only the two live classes, as contiguous int16 arrays r1[k] = r(8k + 1)
+    and r3[k] = r(8k + 3), limit/2 bytes together.  Each class is built in
+    int32 by _class_counts and narrowed once its maximum is checked, before
+    the next class is built, so the build holds at most the table and one
+    int32 class.  The check is a guard, not a live limit: r(m) =
     2 sum_{d | m} (-8/d) <= 2 tau(m), so r stays far below 2^15 (its
-    maximum up to 10^7 is 144).  Slot 0 holds 0, a sentinel that every
-    point below 1 is read at; no point m - 2z^2 of an odd centre is 0.
-    block() reads the lines of a batch of centres from it.
+    maximum up to 10^7 is 144).
+
+    t1[k] = T(8k + 1) in int32 for every 8k + 1 <= limit/3, which an n_q = n/q
+    of a scan row is: its line is live at even z = 2j only, where it reads
+    r1[k - j^2].  window() gives the sums of the n = 3 (mod 8).
     """
 
     def __init__(self, limit: int):
         if limit < 1:
             raise ValueError("limit must be positive")
-        self.limit = limit
-        self._r = np.zeros((limit >> 2) + 3, dtype=_R_DTYPE)
-        bound = int(np.iinfo(_R_DTYPE).max)
-        for residue in (1, 3):
-            r = _class_counts(limit, residue)
-            if r.max(initial=0) > bound:
-                top = int(r.argmax())
-                raise OverflowError(f"r({8 * top + residue}) = {r[top]} exceeds the table bound {bound} of {np.dtype(_R_DTYPE).name}")
-            first = int(_slot(residue))
-            self._r[first : first + 2 * r.size : 2] = r
+        self.r1, self.r3 = (_narrowed_class(limit, residue) for residue in (1, 3))
+        self.t1 = np.zeros((limit // 3 - 1) // 8 + 1, dtype=np.int32)
+        squares = [j * j for j in range(isqrt(self.t1.size) + 1)]
+        for k0 in range(0, self.t1.size, _WINDOW):
+            _add_shifted(self.t1[k0 : k0 + _WINDOW], self.r1, k0, squares)
+        self.t1 *= 2  # T = 2 sum_j r1[k - j^2] - r1[k], in place
+        self.t1 -= self.r1[: self.t1.size]
 
-    def block(self, centres) -> np.ndarray:
-        """The line sums of centres odd in 1..limit: rows T, c8 and c32 in int64, column i for centres[i].
+    def window(self, k0: int, k1: int) -> np.ndarray:
+        """Rows T, c8 and c32 in int32 of the table's n = 8k + 3 with k0 <= k < k1, column k - k0.
 
-        Each class of centres mod 8 is read at its live z only, z-major: a
-        row is one z across a batch's centres, summed down axis 0.  Even
-        z = 2j reads m - 8j^2 and odd z = 2j + 1 reads m - 2 - 8j(j+1).
-        Class 3 reads both: c32 sums the even rows of even j, c8 every even
-        row, and T adds the odd rows.  Class 1 reads the even rows, so
-        T = c8; class 5 the odd rows, so c8 = c32 = 0; class 7 nothing.
-        Batches hold at most _BLOCK_CELLS points.
+        The line n - 2z^2 reads r3[k - j^2] at even z = 2j and r1[k - j(j+1)]
+        at odd z = 2j + 1, each j a slice add (_add_shifted) cut where its
+        index goes below 0, at the points below 1.  With e0 the sum over even
+        j, e1 over odd j and o over the odd z: c32 = 2 e0 - r3[k], c8 = c32 +
+        2 e1 and T = c8 + 2 o, formed in place.  int32 cannot wrap: every
+        partial sum is at most T <= 2 max r (isqrt(limit // 2) + 1), and the
+        checked max r <= 32,767 keeps that below 2^31 for every limit up to
+        2 * 10^9, beyond the scan's bound.  ValueError unless 0 <= k0 <= k1 <= len(r3).
         """
-        ms, inverse = _distinct_centres(centres, self.limit)
-        sums = np.zeros((3, ms.size), dtype=np.int64)
-        for residue in (1, 3, 5):
-            at = np.flatnonzero(ms & 7 == residue)
-            if at.size:
-                sums[:, at] = self._class_sums(ms[at], residue != 5, residue != 1)
-        return sums[:, inverse]
-
-    def _class_sums(self, ms: np.ndarray, even: bool, odd: bool) -> np.ndarray:
-        """Rows T, c8 and c32 of sorted centres of one class, live at even z, odd z or both."""
-        sums = np.zeros((3, ms.size), dtype=np.int64)
-        step = max(1, _BLOCK_CELLS // ((even + odd) * (isqrt(int(ms[-1]) // 2) // 2 + 1)))
-        for lo in range(0, ms.size, step):
-            part = ms[lo : lo + step]
-            j = np.arange(isqrt(int(part[-1]) // 2) // 2 + 1, dtype=np.int64)  # z = 2j or 2j + 1 <= sqrt(m / 2)
-            out = sums[:, lo : lo + step]
-            if even:
-                r = self._read(part, j * j)
-                c32 = r[::2].sum(axis=0, dtype=np.int64)
-                c8 = c32 + r[1::2].sum(axis=0, dtype=np.int64)
-                out[:] = 2 * np.stack([c8, c8, c32]) - r[0]
-            if odd:
-                out[0] += 2 * self._read(part - 2, j * (j + 1)).sum(axis=0, dtype=np.int64)
-        return sums
-
-    def _read(self, firsts: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """r at the points first - 8t of each first = 1 or 3 (mod 8): a len(t) x len(firsts) int16 matrix, 0 below 1."""
-        return self._r[np.maximum(_slot(firsts) - 2 * t[:, None], 0)]
+        if not 0 <= k0 <= k1 <= self.r3.size:
+            raise ValueError(f"window {k0}..{k1} is not within 0..{self.r3.size}, the k of the table's n = 8k + 3")
+        t, c8, c32 = rows = np.zeros((3, k1 - k0), dtype=np.int32)
+        squares = [j * j for j in range(isqrt(k1) + 1)]
+        _add_shifted(c32, self.r3, k0, squares[::2])
+        _add_shifted(c8, self.r3, k0, squares[1::2])
+        _add_shifted(t, self.r1, k0, [square + j for j, square in enumerate(squares)])  # j(j + 1)
+        rows *= 2
+        c32 -= self.r3[k0:k1]
+        c8 += c32
+        t += c8
+        return rows
 
 
 def refuse_beyond_per_n_bound(n: int) -> None:
@@ -288,10 +272,15 @@ def divisor_lines(centres) -> np.ndarray:
     _line_divisor_sums, which sieves the live points of each line by the
     primes up to the square root of its centre n, in O(sqrt(n) log log n +
     pi(sqrt(n)) log n) time and O(sqrt(n) log log n) memory, and _live_sums.
-    A bad centre is refused before any work.
+    ValueError names the least centre that is not an odd integer in
+    1..MAX_PER_N before any work.
     """
     refuse_beyond_per_n_bound(max(centres, default=0))
-    ms, inverse = _distinct_centres(centres, MAX_PER_N)
+    ms, inverse = np.unique(np.asarray(centres), return_inverse=True)
+    # before an int64 cast could truncate a centre (3.5 to 3)
+    if (bad := (ms < 1) | (ms > MAX_PER_N) | (ms % 2 != 1)).any():
+        raise ValueError(f"m = {ms[bad.argmax()]} is not an odd centre in 1..{MAX_PER_N}")
+    ms = ms.astype(np.int64, copy=False)
     step = max(1, _BLOCK_CELLS // (isqrt(int(ms[-1]) // 2) + 1 if ms.size else 1))
     sums = np.zeros((3, ms.size), dtype=np.int64)
     for lo in range(0, ms.size, step):

@@ -21,6 +21,7 @@ import congruent.tunnell
 from congruent.arith import FactoredSquarefree, _prime_sieve, is_prime, legendre
 from congruent.cli import main
 from congruent.scan import (
+    _BLOCK,
     CSV_COLUMNS,
     MAX_SCAN_LIMIT,
     ScanRow,
@@ -33,8 +34,9 @@ from congruent.scan import (
     read_rows,
     scan,
 )
-from congruent.criteria import CriterionReport, InvariantViolation, evaluate
-from congruent.redei import HypothesisNotMet, eight_rank_neg_nq, hypothesis_from_factored
+from congruent.criteria import CriterionReport, InvariantViolation, evaluate, evaluate_hypothesis
+from congruent.redei import HypothesisNotMet, build_hypothesis, eight_rank_neg_nq, hypothesis_from_factored
+from congruent.tunnell import _WINDOW
 
 GOLDEN_ROW = ScanRow(
     n=52779,
@@ -713,7 +715,7 @@ def test_cli_scan_exit_code_2_on_skipped_rows(monkeypatch, capsys, tmp_path):
 
 
 def _skew_sums(monkeypatch):
-    """T(219), T(97) and T(42267) off by 1, 2 and 1 in the lane's sums.
+    """T(219) and T(42267) off by 1 in the table's windows, T(97) off by 2 in its class-1 sums.
 
     n = 219 = 3 * 73 fails on T(n), every n = 97 q on T(p), and the t = 2
     row 42267 = 3 * 73 * 193 on T(n).
@@ -721,11 +723,16 @@ def _skew_sums(monkeypatch):
     scan_mod = importlib.import_module("congruent.scan")
 
     class Skewed(congruent.tunnell.TunnellTable):
-        def block(self, centres):
-            sums = super().block(centres)
-            for m, shift in ((219, 1), (97, 2), (42267, 1)):
-                sums[0, np.asarray(centres) == m] += shift
-            return sums
+        def __init__(self, limit):
+            super().__init__(limit)
+            self.t1[97 >> 3] += 2
+
+        def window(self, k0, k1):
+            rows = super().window(k0, k1)
+            for n in (219, 42267):
+                if k0 <= n >> 3 < k1:
+                    rows[0, (n >> 3) - k0] += 1
+            return rows
 
     monkeypatch.setattr(scan_mod, "TunnellTable", Skewed)
 
@@ -805,6 +812,25 @@ def test_scan_builds_no_report(monkeypatch):
 
     monkeypatch.setattr(congruent.criteria, "evaluate_hypothesis", no_report)
     assert list(scan(60000)) == expected
+
+
+@pytest.mark.parametrize("t_filter", [None, 1, 2])
+def test_scan_rows_at_the_window_edges(t_filter):
+    # the scan holds one TunnellTable.window of 2^16 values n = 8k + 3 at a
+    # time.  To 8 * 2^16 + 11 the last window holds two values, k = 2^16 and
+    # 2^16 + 1; to 524,339, the first row past the edge, seven.  Every row of
+    # the last pass before the edge and past it matches the per-row path, and
+    # the scan's rows are those of a longer scan, whose window is wider
+    edge = 8 * _WINDOW
+    wider = list(scan(540_000, t_filter=t_filter))
+    for limit in (edge + 11, 524_339):
+        errors = []
+        rows = list(scan(limit, t_filter=t_filter, on_error=lambda n, exc: errors.append(n)))
+        assert errors == [] and rows == [r for r in wider if r.n <= limit], limit
+        late = [r for r in rows if r.n > edge - 8 * _BLOCK]
+        assert late and all(t_filter in (None, len(r.p_list)) for r in late)
+        assert late == [row_from_report(evaluate_hypothesis(build_hypothesis(r.n))) for r in late], limit
+        assert (rows[-1].n == 524_339) == (limit == 524_339 and t_filter != 2)
 
 
 def test_scan_t3_rows_match_the_per_row_path():

@@ -1,9 +1,10 @@
-"""Tests for theta-count classification: the table's blocks, divisor_lines and the reference counts."""
+"""Tests for theta-count classification: the table's window sums, divisor_lines and the reference counts."""
 
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import congruent.tunnell
 from congruent.arith import NotSquarefree, _pow_mod, factor_squarefree, is_prime
 from congruent.classgroup import _count_reduced_forms, fundamental_discriminant
+from congruent.scan import MAX_SCAN_LIMIT
 from congruent.tunnell import (
     Classification,
     NotDivisible,
@@ -21,7 +23,6 @@ from congruent.tunnell import (
     _line_divisor_sums,
     _live_sums,
     _sieving_primes,
-    _slot,
     _square_roots,
     class_number,
     classify,
@@ -87,6 +88,12 @@ def dense_lines(centres, a, k, modulus):
     return dense, listed
 
 
+def window_rows(table, rng):
+    """Rows T, c8 and c32 of every n = 3 (mod 8) of the table, from windows of seeded edges that tile its k from k0 = 0."""
+    cuts = sorted({0, 1, table.r3.size, *rng.sample(range(2, table.r3.size), 40)})
+    return np.concatenate([table.window(k0, k1) for k0, k1 in zip(cuts, cuts[1:])], axis=1)
+
+
 def test_counts_examples():
     assert theta_counts(1) == ThetaCounts(n=1, c32=2, c8=2)
     assert theta_counts(2) == ThetaCounts(n=2, c32=2, c8=2)
@@ -119,25 +126,29 @@ def test_against_signed_brute_force():
 
 
 def test_table_matches_per_n():
-    # every squarefree n <= 4000, then a seeded sample of the n = 3 (mod 8)
-    # that a scan reads and of even n, far enough out for the long z-ranges;
-    # the table holds odd n only, so its block refuses every even n
+    # every n = 3 (mod 8) below 200,000 from windows with seeded edges, and T
+    # of every m = 1 (mod 8) up to 200,000/3, against divisor_lines and the
+    # sums of a signed count of 2x^2 + y^2; then every squarefree n <= 4000
+    # and a seeded sample of the n = 3 (mod 8) a scan reads and of even n, far
+    # enough out for the long z-ranges, against the box enumeration.  The
+    # table holds no line of an even n or of an n = 5, 7 (mod 8)
     table = TunnellTable(200_000)
+    ns, ms = np.arange(3, 200_000, 8), np.arange(1, 200_000 // 3 + 1, 8)
+    rows = window_rows(table, random.Random(5))
+    assert rows.dtype == table.t1.dtype == np.int32 and rows.shape == (3, ns.size) and table.t1.shape == ms.shape
+    assert np.array_equal(rows, divisor_lines(ns)) and np.array_equal(rows, signed_line_sums(ns, 200_000))
+    assert np.array_equal(table.t1, divisor_lines(ms)[0]) and np.array_equal(table.t1, signed_line_sums(ms, 200_000)[0])
     rng = random.Random(4)
     far = [n for n in rng.sample(range(4003, 200_001, 8), 60) if is_squarefree(n)]
     far_even = [n for n in rng.sample(range(4002, 200_001, 4), 30) if is_squarefree(n)]
     assert len(far) >= 40 and len(far_even) >= 20
-    ns = squarefree_up_to(4000) + far[:40] + far_even[:20]
-    odd = [n for n in ns if n % 2]
-    from_block = dict(zip(odd, column_counts(table.block(odd), odd)))
-    for n in ns:
+    for n in squarefree_up_to(4000) + far[:40] + far_even[:20]:
         a = theta_counts(n)
         assert counts(n) == a, n
-        if n % 2 == 0:
-            with pytest.raises(ValueError, match=f"^m = {n} is not an odd centre"):
-                table.block([n])
-            continue
-        assert from_block[n] == a, n
+        if n % 8 == 3:
+            assert column_counts(rows[:, [n >> 3]], [n]) == [a], n
+        elif n % 8 == 1:
+            assert table.t1[n >> 3] == a.c8, n  # the line of an m = 1 (mod 8) is live at even z only: T = c8
 
 
 def signed_count(a, limit):
@@ -148,6 +159,19 @@ def signed_count(a, limit):
         vals = a * x * x + ys * ys
         np.add.at(direct, vals[vals <= limit], 1)
     return direct
+
+
+def signed_line_sums(centres, limit):
+    """Rows T, c8 and c32 of the lines r(c - 2z^2) of odd centres c <= limit, r from signed_count: the third reference."""
+    r = signed_count(2, limit)
+    sums = np.zeros((3, centres.size), dtype=np.int64)
+    for z in range(isqrt(limit // 2) + 1):
+        points = centres - 2 * z * z
+        at = np.where(points >= 1, r[np.maximum(points, 0)], 0) * (2 if z else 1)
+        sums[0] += at
+        sums[1] += at if z % 2 == 0 else 0
+        sums[2] += at if z % 4 == 0 else 0
+    return sums
 
 
 def test_divisor_sums_match_the_table_and_a_direct_count():
@@ -165,9 +189,9 @@ def test_divisor_sums_match_the_table_and_a_direct_count():
     odd = np.arange(1, 200_000, 2)
     live, dead = odd[odd % 8 < 4], odd[odd % 8 > 4]
     assert not binary[dead].any()
-    assert np.array_equal(table._r[_slot(live)], binary[live])
+    assert np.array_equal(table.r1, binary[1::8]) and np.array_equal(table.r3, binary[3::8])
     from_table = np.zeros_like(binary)
-    from_table[live] = table._r[_slot(live)]
+    from_table[1::8], from_table[3::8] = table.r1, table.r3
     for a, modulus, r, top in ((2, 8, from_table, 200_000), (8, 4, direct, limit)):
         top_lines = np.arange(top - 1299, top, 2, dtype=np.int64)
         short_and_long = np.array([1, 3, 9, 17, 225, 2_431, top - 1001, top - 1], dtype=np.int64)
@@ -183,7 +207,7 @@ def test_divisor_sums_match_the_table_and_a_direct_count():
                 if a == 2:
                     at = np.zeros(top + 1, dtype=np.int64)
                     at[points[points >= 1]] = sums[points >= 1]
-                    assert np.array_equal(at[live], table._r[_slot(live)]) and not at[dead].any()
+                    assert np.array_equal(at[live], from_table[live]) and not at[dead].any()
     for bad in ([0, 1], [2], [-3]):
         with pytest.raises(ValueError, match="odd m >= 1"):
             _line_divisor_sums(np.array(bad, dtype=np.int64), 2, 8)
@@ -303,22 +327,34 @@ def test_per_n_bounds():
 
 
 def test_table_range_checks():
+    # the n = 8k + 3 <= 100 are k = 0..12; a window outside them is refused before any r is read
     table = TunnellTable(100)
-    for m in (-1, 0, 101, 102, 3.5):
-        with pytest.raises(ValueError, match=f"^m = {m} is not an odd centre in 1..100$"):
-            table.block([1, m, 3])
-    assert table.block(range(1, 101, 2)).shape == (3, 50)
+    assert table.r3.size == 13 and table.window(0, 13).shape == (3, 13) and table.window(5, 5).shape == (3, 0)
+
+    class Unread:
+        size = 13
+
+        def __getitem__(self, points):
+            raise AssertionError("r was read")
+
+    table.r1 = table.r3 = Unread()
+    for k0, k1 in ((-1, 3), (4, 3), (0, 14), (14, 14)):
+        with pytest.raises(ValueError, match=rf"^window {k0}..{k1} is not within 0..13, the k of the table's n = 8k \+ 3$"):
+            table.window(k0, k1)
     with pytest.raises(ValueError):
         TunnellTable(0)
 
 
 def test_table_class_numbers_match_reduced_forms():
-    # every squarefree m <= 30,000 of the two shapes a scan row asks for
-    table = TunnellTable(30_000)
+    # every squarefree m <= 30,000 of the two shapes a scan row asks for: T(n)
+    # from a window, T(n_q) from the class-1 sums, which reach limit/3
+    table = TunnellTable(90_000)
     ms = [m for m in range(9, 30_001, 2) if m % 8 in (1, 3) and is_squarefree(m)]
     assert len(ms) == 6076
-    for m, t in zip(ms, table.block(ms)[0].tolist()):
-        assert class_number(m, t) == _count_reduced_forms(fundamental_discriminant(m)), m
+    t3 = table.window(0, 30_000 // 8)[0]
+    for m in ms:
+        t = (t3 if m % 8 == 3 else table.t1)[m >> 3]
+        assert class_number(m, int(t)) == _count_reduced_forms(fundamental_discriminant(m)), m
 
 
 def test_table_class_number_refusals():
@@ -327,86 +363,71 @@ def test_table_class_number_refusals():
     for m in (1, 3, 0, -5, 10, 104, 13, 15, 21, 23):
         with pytest.raises(ValueError, match=f"^m = {m} is not"):
             class_number(m, 24)
-    with pytest.raises(ValueError, match="^m = 1003 is not"):
-        table.block([1003])
-    t = table.block([11, 17])[0].tolist()
-    assert (class_number(11, t[0]), class_number(17, t[1])) == (1, 4)
-    # T(17) sums r(17 - 2 z^2) over z; one miscounted r leaves T indivisible by 4
-    table._r[_slot(17 - 2 * 2 * 2)] += 1
-    with pytest.raises(ArithmeticError, match="not divisible by 4"):
-        class_number(17, int(table.block(range(1, 1000, 2))[0, 8]))
+    with pytest.raises(ValueError, match="^window 0..126 is not within 0..125"):
+        table.window(0, 126)  # 1003 = 8 * 125 + 3
+    assert (class_number(11, int(table.window(1, 2)[0, 0])), class_number(17, int(table.t1[2]))) == (1, 4)
 
 
-def test_table_blocks_match_per_n_sums():
-    # one batch of lines from a table to 10^7 against divisor_lines and a
-    # one-centre block on a seeded log-uniform sample of odd squarefree centres
-    # with 9,999,939 and its n_q, and against theta_counts on the centres below 10^5
-    table = TunnellTable(10_000_000)
+def test_table_windows_match_per_n_sums():
+    # windows with seeded edges and T of class 1 from a table to 10^7 against
+    # divisor_lines on a seeded log-uniform sample of squarefree n = 3 (mod 8)
+    # and m = 1 (mod 8) up to 10^7/3, with 9,999,939 and its n_q, and against
+    # theta_counts on those below 10^5
+    limit = 10_000_000
+    table = TunnellTable(limit)
     rng = random.Random(12)
     ms = [9_999_939, 3_333_313]
     while len(ms) < 60:
         m = int(10 ** rng.uniform(0, 7)) | 1
-        if is_squarefree(m):
+        if (m % 8 == 3 or m % 8 == 1 and m <= limit // 3) and is_squarefree(m):
             ms.append(m)
-    assert sum(m < 100_000 for m in ms) >= 20
-    # a duplicate centre gets its own column, the same as the first
-    block = table.block(ms + [ms[5]])
-    assert np.array_equal(block[:, -1], block[:, 5])
-    for i, m in enumerate(ms):
-        per_n, alone = divisor_lines([m]), table.block([m])
-        assert np.array_equal(block[:, i], per_n[:, 0]) and np.array_equal(block[:, i], alone[:, 0]), m
-        if m < 100_000:
-            assert column_counts(block[:, i : i + 1], [m]) == [theta_counts(m)], m
-        if m > 3 and m % 8 in (1, 3):
-            assert class_number(m, int(block[0, i])) == class_number(m, int(per_n[0, 0])), m
-    assert (class_number(9_999_939, int(block[0, 0])), class_number(3_333_313, int(block[0, 1]))) == (788, 740)
-    for m in (2, 10_000_001, 0, -7):
-        with pytest.raises(ValueError, match=f"^m = {m} is not an odd centre in 1..10000000$"):
-            table.block(ms + [m])
-    assert table.block([]).shape == (3, 0)
+    assert sum(m < 100_000 for m in ms) >= 20 and sum(m % 8 == 1 for m in ms) >= 20
+    for m in ms:
+        per_n, k = divisor_lines([m]), m >> 3
+        if m % 8 == 3:
+            k0, k1 = max(0, k - rng.randrange(1 << 12)), min(table.r3.size, k + 1 + rng.randrange(1 << 12))
+            sums = table.window(k0, k1)[:, k - k0]
+            assert np.array_equal(sums, per_n[:, 0]) and np.array_equal(sums, table.window(k, k + 1)[:, 0]), m
+            if m < 100_000:
+                assert column_counts(sums[:, None], [m]) == [theta_counts(m)], m
+        else:
+            sums = table.t1[k : k + 1]
+            assert sums[0] == per_n[0, 0] and (m >= 100_000 or sums[0] == theta_counts(m).c8), m
+        if m > 3:
+            assert class_number(m, int(sums[0])) == class_number(m, int(per_n[0, 0])), m
+    t_n, t_nq = table.window(9_999_939 >> 3, (9_999_939 >> 3) + 1)[0, 0], table.t1[3_333_313 >> 3]
+    assert (class_number(9_999_939, int(t_n)), class_number(3_333_313, int(t_nq))) == (788, 740)
+    with pytest.raises(ValueError, match="^window 0..1250001 is not within 0..1250000, the k of the table's n = 8k \\+ 3$"):
+        table.window(0, table.r3.size + 1)
 
 
 def test_line_sums_come_back_in_the_order_asked():
-    # unsorted centres with duplicates: column i is centres[i], from the table
-    # and from divisor sums alike, and matches the box enumeration.  They fit
-    # one batch, so the short lines of 1, 3 and 17 run out to 99,991's 224
-    # points, far below 1, where both sources must read 0.  Sorted, the
-    # lines of 7, 15 and 99,991 (7 mod 8), which have no live point, come in
-    # the middle and last, and 5 and 13 (5 mod 8) are live at odd z only
-    table = TunnellTable(100_000)
+    # unsorted centres with duplicates: column i is centres[i] and matches the
+    # box enumeration.  They fit one batch, so the short lines of 1, 3 and 17
+    # run out to 99,991's 224 points, far below 1, where the sums must read 0.
+    # Sorted, the lines of 7, 15 and 99,991 (7 mod 8), which have no live
+    # point, come in the middle and last, and 5 and 13 (5 mod 8) are live at
+    # odd z only
     centres = [99_991, 3, 41, 3, 1, 52_779, 13, 41, 99_991, 17, 5, 1, 15, 219, 7]
     assert all(is_squarefree(m) for m in centres)
-    block, lines = table.block(centres), divisor_lines(centres)
-    assert block.shape == (3, len(centres)) and block.dtype == lines.dtype == np.int64
-    assert np.array_equal(block, lines)
-    assert column_counts(block, centres) == [theta_counts(m) for m in centres]
+    lines = divisor_lines(centres)
+    assert lines.shape == (3, len(centres)) and lines.dtype == np.int64
+    assert column_counts(lines, centres) == [theta_counts(m) for m in centres]
     for m, (t, c8, c32) in zip(centres, lines.T.tolist()):
         if m % 8 > 4:  # T alone on a class-5 line, nothing on a class-7 line
             assert c8 == c32 == 0 and (t > 0) == (m % 8 == 5), m
-    by_centre = dict(zip(centres, block[0].tolist()))
+    by_centre = dict(zip(centres, lines[0].tolist()))
     assert [class_number(m, by_centre[m]) for m in (41, 52_779, 17, 219)] == [
         _count_reduced_forms(fundamental_discriminant(m)) for m in (41, 52_779, 17, 219)
     ]
-
-    # a centre that is even, not positive or above the limit is refused before any r is read
-    class Unread:
-        def __getitem__(self, points):
-            raise AssertionError("a line was gathered")
-
-    table._r = Unread()
-    for m in (0, -7, 2, 100_002):
-        with pytest.raises(ValueError, match=f"^m = {m} is not an odd centre in 1..100000$"):
-            table.block([3, m, 5])
 
 
 def test_lines_with_no_live_point_sum_to_zero():
     # a line of a centre = 7 (mod 8) has no live point: first in a batch, and
     # in batches of such lines only (the test above has them in the middle
-    # and last), against the table and the box enumeration
-    table = TunnellTable(1_000)
+    # and last), against the box enumeration
     for centres in ([7, 11, 15, 17, 23], [7], [7, 15, 23]):
         lines = divisor_lines(centres)
-        assert np.array_equal(lines, table.block(centres))
         assert column_counts(lines, centres) == [theta_counts(m) for m in centres]
         assert not lines[:, [m % 8 == 7 for m in centres]].any()
     # the sums alone: lines with no point around one with points at z = 0 and
@@ -417,29 +438,57 @@ def test_lines_with_no_live_point_sum_to_zero():
     assert _live_sums(np.zeros(2, dtype=np.int64), z[:0], r[:0]).tolist() == [[0, 0]] * 3
 
 
-def test_table_sums_are_exact_int64_on_a_line_of_large_r():
+def test_table_sums_are_exact_int32_on_a_line_of_large_r():
     # r = 30,000 at every point of the line of 999,995, near int16's top: the
-    # sums, up to 30,000 * (2 * 708 - 1), need an int64 accumulator.  The
-    # centre is 3 (mod 8), so every point of its line is in the table
+    # sums, up to 30,000 * (2 * 708 - 1), need an int32 accumulator.  The
+    # centre is 3 (mod 8), so its even z read r3 and its odd z read r1
     table = TunnellTable(1_000_000)
-    m, k = 999_995, isqrt(999_995 // 2) + 1
-    table._r[_slot(m - 2 * np.arange(k) ** 2)] = 30_000
-    sums = table.block([m])
-    assert sums.dtype == np.int64
-    assert sums[:, 0].tolist() == [30_000 * (2 * len(range(0, k, step)) - 1) for step in (1, 2, 4)]
-    assert sums[0, 0] == 42_450_000
+    m, k = 999_995, 999_995 >> 3
+    j = np.arange(isqrt(k) + 1)
+    table.r3[k - j * j] = 30_000
+    odd = j[j * (j + 1) <= k]
+    table.r1[k - odd * (odd + 1)] = 30_000
+    sums = table.window(k - 5, k + 1)[:, 5]
+    assert sums.dtype == np.int32
+    assert sums.tolist() == [30_000 * (2 * len(range(0, isqrt(m // 2) + 1, step)) - 1) for step in (1, 2, 4)]
+    assert sums[0] == 42_450_000
+
+
+def test_window_rows_fit_int32_up_to_the_scan_bound():
+    # every partial sum of a window row is at most T <= 2 max r (isqrt(limit // 2) + 1),
+    # and the table's checked max r is int16's: no int32 row can wrap in a scan
+    assert np.iinfo(np.int16).max == 32_767 and TunnellTable(100).window(0, 1).dtype == np.int32
+    assert 2 * 32_767 * (isqrt(MAX_SCAN_LIMIT // 2) + 1) < 2**31
+    assert 2 * 32_767 * (isqrt(10**9 // 2) + 1) < 2**31  # a scan bound of 10^9 would still hold
 
 
 def test_table_reads_0_below_1():
-    assert TunnellTable(100)._r[0] == 0  # r(0) = 1, but no line of an odd centre reaches 0
-    # every m = 1, 3 (mod 8) below 1 reads that sentinel, and 1 and 3 the first slots
-    assert _slot(np.array([-5, -7, -13, -15, -10**9 + 3, 1, 3, 9, 11])).tolist() == [0, 0, 0, 0, 0, 1, 2, 3, 4]
+    # the lines of every n = 3 (mod 8) and m = 1 (mod 8) below 100 run below 1
+    # within a few z, where each slice of a window is cut; r(0) = 1 is never read
+    table = TunnellTable(100)
+    assert np.array_equal(table.window(0, 13), divisor_lines(range(3, 100, 8)))
+    assert np.array_equal(table.t1, divisor_lines(range(1, 34, 8))[0])
 
 
 def test_table_holds_a_quarter_of_the_range():
-    # int16 slots for m = 1, 3 (mod 8) and the sentinel: L/4 + 3 at most
+    # contiguous int16 arrays of r at m = 1, 3 (mod 8): L/4 values at most, and
+    # int32 T at the m = 1 (mod 8) up to L/3
     table = TunnellTable(10**6)
-    assert table._r.dtype == np.int16 and table._r.nbytes <= 2 * (10**6 // 4 + 3)
+    assert all(r.dtype == np.int16 and r.flags.c_contiguous for r in (table.r1, table.r3))
+    assert table.r1.size + table.r3.size <= 10**6 // 4 + 2 and table.t1.size <= 10**6 // 24 + 1
+
+
+def test_table_build_holds_one_int32_class():
+    # each class is narrowed before the next is built, so the build holds at
+    # most the int16 table (L/2 bytes) and one int32 class (L/2 bytes); with
+    # both int32 classes alive it took 1.45 MiB
+    tracemalloc.start()
+    try:
+        TunnellTable(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6 + (1 << 16)
 
 
 def test_class_number_reads_h_from_t():
@@ -454,18 +503,27 @@ def test_class_number_reads_h_from_t():
     assert issubclass(NotDivisible, ArithmeticError)
 
 
-def test_block_class_number_refuses_an_indivisible_sum():
+def test_table_class_number_refuses_an_indivisible_sum(monkeypatch):
+    # T(17) sums r(17 - 2 z^2) over z; r(9) miscounted in the build leaves it
+    # indivisible by 4, and T(19), whose line 19, 17, 11, 1 misses r(9), whole
+    real = congruent.tunnell._class_counts
+
+    def miscounted(limit, residue):
+        r = real(limit, residue)
+        if residue == 9 % 8:
+            r[9 // 8] += 1
+        return r
+
+    monkeypatch.setattr(congruent.tunnell, "_class_counts", miscounted)
     table = TunnellTable(1000)
-    table._r[_slot(17 - 2 * 2 * 2)] += 1
-    t17, t19 = table.block([17, 19])[0].tolist()
     with pytest.raises(ArithmeticError, match=r"T\(17\) = \d+ is not divisible by 4"):
-        class_number(17, t17)
-    assert class_number(19, t19) == 1  # its line 19, 17, 11, 1 misses r(9)
+        class_number(17, int(table.t1[17 >> 3]))
+    assert class_number(19, int(table.window(19 >> 3, (19 >> 3) + 1)[0, 0])) == 1
 
 
 def test_table_counts_are_int16_below_a_checked_bound(monkeypatch):
     # the build counts each class in int32, which cannot wrap; the maximum is checked before narrowing
-    assert TunnellTable(1000)._r.dtype == np.int16
+    assert TunnellTable(1000).r1.dtype == TunnellTable(1000).r3.dtype == np.int16
     real = congruent.tunnell._class_counts
 
     def swollen(limit, residue):
