@@ -5,7 +5,8 @@ use, and deterministic for inputs below 2**63.  _pow_mod is the one modular
 power over numpy arrays, _prime_sieve the one prime sieve and _progressions
 the one expansion of arithmetic progressions into their terms; the scan's
 segmented candidate filter and residue tests and the divisor sums' live
-points, primes and square roots all use them.
+points, primes and square roots all use them.  _pow_mod reduces each square
+and each product before the next, so none passes mod^2 < 2^63.
 """
 
 from __future__ import annotations
@@ -234,16 +235,17 @@ def sqrt_mod_prime(a: int, p: int) -> int:
 def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """base^exp mod mod elementwise (numpy broadcasting), for int64 arrays with 0 <= base < mod and mod^2 < 2^63.
 
-    The exponent's bits are taken once, as one bool array per bit, and walked
-    from the most significant: a square, and a multiply where the bit is set.
+    The exponent's bits become one row of factors per bit, base where it is set
+    and 1 elsewhere, walked from the most significant: r * r % mod * f % mod.
     No pass is made for an empty exp.
     """
     top = int(exp.max(initial=0)).bit_length()
-    bits = (exp & (1 << np.arange(top - 1, -1, -1)).reshape((-1,) + (1,) * exp.ndim)) != 0
+    ndim = max(base.ndim, exp.ndim, mod.ndim)
+    # the bits as bool before the factors are made, so no two int64 (top, ...) arrays are held at once
+    factors = np.where((exp & (1 << np.arange(top - 1, -1, -1)).reshape((-1,) + (1,) * ndim)) != 0, base, 1)
     result = np.ones_like(base)
-    for bit in bits:
-        result = result * result % mod
-        result = np.where(bit, result * base % mod, result)
+    for f in factors:
+        result = result * result % mod * f % mod
     return result
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import operator
 import os
@@ -331,9 +332,9 @@ def _pass_columns(ns: np.ndarray, primes: np.ndarray, window: np.ndarray, start:
 def emit(rows: Iterable[ScanRow], fmt: str, target) -> int:
     """Write rows as CSV (header + one line each) or a JSON array; return how many rows were written.
 
-    rows is a Scan or any iterable of ScanRow; the CSV of a Scan is written
-    a filter pass at a time, from its columns.  target is an open text file
-    or a path.  A path goes through _replacing, whose file is made before
+    rows is a Scan or any iterable of ScanRow; a Scan is written a filter
+    pass at a time, any other iterable _BLOCK rows at a time.  target is an
+    open text file or a path.  A path goes through _replacing, whose file is made before
     the first row is asked for; I/O failures carry the path.
     """
     if fmt not in ("csv", "json"):
@@ -365,16 +366,20 @@ def _replacing(path):
 
 
 def _emit_to(rows: Iterable[ScanRow], fmt: str, fh: TextIO) -> int:
-    if fmt == "json":
-        dicts = [row.to_dict() for row in rows]
-        json.dump(dicts, fh, indent=2)
-        fh.write("\n")
-        return len(dicts)
-    # any other iterable is written as batches of one row
-    batches = rows.passes() if isinstance(rows, Scan) else (tuple(zip(_row_values(row))) for row in rows)
+    # a Scan by filter pass; any other iterable in batches of up to _BLOCK rows, from one iterator until islice gives none
+    rest = iter(rows)
+    batches = rows.passes() if isinstance(rows, Scan) else iter(lambda: tuple(zip(*map(_row_values, itertools.islice(rest, _BLOCK)))), ())
+    count = 0
+    if fmt == "json":  # json.dump's bytes for the list of every row's dict with indent=2, a batch at a time
+        for columns in batches:
+            if columns[0]:  # json.dumps indents the batch's rows inside its "[\n" and "\n]"
+                text = json.dumps([row.to_dict() for row in map(ScanRow, *columns)], indent=2)
+                fh.write((",\n" if count else "[\n") + text[2:-2])
+                count += len(columns[0])
+        fh.write("\n]\n" if count else "[]\n")
+        return count
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    count = 0
     for columns in batches:
         writer.writerows(_csv_records(columns))
         count += len(columns[0])

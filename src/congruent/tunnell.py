@@ -19,18 +19,19 @@ m = 1, 3 (mod 8) up to a limit, a contiguous array per class, a quarter of
 the range, and serves a scan: its window sums the lines of every n = 3
 (mod 8) in a range of n by contiguous slice adds, and its t1 holds T of
 every m = 1 (mod 8) up to limit/3, each n_q's class number.  divisor_lines
-sums the lines of a batch of checked and deduplicated centres in int64 into
-rows T, c8 and c32 with a column per centre, taking r at the O(sqrt(n))
-points of each line as divisor sums (Tunnell 1983; Hart, Tornaria and
-Watkins 2010); counts, classify and a check read it.  Its kernel,
-_line_divisor_sums, lists only the live points >= 1 of each line (mod 4 on
-an even n's line), flat, with their z and r: every z of an n = 3 (mod 8),
-the even z of an n_q = 1 (mod 8), none of an n = 7 (mod 8); _live_sums sums
-them into the rows.  The kernel finds the points an odd prime p <= sqrt(c)
-divides from the square roots of c/2 mod p, each one modular power and one
-lookup in a table of the 2-power roots of unity mod p (Bernstein 2001), a
-sieve in O(K log log c + pi(sqrt(c)) log c) for a line of centre c with K
-live points.  theta_counts enumerates the lattice box per n and is the reference
+sums the lines of a batch of checked centres, deduplicated as a sorted set,
+in int64 into rows T, c8 and c32 with a column per centre, taking r at the
+O(sqrt(n)) points of each line as divisor sums (Tunnell 1983; Hart,
+Tornaria and Watkins 2010); counts, classify and a check read it.  Its
+kernel, _line_divisor_sums, lists only the live points >= 1 of each line
+(mod 4 on an even n's line), flat, with their z and r: every z of an n = 3
+(mod 8), the even z of an n_q = 1 (mod 8), none of an n = 7 (mod 8);
+_live_sums sums them into the rows.  The kernel finds the points an odd
+prime p <= sqrt(c) divides from the square roots of c/2 mod p, each one
+modular power and one lookup in a table of the 2-power roots of unity mod p
+(Bernstein 2001), and a point's power of p by dividing again only the points
+p still divides, a sieve in O(K log log c + pi(sqrt(c)) log c) for a line of
+centre c with K live points.  theta_counts enumerates the lattice box per n and is the reference
 both are tested against.  congruent_under_bsd is the one place the label
 rule is written; ThetaCounts.label and every scan row read it.
 """
@@ -50,8 +51,8 @@ from .classgroup import MAX_ABS_DISCRIMINANT
 
 # n above this is refused before any per-n count: every point n - c z^2 stays
 # far inside int64 and every sieving prime p <= 10^5 has p^2 < 2^63.  On a
-# 2-core machine the counts of one check take about 1.4 ms near 10^7, 6.5 ms
-# near 10^9 and 28 ms near the bound, whose check process peaks near 38 MiB.
+# 2-core machine the counts of one check take about 1.4 ms near 10^7, 6.6 ms
+# near 10^9 and 25 ms near the bound, whose check process peaks near 38 MiB.
 MAX_PER_N = 10**10
 
 
@@ -276,7 +277,7 @@ def divisor_lines(centres) -> np.ndarray:
     1..MAX_PER_N before any work.
     """
     refuse_beyond_per_n_bound(max(centres, default=0))
-    ms, inverse = np.unique(np.asarray(centres), return_inverse=True)
+    ms = np.array(sorted(set(centres)))
     # before an int64 cast could truncate a centre (3.5 to 3)
     if (bad := (ms < 1) | (ms > MAX_PER_N) | (ms % 2 != 1)).any():
         raise ValueError(f"m = {ms[bad.argmax()]} is not an odd centre in 1..{MAX_PER_N}")
@@ -285,7 +286,7 @@ def divisor_lines(centres) -> np.ndarray:
     sums = np.zeros((3, ms.size), dtype=np.int64)
     for lo in range(0, ms.size, step):
         sums[:, lo : lo + step] = _live_sums(*_line_divisor_sums(ms[lo : lo + step], 2, 8))
-    return sums[:, inverse]
+    return sums[:, np.searchsorted(ms, centres)]
 
 
 def counts(n: Union[int, FactoredSquarefree]) -> ThetaCounts:
@@ -480,14 +481,15 @@ def _line_divisor_sums(centres: np.ndarray, a: int, modulus: int) -> tuple[np.nd
         hit = start[which] + hp * (np.arange(done, done + which.size) - before[which])
         rest = m[hit] // hp
         e = np.ones_like(rest)
-        np.multiply.at(sieved, hit, hp)
-        more = np.flatnonzero(rest % hp == 0)
-        more = more[rest[more] > 0]  # a wrong hit below its prime leaves 0, which every p divides
+        # the hits their prime divides again, compact; a wrong hit below its prime leaves 0, which every p divides
+        more = np.flatnonzero((rest % hp == 0) & (rest > 0))
+        rest, prime = rest[more], hp[more]
         while more.size:
-            rest[more] //= hp[more]
+            rest //= prime
             e[more] += 1
-            np.multiply.at(sieved, hit[more], hp[more])
-            more = more[rest[more] % hp[more] == 0]
+            again = rest % prime == 0
+            more, rest, prime = more[again], rest[again], prime[again]
+        np.multiply.at(sieved, hit, hp**e)
         np.multiply.at(local, hit, np.where(plus[which], e + 1, 1 - (e & 1)))
         lo, done = hi, done + which.size
     # what the primes leave of a live m is 1 or a prime P, and (-modulus/P) = 1

@@ -153,6 +153,9 @@ def divisor_sum_by_sympy(m, modulus):
 # one centre of each class 1, 3, 5 and 7 (mod 8)
 @example([1_000_001, 1_000_003, 1_000_005, 1_000_007], (2, 8), 48)
 @example([1_000_001, 1_000_003, 1_000_005, 1_000_007], (8, 4), 48)
+# centres = 3 (mod 8), live at every z, whose z = 1 points are 3^14 and 5^8:
+# the exponent loop divides them 13 and 7 more times
+@example([4_782_971, 390_627], (2, 8), 48)
 def test_line_divisor_sums_match_sympy(centres, shape, k):
     a, modulus = shape
     got, listed = dense_lines(centres, a, k, modulus)

@@ -214,6 +214,14 @@ def test_json_round_trip(tmp_path):
     golden = next(d for d in payload if d["n"] == 52779)
     assert golden["h_n"] == 80 and golden["h_nq"] == 48
     assert golden["congruence_holds"] is True
+    # written a batch at a time, in json.dump's bytes; no row is the empty array
+    assert (tmp_path / "rows.json").read_text() == json.dumps([row.to_dict() for row in rows], indent=2) + "\n"
+    empty = io.StringIO()
+    assert emit([], "json", empty) == 0 and empty.getvalue() == "[]\n"
+    # a list longer than two batches, joined between them as in one dump
+    many, many_rows = io.StringIO(), rows * 1500
+    assert emit(many_rows, "json", many) == len(many_rows)
+    assert many.getvalue() == json.dumps([row.to_dict() for row in many_rows], indent=2) + "\n"
 
 
 def test_scan_deterministic(tmp_path):
@@ -348,6 +356,19 @@ def test_filter_holds_one_pass_not_the_range():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+
+
+def test_json_emit_holds_one_pass_not_every_row(tmp_path):
+    # a list of every row's dict took about 1.5 MiB more than the CSV at this limit, 2.8 MiB at 10^6
+    peaks = {}
+    for fmt in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            emit(scan(500_000), fmt, str(tmp_path / f"rows.{fmt}"))
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["json"] < peaks["csv"] + 2**20, peaks
 
 
 def test_residue_reject_at_the_largest_scan_primes():
