@@ -14,8 +14,9 @@ modulo which q is a non-residue (Euler's criterion); the primes leave 1 or
 the last prime of each n, and that factorisation is the only one a row
 needs.  No array spans the range but the table.  One TunnellTable
 serves every row with the sums that give the Tunnell label and both class
-numbers: the scan holds one window of the sums of _WINDOW consecutive n = 3
-(mod 8) until the filter moves past it, and reads T(n_q) by index.
+numbers: the scan runs the filter over the passes of one window of _WINDOW
+consecutive n = 3 (mod 8), asks the table once for the sums at their
+candidates alone, about 8% of the window, and reads T(n_q) by index.
 
 Every row of a pass, whatever its t, is built from the pass's columns
 (_pass_columns): both class numbers from the table's sums, the label from
@@ -130,11 +131,11 @@ def _legendre_triple(h: HypothesisN) -> tuple[int, ...]:
 
 
 # the largest limit scan() takes, checked before anything is built; a cold
-# scan to it took 50 s and 125 MiB on a 2-core machine
-MAX_SCAN_LIMIT = 10**8
+# scan to it took 753-819 s and 679 MiB on a 2-core machine
+MAX_SCAN_LIMIT = 10**9
 
 # n = 3 (mod 8) per pass of the candidate filter; _WINDOW is a multiple of it,
-# so the rows of one pass read one TunnellTable.window and no two windows overlap
+# so _WINDOW // _BLOCK passes make one window of the table's sums
 _BLOCK = 1 << 12
 
 
@@ -207,7 +208,8 @@ def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Scan:
     if limit > MAX_SCAN_LIMIT:
         raise ValueError(
             f"limit {limit} is beyond the scan bound {MAX_SCAN_LIMIT}: its residue tests need p^2 < 2^63 for p <= limit/3, its"
-            " int16 table a checked maximum, and the table about limit/2 bytes, plus as much again while a class is built"
+            " int16 table a checked maximum, and memory about limit/2 bytes of table, limit/6 of class-1 sums and one chunk"
+            " while a class is built"
         )
     if on_error is None:
         on_error = lambda n, exc: print(f"scan: n = {n} skipped: {exc}", file=sys.stderr)
@@ -231,14 +233,18 @@ class Scan:
     def passes(self) -> Iterator[tuple[list, ...]]:
         """The rows of each filter pass as _pass_columns returns them, the passes in increasing n."""
         table = TunnellTable(self.limit)
-        start, window = 0, table.window(0, 0)  # the window held: the sums of the n = 8k + 3 from k = start
-        for ns, primes in _shape_candidates(self.limit):
+
+        def of_t(ns, primes):
             wanted = slice(None) if self.t_filter is None else (primes > 1).sum(axis=1) - 1 == self.t_filter
-            ns, primes = ns[wanted], primes[wanted]
-            if ns.size and ns[-1] >> 3 >= start + window.shape[1]:
-                start = int(ns[0] >> 3) // _BLOCK * _BLOCK  # the first k of this pass
-                window = table.window(start, min(start + _WINDOW, table.r3.size))
-            yield _pass_columns(ns, primes, window, start, table.t1, self.on_error)
+            return ns[wanted], primes[wanted]
+
+        candidates = itertools.starmap(of_t, _shape_candidates(self.limit))
+        # the passes of one window of _WINDOW values n = 8k + 3, whose sums the table gives at their k in one call
+        while held := list(itertools.islice(candidates, _WINDOW // _BLOCK)):
+            sums = table.sums_at(np.concatenate([ns for ns, _ in held]) >> 3)  # n = 8k + 3
+            starts = itertools.accumulate((ns.size for ns, _ in held), initial=0)
+            for (ns, primes), lo in zip(held, starts):
+                yield _pass_columns(ns, primes, sums[:, lo : lo + ns.size], table.t1, self.on_error)
 
 
 def _octic(ps: np.ndarray) -> np.ndarray:
@@ -263,11 +269,11 @@ _LABELS = (Classification.NON_CONGRUENT_UNCONDITIONAL.value, Classification.CONG
 _VERDICTS = (Verdict.NON_CONGRUENT_CERTIFICATE.value, Verdict.CONSISTENT_WITH_CONGRUENT.value)
 
 
-def _pass_columns(ns: np.ndarray, primes: np.ndarray, window: np.ndarray, start: int, t1: np.ndarray, on_error) -> tuple[list, ...]:
+def _pass_columns(ns: np.ndarray, primes: np.ndarray, sums: np.ndarray, t1: np.ndarray, on_error) -> tuple[list, ...]:
     """The rows of one filter pass, whatever their t: ten lists in ScanRow's field order, in increasing n.
 
-    window is the TunnellTable.window of the n = 8k + 3 from k = start that
-    holds the pass, and t1 is TunnellTable.t1.  The filter has proved
+    sums holds the rows T, c8 and c32 of TunnellTable.sums_at at the pass's
+    n = 8k + 3, a column per n, and t1 is TunnellTable.t1.  The filter has proved
     (q/p_i) = 1 for every p_i, so the hypothesis holds iff rank A_n = t - 1:
     always for t = 1, where A_n is the 1 x 1 zero matrix and the triple is
     (1), and tested by _rank_step for t >= 2.  The modulus is 2^(t+2), h(-n) = T(n)/24 and h(-4 n_q) = T(n_q)/4; r8(-n) = 1 iff the
@@ -282,7 +288,7 @@ def _pass_columns(ns: np.ndarray, primes: np.ndarray, window: np.ndarray, start:
     steps = [_rank_step(n, row) for n, row in zip(ns[multi].tolist(), primes[multi].tolist())]
     held = np.ones(ns.size, dtype=bool)
     held[multi] = [step is not None for step in steps]
-    ns, primes, t = ns[held], primes[held], t[held]
+    ns, primes, t, sums = ns[held], primes[held], t[held], sums[:, held]
     # the row index of each t >= 2 row left, to its triple and r8(-n_q) or to the error that stopped it
     steps = dict(zip(np.flatnonzero(t >= 2).tolist(), (step for step in steps if step is not None)))
     qs = _q(primes)
@@ -295,7 +301,7 @@ def _pass_columns(ns: np.ndarray, primes: np.ndarray, window: np.ndarray, start:
         else:
             triples[i], r8_nq[i] = step[0], step[1] == 1
     r8_nq[t == 1] = _octic(nqs[t == 1])
-    t_n, c8, c32 = window[:, (ns >> 3) - start]  # n = 8k + 3
+    t_n, c8, c32 = sums
     t_nq = t1[nqs >> 3]  # n_q = 8k + 1
     ok = (t_n % 24 == 0) & (t_nq % 4 == 0) & ~failed
     h_n, h_nq, modulus = t_n // 24, t_nq // 4, 4 << t

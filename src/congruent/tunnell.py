@@ -15,9 +15,10 @@ is 2 * (the plain sum of r over the set) - r(n), and no weight is formed.
 y^2 = 1 (mod 8) for odd y, so r(m) = 0 at every odd m = 5 or 7 (mod 8), and
 a line m - 2z^2 is live at every z (m = 3 mod 8), at even z (1), at odd z
 (5) or nowhere (7).  TunnellTable keeps r (int16, bound-checked) only at the
-m = 1, 3 (mod 8) up to a limit, a contiguous array per class, a quarter of
-the range, and serves a scan: its window sums the lines of every n = 3
-(mod 8) in a range of n by contiguous slice adds, and its t1 holds T of
+m = 1, 3 (mod 8) up to a limit, a contiguous array per class built a chunk
+of k at a time, a quarter of the range, and serves a scan: its sums_at sums
+the lines of the n = 3 (mod 8) a scan asks for, a window of n at a time, by
+contiguous slice adds into one int32 accumulator, and its t1 holds T of
 every m = 1 (mod 8) up to limit/3, each n_q's class number.  divisor_lines
 sums the lines of a batch of checked centres, deduplicated as a sorted set,
 in int64 into rows T, c8 and c32 with a column per centre, taking r at the
@@ -116,7 +117,7 @@ def class_number(m: int, t: int) -> int:
 
     The line of an odd centre m is r(m - 2z^2) over z, with r(m) = #{2x^2 + y^2 = m},
     and T(m) = #{2x^2 + y^2 + 2z^2 = m} is its sum over every z (row T of
-    divisor_lines and of TunnellTable.window, and TunnellTable.t1).  It
+    divisor_lines and of TunnellTable.sums_at, and TunnellTable.t1).  It
     counts the a^2 + b^2 + y^2 = m with a = b (mod 2), through the bijection
     (a, b) = (x + z, x - z).  By
     Gauss's r_3: for m = 3 (mod 8) all three are odd, T = r_3 = 24 h(-m); for
@@ -146,36 +147,52 @@ _BLOCK_CELLS = 1 << 14
 # slice dominates, above it the rows leave the cache (BENCH_scan.json)
 _WINDOW = 1 << 16
 
+# values of k per chunk of a class build, counted in int32 (1 MiB): smaller
+# chunks repeat the loop over u more often, larger ones hold more (BENCH_scan.json)
+_CHUNK = 1 << 18
 
-def _class_counts(limit: int, residue: int) -> np.ndarray:
-    """r(8k + residue) = #{2x^2 + y^2 = 8k + residue} for k = 0..(limit - residue) // 8, residue 1 or 3, as int32.
+
+def _chunk_counts(residue: int, k0: int, k1: int) -> np.ndarray:
+    """r(8k + residue) = #{2x^2 + y^2 = 8k + residue} for k0 <= k < k1, residue 1 or 3, as int32, column k - k0.
 
     y is odd, y = 2v + 1 with v >= 0 for the sign of y, so y^2 = 8 v(v+1)/2 + 1.
     For residue 1, x = 2u: r(8k + 1) = 2 sum w_u over u^2 + v(v+1)/2 = k,
     w_u = 1 at u = 0 and 2 otherwise.  For residue 3, x = 2u + 1:
-    r(8k + 3) = 4 #{u, v >= 0 : u(u+1) + v(v+1)/2 = k}.  int32 cannot wrap:
-    one u adds at most 4 to an entry.
+    r(8k + 3) = 4 #{u, v >= 0 : u(u+1) + v(v+1)/2 = k}.  Each u adds to the
+    k of the triangles in k0 - u^2..k1 - u^2 (or u(u+1)), one slice of them.
+    int32 cannot wrap: one u adds at most 4 to an entry.
     """
-    size = max(0, (limit - residue) // 8 + 1)
-    r = np.zeros(size, dtype=np.int32)
-    v = np.arange(isqrt(2 * size) + 1, dtype=np.int64)
+    r = np.zeros(k1 - k0, dtype=np.int32)
+    v = np.arange(isqrt(2 * k1) + 1, dtype=np.int64)
     triangles = v * (v + 1) // 2
-    u = 0
-    while (square := u * u + (residue >> 1) * u) < size:  # u^2 or u(u+1)
-        # each triangle once for this u, so the indices are distinct
-        r[square + triangles[: np.searchsorted(triangles, size - square)]] += 2 if residue == 1 and u == 0 else 4
-        u += 1
+    u = np.arange(isqrt(k1) + 1, dtype=np.int64)
+    squares = u * u + (residue >> 1) * u  # u^2 or u(u+1)
+    squares = squares[squares < k1]
+    lo, hi = (np.searchsorted(triangles, edge - squares) for edge in (k0, k1))
+    for i, (square, a, b) in enumerate(zip(squares, lo, hi)):
+        # each triangle once for this u = i, so the indices are distinct
+        r[square - k0 + triangles[a:b]] += 2 if residue == 1 and i == 0 else 4
     return r
 
 
-def _narrowed_class(limit: int, residue: int) -> np.ndarray:
-    """_class_counts(limit, residue) as int16, OverflowError if its maximum does not fit; the int32 counts die on return."""
-    r = _class_counts(limit, residue)
+def _class_counts(limit: int, residue: int) -> np.ndarray:
+    """r(8k + residue) for k = 0..(limit - residue) // 8, residue 1 or 3, as int16, counted _CHUNK values of k at a time.
+
+    Each chunk is counted in int32 by _chunk_counts and written into the
+    int16 class once its maximum is checked, so the build holds the class
+    and one chunk.  OverflowError names the first m whose count does not fit.
+    """
+    size = max(0, (limit - residue) // 8 + 1)
+    r = np.empty(size, dtype=np.int16)
     bound = int(np.iinfo(np.int16).max)
-    if r.max(initial=0) > bound:
-        top = int(r.argmax())
-        raise OverflowError(f"r({8 * top + residue}) = {r[top]} exceeds the table bound {bound} of int16")
-    return r.astype(np.int16)
+    for k0 in range(0, size, _CHUNK):
+        chunk = _chunk_counts(residue, k0, min(k0 + _CHUNK, size))
+        if chunk.max() > bound:
+            top = int(chunk.argmax())
+            raise OverflowError(f"r({8 * (k0 + top) + residue}) = {chunk[top]} exceeds the table bound {bound} of int16")
+        r[k0 : k0 + chunk.size] = chunk
+        del chunk  # before the next chunk is counted
+    return r
 
 
 def _add_shifted(out: np.ndarray, r: np.ndarray, k0: int, shifts: list[int]) -> None:
@@ -194,22 +211,22 @@ class TunnellTable:
     y^2 = 1 (mod 8) for odd y, so 2x^2 + y^2 is 1 or 3 (mod 8) at every odd
     value: r(m) = 0 at every odd m = 5 or 7 (mod 8), and the table stores
     only the two live classes, as contiguous int16 arrays r1[k] = r(8k + 1)
-    and r3[k] = r(8k + 3), limit/2 bytes together.  Each class is built in
-    int32 by _class_counts and narrowed once its maximum is checked, before
-    the next class is built, so the build holds at most the table and one
-    int32 class.  The check is a guard, not a live limit: r(m) =
+    and r3[k] = r(8k + 3), limit/2 bytes together.  _class_counts counts each
+    class a chunk of _CHUNK values of k at a time in int32 and narrows each
+    chunk into the class once its maximum is checked, so the build holds at
+    most the table and one int32 chunk.  The check is a guard, not a live limit: r(m) =
     2 sum_{d | m} (-8/d) <= 2 tau(m), so r stays far below 2^15 (its
     maximum up to 10^7 is 144).
 
     t1[k] = T(8k + 1) in int32 for every 8k + 1 <= limit/3, which an n_q = n/q
     of a scan row is: its line is live at even z = 2j only, where it reads
-    r1[k - j^2].  window() gives the sums of the n = 3 (mod 8).
+    r1[k - j^2].  sums_at() gives the sums of the n = 3 (mod 8) at the k asked for.
     """
 
     def __init__(self, limit: int):
         if limit < 1:
             raise ValueError("limit must be positive")
-        self.r1, self.r3 = (_narrowed_class(limit, residue) for residue in (1, 3))
+        self.r1, self.r3 = (_class_counts(limit, residue) for residue in (1, 3))
         self.t1 = np.zeros((limit // 3 - 1) // 8 + 1, dtype=np.int32)
         squares = [j * j for j in range(isqrt(self.t1.size) + 1)]
         for k0 in range(0, self.t1.size, _WINDOW):
@@ -217,29 +234,36 @@ class TunnellTable:
         self.t1 *= 2  # T = 2 sum_j r1[k - j^2] - r1[k], in place
         self.t1 -= self.r1[: self.t1.size]
 
-    def window(self, k0: int, k1: int) -> np.ndarray:
-        """Rows T, c8 and c32 in int32 of the table's n = 8k + 3 with k0 <= k < k1, column k - k0.
+    def sums_at(self, ks: np.ndarray) -> np.ndarray:
+        """Rows T, c8 and c32 in int32 of the table's n = 8k + 3 at the ascending k of ks alone, column i for ks[i].
 
-        The line n - 2z^2 reads r3[k - j^2] at even z = 2j and r1[k - j(j+1)]
-        at odd z = 2j + 1, each j a slice add (_add_shifted) cut where its
-        index goes below 0, at the points below 1.  With e0 the sum over even
-        j, e1 over odd j and o over the odd z: c32 = 2 e0 - r3[k], c8 = c32 +
-        2 e1 and T = c8 + 2 o, formed in place.  int32 cannot wrap: every
-        partial sum is at most T <= 2 max r (isqrt(limit // 2) + 1), and the
-        checked max r <= 32,767 keeps that below 2^31 for every limit up to
-        2 * 10^9, beyond the scan's bound.  ValueError unless 0 <= k0 <= k1 <= len(r3).
+        The k of each window of _WINDOW values are summed together, from the
+        first of them to the last, in one int32 accumulator.  The line
+        n - 2z^2 reads r3[k - j^2] at even z = 2j and r1[k - j(j+1)] at odd
+        z = 2j + 1, each j a slice add (_add_shifted) cut where its index goes
+        below 0, at the points below 1.  With e0 the sum over even j, e1 over
+        odd j and o over the odd z: c32 = 2 e0 - r3[k], c8 = 2 (e0 + e1) -
+        r3[k] and T = 2 (e0 + e1 + o) - r3[k], each gathered at the k once its
+        part is added.  int32 cannot wrap: 2 acc <= T + r3[k], T <= 2 max r
+        (isqrt(limit // 2) + 1), and the checked max r <= 32,767 keeps their
+        sum below 2^31 for every limit up to 2 * 10^9.  ValueError names the
+        first k out of order or outside 0..len(r3) - 1.
         """
-        if not 0 <= k0 <= k1 <= self.r3.size:
-            raise ValueError(f"window {k0}..{k1} is not within 0..{self.r3.size}, the k of the table's n = 8k + 3")
-        t, c8, c32 = rows = np.zeros((3, k1 - k0), dtype=np.int32)
-        squares = [j * j for j in range(isqrt(k1) + 1)]
-        _add_shifted(c32, self.r3, k0, squares[::2])
-        _add_shifted(c8, self.r3, k0, squares[1::2])
-        _add_shifted(t, self.r1, k0, [square + j for j, square in enumerate(squares)])  # j(j + 1)
-        rows *= 2
-        c32 -= self.r3[k0:k1]
-        c8 += c32
-        t += c8
+        ks = np.asarray(ks, dtype=np.int64)
+        bad = (ks < 0) | (ks >= self.r3.size)
+        bad[1:] |= ks[1:] < ks[:-1]
+        if bad.any():
+            raise ValueError(f"k = {ks[bad.argmax()]} is out of order or not within 0..{self.r3.size - 1}, the k of the table's n = 8k + 3")
+        rows = np.empty((3, ks.size), dtype=np.int32)
+        edges = [0, *(np.flatnonzero(np.diff(ks // _WINDOW)) + 1).tolist(), ks.size] if ks.size else []
+        for lo, hi in zip(edges, edges[1:]):
+            k0, k1 = int(ks[lo]), int(ks[hi - 1]) + 1
+            acc, at, r3 = np.zeros(k1 - k0, dtype=np.int32), ks[lo:hi] - k0, self.r3[ks[lo:hi]]
+            squares = [j * j for j in range(isqrt(k1) + 1)]
+            parts = ((self.r3, squares[::2]), (self.r3, squares[1::2]), (self.r1, [square + j for j, square in enumerate(squares)]))
+            for row, (r, shifts) in zip(rows[::-1], parts):  # c32, c8, T
+                _add_shifted(acc, r, k0, shifts)
+                np.subtract(2 * acc[at], r3, out=row[lo:hi])
         return rows
 
 

@@ -118,7 +118,7 @@ def test_scan_t_filter_and_t1():
 
 def test_scan_rejects_small_limit():
     # scan returns a generator, but its limit is checked at the call, before any row is asked for
-    for limit in (2, 10**9):
+    for limit in (2, 10**9 + 1):
         with pytest.raises(ValueError):
             scan(limit)
 
@@ -358,6 +358,40 @@ def test_filter_holds_one_pass_not_the_range():
     assert peak < 1.5 * 2**20
 
 
+def test_scan_sums_hold_one_int32_row_not_three(monkeypatch):
+    # each call for the sums of a window's candidates holds one int32
+    # accumulator of 2^16 values (256 KiB) and a few arrays the size of its
+    # k, not three int32 rows of every k of the window (768 KiB); beyond its
+    # filter, the scan then holds under 1 MiB, where three rows took 1.5 MB.
+    # The table is built before tracing, and the filter runs alone first
+    scan_mod = importlib.import_module("congruent.scan")
+    limit = 16 * _WINDOW + 3  # two whole windows and one k
+    table = congruent.tunnell.TunnellTable(limit)
+    calls = []
+
+    def sums_at(ks):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rows = congruent.tunnell.TunnellTable.sums_at(table, ks)
+        calls.append((ks.size, tracemalloc.get_traced_memory()[1] - before))
+        return rows
+
+    table.sums_at = sums_at
+    monkeypatch.setattr(scan_mod, "TunnellTable", lambda limit: table)
+    peaks = {}
+    for name, run in (("filter", lambda: _shape_candidates(limit)), ("scan", lambda: scan(limit).passes())):
+        tracemalloc.start()
+        try:
+            for _ in run():
+                pass
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(calls) == 3 and calls[0][0] > 0 and all(size < _WINDOW // 8 for size, _ in calls), calls
+    assert all(peak < 4 * _WINDOW + 64 * size + (1 << 15) for size, peak in calls), calls
+    assert peaks["scan"] < peaks["filter"] + (1 << 20), peaks
+
+
 def test_json_emit_holds_one_pass_not_every_row(tmp_path):
     # a list of every row's dict took about 1.5 MiB more than the CSV at this limit, 2.8 MiB at 10^6
     peaks = {}
@@ -372,13 +406,14 @@ def test_json_emit_holds_one_pass_not_every_row(tmp_path):
 
 
 def test_residue_reject_at_the_largest_scan_primes():
-    # a scan to its bound 100,000,000 meets p_i up to 33,333,333, where p^2 is
-    # near 2^50; Euler's criterion must stay exact in int64 there
+    # a scan to its bound 1,000,000,000 meets p_i up to 333,333,333, where p^2
+    # is near 2^57; Euler's criterion must stay exact in int64 there
+    assert MAX_SCAN_LIMIT // 3 == 333_333_333
     rng = random.Random(11)
-    large_q = [q for q in range(32_000_003, 32_010_000, 8) if is_prime(q)]
+    large_q = [q for q in range(320_000_003, 320_010_000, 8) if is_prime(q)]
     pairs = []
     while len(pairs) < 200:
-        p = rng.randrange(30_000_001, 33_333_333, 8)
+        p = rng.randrange(300_000_001, 333_333_333, 8)
         if is_prime(p):
             pairs.append((rng.choice((3, 11, 19, rng.choice(large_q))), p))
     residue = _non_residues(np.array([sorted(pair) for pair in pairs], dtype=np.int32), 2) == 0
@@ -420,14 +455,17 @@ def test_scan_refuses_a_limit_beyond_the_scan_bound(monkeypatch, capsys):
         raise _Built(limit)
 
     monkeypatch.setattr(scan_mod, "TunnellTable", built)
-    assert MAX_SCAN_LIMIT == 100_000_000
-    message = "^limit 100000001 is beyond the scan bound 100000000: .*p\\^2 < 2\\^63 for p <= limit/3.*int16 table.*limit/2 bytes"
+    assert MAX_SCAN_LIMIT == 1_000_000_000
+    message = (
+        "^limit 1000000001 is beyond the scan bound 1000000000: .*p\\^2 < 2\\^63 for p <= limit/3.*int16 table"
+        ".*limit/2 bytes of table, limit/6 of class-1 sums and one chunk while a class is built$"
+    )
     with pytest.raises(ValueError, match=message):
-        scan(100_000_001)  # refused at the call, before the table is built
+        scan(1_000_000_001)  # refused at the call, before the table is built
     with pytest.raises(_Built):
-        list(scan(100_000_000))  # the bound itself is taken up to the first allocation
-    assert main(["scan", "--max", "100000001"]) == 2
-    assert "beyond the scan bound 100000000" in capsys.readouterr().err
+        list(scan(1_000_000_000))  # the bound itself is taken up to the first allocation
+    assert main(["scan", "--max", "1000000001"]) == 2
+    assert "beyond the scan bound 1000000000" in capsys.readouterr().err
 
 
 def test_cli_scan_refuses_an_unwritable_out_before_the_scan(monkeypatch, capsys, tmp_path):
@@ -736,7 +774,7 @@ def test_cli_scan_exit_code_2_on_skipped_rows(monkeypatch, capsys, tmp_path):
 
 
 def _skew_sums(monkeypatch):
-    """T(219) and T(42267) off by 1 in the table's windows, T(97) off by 2 in its class-1 sums.
+    """T(219) and T(42267) off by 1 in the table's sums, T(97) off by 2 in its class-1 sums.
 
     n = 219 = 3 * 73 fails on T(n), every n = 97 q on T(p), and the t = 2
     row 42267 = 3 * 73 * 193 on T(n).
@@ -748,11 +786,10 @@ def _skew_sums(monkeypatch):
             super().__init__(limit)
             self.t1[97 >> 3] += 2
 
-        def window(self, k0, k1):
-            rows = super().window(k0, k1)
+        def sums_at(self, ks):
+            rows = super().sums_at(ks)
             for n in (219, 42267):
-                if k0 <= n >> 3 < k1:
-                    rows[0, (n >> 3) - k0] += 1
+                rows[0, ks == n >> 3] += 1
             return rows
 
     monkeypatch.setattr(scan_mod, "TunnellTable", Skewed)
@@ -837,11 +874,12 @@ def test_scan_builds_no_report(monkeypatch):
 
 @pytest.mark.parametrize("t_filter", [None, 1, 2])
 def test_scan_rows_at_the_window_edges(t_filter):
-    # the scan holds one TunnellTable.window of 2^16 values n = 8k + 3 at a
-    # time.  To 8 * 2^16 + 11 the last window holds two values, k = 2^16 and
-    # 2^16 + 1; to 524,339, the first row past the edge, seven.  Every row of
-    # the last pass before the edge and past it matches the per-row path, and
-    # the scan's rows are those of a longer scan, whose window is wider
+    # the scan asks the table for the sums of one window of 2^16 values
+    # n = 8k + 3 at a time.  To 8 * 2^16 + 11 the last window holds two
+    # values, k = 2^16 and 2^16 + 1; to 524,339, the first row past the edge,
+    # seven.  Every row of the last pass before the edge and past it matches
+    # the per-row path, and the scan's rows are those of a longer scan, whose
+    # window is wider
     edge = 8 * _WINDOW
     wider = list(scan(540_000, t_filter=t_filter))
     for limit in (edge + 11, 524_339):

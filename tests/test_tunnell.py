@@ -88,10 +88,10 @@ def dense_lines(centres, a, k, modulus):
     return dense, listed
 
 
-def window_rows(table, rng):
-    """Rows T, c8 and c32 of every n = 3 (mod 8) of the table, from windows of seeded edges that tile its k from k0 = 0."""
+def table_rows(table, rng):
+    """Rows T, c8 and c32 of every n = 3 (mod 8) of the table, from runs of k of seeded edges that tile its k from k0 = 0."""
     cuts = sorted({0, 1, table.r3.size, *rng.sample(range(2, table.r3.size), 40)})
-    return np.concatenate([table.window(k0, k1) for k0, k1 in zip(cuts, cuts[1:])], axis=1)
+    return np.concatenate([table.sums_at(np.arange(k0, k1)) for k0, k1 in zip(cuts, cuts[1:])], axis=1)
 
 
 def test_counts_examples():
@@ -126,7 +126,7 @@ def test_against_signed_brute_force():
 
 
 def test_table_matches_per_n():
-    # every n = 3 (mod 8) below 200,000 from windows with seeded edges, and T
+    # every n = 3 (mod 8) below 200,000 from runs of k with seeded edges, and T
     # of every m = 1 (mod 8) up to 200,000/3, against divisor_lines and the
     # sums of a signed count of 2x^2 + y^2; then every squarefree n <= 4000
     # and a seeded sample of the n = 3 (mod 8) a scan reads and of even n, far
@@ -134,7 +134,7 @@ def test_table_matches_per_n():
     # table holds no line of an even n or of an n = 5, 7 (mod 8)
     table = TunnellTable(200_000)
     ns, ms = np.arange(3, 200_000, 8), np.arange(1, 200_000 // 3 + 1, 8)
-    rows = window_rows(table, random.Random(5))
+    rows = table_rows(table, random.Random(5))
     assert rows.dtype == table.t1.dtype == np.int32 and rows.shape == (3, ns.size) and table.t1.shape == ms.shape
     assert np.array_equal(rows, divisor_lines(ns)) and np.array_equal(rows, signed_line_sums(ns, 200_000))
     assert np.array_equal(table.t1, divisor_lines(ms)[0]) and np.array_equal(table.t1, signed_line_sums(ms, 200_000)[0])
@@ -327,9 +327,9 @@ def test_per_n_bounds():
 
 
 def test_table_range_checks():
-    # the n = 8k + 3 <= 100 are k = 0..12; a window outside them is refused before any r is read
+    # the n = 8k + 3 <= 100 are k = 0..12; a k outside them, or out of order, is refused before any r is read
     table = TunnellTable(100)
-    assert table.r3.size == 13 and table.window(0, 13).shape == (3, 13) and table.window(5, 5).shape == (3, 0)
+    assert table.r3.size == 13 and table.sums_at(np.arange(13)).shape == (3, 13) and table.sums_at(np.arange(0)).shape == (3, 0)
 
     class Unread:
         size = 13
@@ -338,20 +338,20 @@ def test_table_range_checks():
             raise AssertionError("r was read")
 
     table.r1 = table.r3 = Unread()
-    for k0, k1 in ((-1, 3), (4, 3), (0, 14), (14, 14)):
-        with pytest.raises(ValueError, match=rf"^window {k0}..{k1} is not within 0..13, the k of the table's n = 8k \+ 3$"):
-            table.window(k0, k1)
+    for ks, bad in (([-1, 3], -1), ([4, 3], 3), ([0, 5, 13], 13), ([14], 14), ([2, 2, 12, 0], 0)):
+        with pytest.raises(ValueError, match=rf"^k = {bad} is out of order or not within 0..12, the k of the table's n = 8k \+ 3$"):
+            table.sums_at(np.array(ks))
     with pytest.raises(ValueError):
         TunnellTable(0)
 
 
 def test_table_class_numbers_match_reduced_forms():
     # every squarefree m <= 30,000 of the two shapes a scan row asks for: T(n)
-    # from a window, T(n_q) from the class-1 sums, which reach limit/3
+    # from the table's sums, T(n_q) from the class-1 sums, which reach limit/3
     table = TunnellTable(90_000)
     ms = [m for m in range(9, 30_001, 2) if m % 8 in (1, 3) and is_squarefree(m)]
     assert len(ms) == 6076
-    t3 = table.window(0, 30_000 // 8)[0]
+    t3 = table.sums_at(np.arange(30_000 // 8))[0]
     for m in ms:
         t = (t3 if m % 8 == 3 else table.t1)[m >> 3]
         assert class_number(m, int(t)) == _count_reduced_forms(fundamental_discriminant(m)), m
@@ -363,15 +363,16 @@ def test_table_class_number_refusals():
     for m in (1, 3, 0, -5, 10, 104, 13, 15, 21, 23):
         with pytest.raises(ValueError, match=f"^m = {m} is not"):
             class_number(m, 24)
-    with pytest.raises(ValueError, match="^window 0..126 is not within 0..125"):
-        table.window(0, 126)  # 1003 = 8 * 125 + 3
-    assert (class_number(11, int(table.window(1, 2)[0, 0])), class_number(17, int(table.t1[2]))) == (1, 4)
+    with pytest.raises(ValueError, match="^k = 125 is out of order or not within 0..124"):
+        table.sums_at(np.array([0, 125]))  # 1003 = 8 * 125 + 3
+    assert (class_number(11, int(table.sums_at(np.array([1]))[0, 0])), class_number(17, int(table.t1[2]))) == (1, 4)
 
 
 def test_table_windows_match_per_n_sums():
-    # windows with seeded edges and T of class 1 from a table to 10^7 against
-    # divisor_lines on a seeded log-uniform sample of squarefree n = 3 (mod 8)
-    # and m = 1 (mod 8) up to 10^7/3, with 9,999,939 and its n_q, and against
+    # runs of k with seeded edges, the sampled k alone in one call across many
+    # windows, and T of class 1 from a table to 10^7 against divisor_lines on
+    # a seeded log-uniform sample of squarefree n = 3 (mod 8) and m = 1
+    # (mod 8) up to 10^7/3, with 9,999,939 and its n_q, and against
     # theta_counts on those below 10^5
     limit = 10_000_000
     table = TunnellTable(limit)
@@ -386,8 +387,8 @@ def test_table_windows_match_per_n_sums():
         per_n, k = divisor_lines([m]), m >> 3
         if m % 8 == 3:
             k0, k1 = max(0, k - rng.randrange(1 << 12)), min(table.r3.size, k + 1 + rng.randrange(1 << 12))
-            sums = table.window(k0, k1)[:, k - k0]
-            assert np.array_equal(sums, per_n[:, 0]) and np.array_equal(sums, table.window(k, k + 1)[:, 0]), m
+            sums = table.sums_at(np.arange(k0, k1))[:, k - k0]
+            assert np.array_equal(sums, per_n[:, 0]) and np.array_equal(sums, table.sums_at(np.array([k]))[:, 0]), m
             if m < 100_000:
                 assert column_counts(sums[:, None], [m]) == [theta_counts(m)], m
         else:
@@ -395,10 +396,14 @@ def test_table_windows_match_per_n_sums():
             assert sums[0] == per_n[0, 0] and (m >= 100_000 or sums[0] == theta_counts(m).c8), m
         if m > 3:
             assert class_number(m, int(sums[0])) == class_number(m, int(per_n[0, 0])), m
-    t_n, t_nq = table.window(9_999_939 >> 3, (9_999_939 >> 3) + 1)[0, 0], table.t1[3_333_313 >> 3]
+    threes = sorted(m for m in ms if m % 8 == 3)
+    ks = np.array(threes) >> 3
+    assert len(set((ks // congruent.tunnell._WINDOW).tolist())) >= 5
+    assert np.array_equal(table.sums_at(ks), divisor_lines(threes))
+    t_n, t_nq = table.sums_at(np.array([9_999_939 >> 3]))[0, 0], table.t1[3_333_313 >> 3]
     assert (class_number(9_999_939, int(t_n)), class_number(3_333_313, int(t_nq))) == (788, 740)
-    with pytest.raises(ValueError, match="^window 0..1250001 is not within 0..1250000, the k of the table's n = 8k \\+ 3$"):
-        table.window(0, table.r3.size + 1)
+    with pytest.raises(ValueError, match="^k = 1250000 is out of order or not within 0..1249999, the k of the table's n = 8k \\+ 3$"):
+        table.sums_at(np.array([0, table.r3.size]))
 
 
 def test_line_sums_come_back_in_the_order_asked():
@@ -448,25 +453,27 @@ def test_table_sums_are_exact_int32_on_a_line_of_large_r():
     table.r3[k - j * j] = 30_000
     odd = j[j * (j + 1) <= k]
     table.r1[k - odd * (odd + 1)] = 30_000
-    sums = table.window(k - 5, k + 1)[:, 5]
+    sums = table.sums_at(np.arange(k - 5, k + 1))[:, 5]
     assert sums.dtype == np.int32
     assert sums.tolist() == [30_000 * (2 * len(range(0, isqrt(m // 2) + 1, step)) - 1) for step in (1, 2, 4)]
     assert sums[0] == 42_450_000
 
 
 def test_window_rows_fit_int32_up_to_the_scan_bound():
-    # every partial sum of a window row is at most T <= 2 max r (isqrt(limit // 2) + 1),
-    # and the table's checked max r is int16's: no int32 row can wrap in a scan
-    assert np.iinfo(np.int16).max == 32_767 and TunnellTable(100).window(0, 1).dtype == np.int32
+    # every partial sum of a row is at most T <= 2 max r (isqrt(limit // 2) + 1),
+    # twice the accumulator at most T + max r, and the table's checked max r
+    # is int16's: no int32 row or accumulator can wrap in a scan
+    assert np.iinfo(np.int16).max == 32_767 and TunnellTable(100).sums_at(np.array([0])).dtype == np.int32
     assert 2 * 32_767 * (isqrt(MAX_SCAN_LIMIT // 2) + 1) < 2**31
-    assert 2 * 32_767 * (isqrt(10**9 // 2) + 1) < 2**31  # a scan bound of 10^9 would still hold
+    assert 2 * 32_767 * (isqrt(MAX_SCAN_LIMIT // 2) + 1) + 32_767 < 2**31
+    assert 2 * 32_767 * (isqrt(2 * 10**9 // 2) + 1) + 32_767 < 2**31  # the bound sums_at states
 
 
 def test_table_reads_0_below_1():
     # the lines of every n = 3 (mod 8) and m = 1 (mod 8) below 100 run below 1
-    # within a few z, where each slice of a window is cut; r(0) = 1 is never read
+    # within a few z, where each slice of the sums is cut; r(0) = 1 is never read
     table = TunnellTable(100)
-    assert np.array_equal(table.window(0, 13), divisor_lines(range(3, 100, 8)))
+    assert np.array_equal(table.sums_at(np.arange(13)), divisor_lines(range(3, 100, 8)))
     assert np.array_equal(table.t1, divisor_lines(range(1, 34, 8))[0])
 
 
@@ -479,9 +486,9 @@ def test_table_holds_a_quarter_of_the_range():
 
 
 def test_table_build_holds_one_int32_class():
-    # each class is narrowed before the next is built, so the build holds at
-    # most the int16 table (L/2 bytes) and one int32 class (L/2 bytes); with
-    # both int32 classes alive it took 1.45 MiB
+    # the build holds at most the int16 table (L/2 bytes) and one int32 chunk,
+    # here a whole class (L/2 bytes); with both int32 classes alive it took
+    # 1.45 MiB
     tracemalloc.start()
     try:
         TunnellTable(10**6)
@@ -489,6 +496,39 @@ def test_table_build_holds_one_int32_class():
     finally:
         tracemalloc.stop()
     assert peak < 10**6 + (1 << 16)
+
+
+def test_table_build_holds_the_table_and_one_chunk():
+    # at 4 * 10^6 a class spans two chunks: the build holds the int16 table,
+    # t1 and one int32 chunk, with 64 KiB to spare; a class built whole in
+    # int32 before it is narrowed took 4 MB
+    limit = 4_000_000
+    tracemalloc.start()
+    try:
+        table = TunnellTable(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.r1.size > congruent.tunnell._CHUNK
+    assert peak < table.r1.nbytes + table.r3.nbytes + table.t1.nbytes + 4 * congruent.tunnell._CHUNK + (1 << 16), peak
+
+
+@pytest.mark.parametrize("chunk", [7, 1000])
+def test_class_chunks_leave_the_table_unchanged(monkeypatch, chunk):
+    # the classes counted a chunk of `chunk` values of k at a time against
+    # one chunk and a signed count of 2x^2 + y^2, and the sums read from them
+    limit = 20_000 if chunk == 7 else 200_000
+    monkeypatch.setattr(congruent.tunnell, "_CHUNK", 1 << 62)
+    whole = TunnellTable(limit)
+    monkeypatch.setattr(congruent.tunnell, "_CHUNK", chunk)
+    table = TunnellTable(limit)
+    binary = signed_count(2, limit)
+    assert table.r1.size > 20 * chunk
+    for r, residue in ((table.r1, 1), (table.r3, 3)):
+        assert r.dtype == np.int16 and np.array_equal(r, binary[residue::8])
+    assert np.array_equal(table.r1, whole.r1) and np.array_equal(table.r3, whole.r3) and np.array_equal(table.t1, whole.t1)
+    ks = np.arange(table.r3.size)
+    assert np.array_equal(table.sums_at(ks), whole.sums_at(ks))
 
 
 def test_class_number_reads_h_from_t():
@@ -506,34 +546,42 @@ def test_class_number_reads_h_from_t():
 def test_table_class_number_refuses_an_indivisible_sum(monkeypatch):
     # T(17) sums r(17 - 2 z^2) over z; r(9) miscounted in the build leaves it
     # indivisible by 4, and T(19), whose line 19, 17, 11, 1 misses r(9), whole
-    real = congruent.tunnell._class_counts
+    real = congruent.tunnell._chunk_counts
 
-    def miscounted(limit, residue):
-        r = real(limit, residue)
-        if residue == 9 % 8:
-            r[9 // 8] += 1
+    def miscounted(residue, k0, k1):
+        r = real(residue, k0, k1)
+        if residue == 9 % 8 and k0 <= 9 // 8 < k1:
+            r[9 // 8 - k0] += 1
         return r
 
-    monkeypatch.setattr(congruent.tunnell, "_class_counts", miscounted)
+    monkeypatch.setattr(congruent.tunnell, "_chunk_counts", miscounted)
     table = TunnellTable(1000)
     with pytest.raises(ArithmeticError, match=r"T\(17\) = \d+ is not divisible by 4"):
         class_number(17, int(table.t1[17 >> 3]))
-    assert class_number(19, int(table.window(19 >> 3, (19 >> 3) + 1)[0, 0])) == 1
+    assert class_number(19, int(table.sums_at(np.array([19 >> 3]))[0, 0])) == 1
 
 
 def test_table_counts_are_int16_below_a_checked_bound(monkeypatch):
-    # the build counts each class in int32, which cannot wrap; the maximum is checked before narrowing
+    # the build counts each chunk in int32, which cannot wrap; its maximum is checked before narrowing
     assert TunnellTable(1000).r1.dtype == TunnellTable(1000).r3.dtype == np.int16
-    real = congruent.tunnell._class_counts
+    real = congruent.tunnell._chunk_counts
 
-    def swollen(limit, residue):
-        r = real(limit, residue)
-        if residue == 41 % 8:
-            r[41 // 8] = 40_000
-        return r
+    def swollen_at(m):
+        def swollen(residue, k0, k1):
+            r = real(residue, k0, k1)
+            if residue == m % 8 and k0 <= m // 8 < k1:
+                r[m // 8 - k0] = 40_000
+            return r
 
-    monkeypatch.setattr(congruent.tunnell, "_class_counts", swollen)
+        return swollen
+
+    monkeypatch.setattr(congruent.tunnell, "_chunk_counts", swollen_at(41))
     with pytest.raises(OverflowError, match=r"r\(41\) = 40000 exceeds the table bound 32767 of int16"):
+        TunnellTable(1000)
+    # past the first chunk, and not first in its own: k = 20 is entry 6 of the chunk 14..20
+    monkeypatch.setattr(congruent.tunnell, "_CHUNK", 7)
+    monkeypatch.setattr(congruent.tunnell, "_chunk_counts", swollen_at(163))
+    with pytest.raises(OverflowError, match=r"^r\(163\) = 40000 exceeds the table bound 32767 of int16$"):
         TunnellTable(1000)
 
 
