@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
 import json
 import sys
@@ -246,6 +247,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTATION_ERROR
 
+
+# the objects of numpy's and the package's imports live until exit, so the
+# cyclic collector's walks over them free nothing; a command process moves
+# them to the permanent generation, out of every later collection and the
+# passes at shutdown.  A library `import congruent` leaves the caller's GC alone
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

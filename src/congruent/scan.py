@@ -172,27 +172,37 @@ def _shape_candidates(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     root = -3 * (((p + 1) >> 1) ** 3 % p) % p  # 1/2 = (p + 1)/2 (mod p)
     last = (limit - 3) // 8
     for k in range(0, last + 1, _BLOCK):
-        ns = np.arange(8 * k + 3, 8 * min(k + _BLOCK, last + 1), 8, dtype=np.int64)
-        count = (ns.size - (first := (root - k) % p) + p - 1) // p
-        hit, hp = _progressions(first, p, count), np.repeat(p, count)
-        ok = np.ones(ns.size, dtype=bool)
-        ok[hit[(hp & 4 != 0) | (ns[hit] % (hp * hp) == 0)]] = False
-        rest = ns.copy()
-        np.floor_divide.at(rest, hit, hp)
-        big = rest > 1
-        threes = np.bincount(hit[hp & 7 == 3], minlength=ns.size) + (big & (rest & 7 == 3))
-        ok &= (threes == 1) & (np.bincount(hit, minlength=ns.size) + big >= 2)
-        # the survivors' hits by n, each n's primes ascending, its big prime last
-        kept = ok[hit]
-        at = np.concatenate([hit[kept], np.flatnonzero(ok & big)])
-        order = np.argsort(at, kind="stable")
-        at, factor = at[order], np.concatenate([hp[kept], rest[ok & big]])[order]
-        col = np.arange(at.size) - np.searchsorted(at, at)
-        survivors = np.flatnonzero(ok)
-        primes = np.ones((survivors.size, col.max(initial=0) + 1), dtype=np.int64)
-        primes[np.searchsorted(survivors, at), col] = factor
-        keep = _non_residues(primes, 2) == 0
-        yield ns[survivors][keep], primes[keep]
+        yield _filter_pass(k, min(k + _BLOCK, last + 1), p, root)
+
+
+def _filter_pass(k0: int, k1: int, p: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One pass of _shape_candidates, n = 8k + 3 for k0 <= k < k1: its survivors and their primes.
+
+    p holds the odd sieving primes and root each one's -3/8 (mod p).  The
+    pass's temporaries end with the call, so between passes the generator
+    holds the sieving primes alone.
+    """
+    ns = np.arange(8 * k0 + 3, 8 * k1, 8, dtype=np.int64)
+    count = (ns.size - (first := (root - k0) % p) + p - 1) // p
+    hit, hp = _progressions(first, p, count), np.repeat(p, count)
+    ok = np.ones(ns.size, dtype=bool)
+    ok[hit[(hp & 4 != 0) | (ns[hit] % (hp * hp) == 0)]] = False
+    rest = ns.copy()
+    np.floor_divide.at(rest, hit, hp)
+    big = rest > 1
+    threes = np.bincount(hit[hp & 7 == 3], minlength=ns.size) + (big & (rest & 7 == 3))
+    ok &= (threes == 1) & (np.bincount(hit, minlength=ns.size) + big >= 2)
+    # the survivors' hits by n, each n's primes ascending, its big prime last
+    kept = ok[hit]
+    at = np.concatenate([hit[kept], np.flatnonzero(ok & big)])
+    order = np.argsort(at, kind="stable")
+    at, factor = at[order], np.concatenate([hp[kept], rest[ok & big]])[order]
+    col = np.arange(at.size) - np.searchsorted(at, at)
+    survivors = np.flatnonzero(ok)
+    primes = np.ones((survivors.size, col.max(initial=0) + 1), dtype=np.int64)
+    primes[np.searchsorted(survivors, at), col] = factor
+    keep = _non_residues(primes, 2) == 0
+    return ns[survivors][keep], primes[keep]
 
 
 def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Scan:

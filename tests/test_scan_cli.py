@@ -358,6 +358,23 @@ def test_filter_holds_one_pass_not_the_range():
     assert peak < 1.5 * 2**20
 
 
+def test_filter_holds_only_the_sieving_primes_between_passes():
+    # between yields the generator keeps the sieving primes and their roots,
+    # not the last pass's temporaries (hits, factors, masks: about 320 KB here)
+    limit = 2_000_000
+    sieving = 2 * np.flatnonzero(_prime_sieve(isqrt(limit))).nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = [
+            tracemalloc.get_traced_memory()[0] - before - ns.nbytes - primes.nbytes for ns, primes in _shape_candidates(limit)
+        ]
+    finally:
+        tracemalloc.stop()
+    assert len(held) == (limit - 3) // (8 * _BLOCK) + 1
+    assert max(held) < sieving + (1 << 15), held
+
+
 def test_scan_sums_hold_one_int32_row_not_three(monkeypatch):
     # each call for the sums of a window's candidates holds one int32
     # accumulator of 2^16 values (256 KiB) and a few arrays the size of its
@@ -951,32 +968,67 @@ def test_cli_check_exit_code_3_on_invariant_violation(monkeypatch, capsys):
     assert "INVARIANT VIOLATION" in capsys.readouterr().err
 
 
-def test_console_entry_point():
+def _python(*args: str, env=None, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with args, importing the package from this checkout's src/."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "congruent.cli", "tunnell", "-n", "5"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-    )
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, cwd=cwd)
+
+
+def test_console_entry_point():
+    proc = _python("-m", "congruent.cli", "tunnell", "-n", "5")
     assert proc.returncode == 0
-    assert "congruent_under_bsd" in proc.stdout
+    assert b"congruent_under_bsd" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--max", "60000"],
+        ["scan", "--max", "60000", "--out", "rows.csv"],
+        ["check", "-n", "52779", "--json"],
+        ["tunnell", "-n", "219"],
+    ],
+)
+def test_cli_process_writes_all_of_its_output_at_exit(capsys, tmp_path, monkeypatch, argv):
+    # a command process ends with its heap frozen out of the collector; what
+    # it prints or writes must still reach the stream or file whole, with the
+    # exit code of an in-process main
+    (tmp_path / "process").mkdir()
+    proc = _python("-m", "congruent.cli", *argv, cwd=tmp_path / "process")
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    printed = capsys.readouterr()
+    assert proc.returncode == code == 0, proc.stderr
+    assert proc.stdout == printed.out.encode()
+    assert proc.stderr == printed.err.encode()
+    if "--out" in argv:
+        assert (tmp_path / "process" / "rows.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert sorted(os.listdir(tmp_path / "process")) == ["rows.csv"]  # no .part file left behind
 
 
 def test_import_gives_openblas_one_thread_unless_the_user_set_it():
     # the package makes no BLAS call, so numpy's OpenBLAS pool gets one thread
     # when the variable is unset at import; a user's value is kept
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     read = "import os, congruent; print(os.environ['OPENBLAS_NUM_THREADS'])"
-    for user, expected in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")):
-        proc = subprocess.run(
-            [sys.executable, "-c", read],
-            capture_output=True,
-            text=True,
-            env={**env, **user, "PYTHONPATH": pythonpath},
-        )
+    for user, expected in (({}, b"1"), ({"OPENBLAS_NUM_THREADS": "3"}, b"3")):
+        proc = _python("-c", read, env={**env, **user})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == expected + "\n"
+        assert proc.stdout == expected + b"\n"
+
+
+def test_cli_import_freezes_its_heap_and_a_library_import_does_not():
+    # a command process moves the import heap (about 21k objects) out of the
+    # cyclic collector; the import leaves no cyclic garbage for the freeze to
+    # keep; `import congruent` alone leaves the caller's collector as it was
+    checks = (
+        ("import gc, congruent.cli; print(gc.get_freeze_count())", lambda out: int(out) > 10_000),
+        ("import gc, numpy; gc.collect(); import congruent.cli; gc.unfreeze(); print(gc.collect())", lambda out: int(out) == 0),
+        ("import gc, congruent; print(gc.get_freeze_count())", lambda out: int(out) == 0),
+    )
+    for code, holds in checks:
+        proc = _python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert holds(proc.stdout), (code, proc.stdout)
