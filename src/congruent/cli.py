@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import io
 import json
+import shutil
 import sys
+import tempfile
 
 from .arith import NotSquarefree, factor_squarefree
 from .classgroup import class_number, fundamental_discriminant, genus_two_rank
@@ -83,25 +84,20 @@ def _cmd_check(args) -> int:
 def _cmd_scan(args) -> int:
     if args.cache is not None:
         print("scan: --cache is ignored: class numbers come from the theta table", file=sys.stderr)
-    skipped = []
-
-    def on_error(n, exc):
-        print(f"scan: n = {n} skipped: {exc}", file=sys.stderr)
-        skipped.append(n)
-
-    rows = scan(args.max, t_filter=args.t, on_error=on_error)
+    rows = scan(args.max, t_filter=args.t)
     if args.out is not None:
         # each pass is written as it is done, to a file moved into place at the end
         count = emit(rows, args.format, args.out)
     else:
-        # stdout gets nothing before every check has passed
-        buffer = io.StringIO()
-        count = emit(rows, args.format, buffer)
-        sys.stdout.write(buffer.getvalue())
+        # stdout gets nothing before every check has passed; the rows wait in a file, not in memory
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as buffer:
+            count = emit(rows, args.format, buffer)
+            buffer.seek(0)
+            shutil.copyfileobj(buffer, sys.stdout)
     if args.verbose:
         print(f"scan: {count} rows", file=sys.stderr)
-    if skipped:
-        print(f"scan: {len(skipped)} rows skipped", file=sys.stderr)
+    if rows.skipped:
+        print(f"scan: {len(rows.skipped)} rows skipped", file=sys.stderr)
         return COMPUTATION_ERROR
     return 0
 

@@ -43,7 +43,7 @@ class CriterionReport:
     congruence_holds: Optional[bool] = None
     tunnell_label: Optional[Classification] = None
 
-    # s_n and r4 are built when read, so a scan builds no Monsky or Hilbert-symbol matrix
+    # s_n and r4 are built only when read: a report whose s_n and r4 go unread builds no Monsky or Hilbert-symbol matrix
     @property
     def s_n(self) -> Optional[int]:
         return None if self.hypothesis is None else selmer_rank(self.hypothesis.n)

@@ -9,23 +9,24 @@ label.
 The scan works in blocks.  Each pass sieves a block of n = 3 (mod 8) by the
 odd primes up to sqrt(limit), each of which hits the block along one
 progression, and drops, before any Python object is built, the n with a
-square factor, a prime not 1 or 3 (mod 8), a q-count other than 1, or a p_i
-modulo which q is a non-residue (Euler's criterion); the primes leave 1 or
-the last prime of each n, and that factorisation is the only one a row
-needs.  No array spans the range but the table.  One TunnellTable
-serves every row with the sums that give the Tunnell label and both class
-numbers: the scan runs the filter over the passes of one window of _WINDOW
-consecutive n = 3 (mod 8), asks the table once for the sums at their
-candidates alone, about 8% of the window, and reads T(n_q) by index.
+square factor, a prime not 1 or 3 (mod 8), a q-count other than 1, a t other
+than the one asked for, or a p_i modulo which q is a non-residue.  One power
+q^((p_i-1)/4) (mod p_i) per pair gives both that test and r8(-n).  The
+primes leave 1 or the last prime of each n, and that factorisation is the
+only one a row needs.  No array spans the range but the table.  One
+TunnellTable serves every row with the sums that give the Tunnell label and
+both class numbers: the scan runs the filter over the passes of one window
+of _WINDOW consecutive n = 3 (mod 8), asks the table once for the sums at
+their candidates alone, about 8% of the window, and reads T(n_q) by index.
 
-Every row of a pass, whatever its t, is built from the pass's columns
-(_pass_columns): both class numbers from the table's sums, the label from
-c8 and c32, the modulus 2^(t+2), r8(-n) as a count of quartic non-residues,
-the congruence, and one call of the invariant laws for the whole pass.  Per-row
-Python is left to the t >= 2 rows alone: the rank condition and the Legendre
-triple from hypothesis_from_factored, r8(-n_q) from eight_rank_neg_nq; for
-t = 1 these are fixed or a power residue mod p.  Rows come out in increasing
-n.
+Every row of a pass, whatever its t, is built from the pass's columns by
+one function of them, _pass_columns: both class numbers from the table's
+sums, the label from c8 and c32, the modulus 2^(t+2), the congruence, and one
+call of the invariant laws for the whole pass.  Per-row Python is left to the
+t >= 2 rows alone: the rank condition and the Legendre triple from
+hypothesis_from_factored, r8(-n_q) from eight_rank_neg_nq; for t = 1 these
+are fixed or a power residue mod p.  It returns the rows it skipped on an
+error with the rest, and the Scan notes them on stderr and keeps them.
 
 scan() returns a Scan.  Iterated, it yields a ScanRow per row, the form
 library callers and read_rows use; its passes() give the same rows as plain
@@ -49,7 +50,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
@@ -144,39 +145,28 @@ def _q(primes: np.ndarray) -> np.ndarray:
     return np.where(primes & 7 == 3, primes, 0).max(axis=1).astype(np.int64)
 
 
-def _non_residues(primes: np.ndarray, k: int) -> np.ndarray:
-    """For each row of _shape_candidates' primes: the number of p_i modulo which q is not a k-th power, for k | p_i - 1.
-
-    q is a k-th power mod p iff q^((p-1)/k) = 1 (mod p), Euler's criterion for
-    k = 2; every pair (q, p_i) is taken at once.  The scan's p_i are below
-    2^31, so the products stay in int64.
-    """
-    q = _q(primes)
-    rows, cols = np.nonzero((primes & 7 == 1) & (primes > 1))
-    p = primes[rows, cols].astype(np.int64)
-    return np.bincount(rows[_pow_mod(q[rows] % p, (p - 1) // k, p) != 1], minlength=primes.shape[0])
-
-
-def _shape_candidates(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Squarefree n <= limit of shape p_1 ... p_t * q, t >= 1, with q a residue mod every p_i, one filter pass at a time.
+def _shape_candidates(limit: int, t: Optional[int] = None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Squarefree n <= limit of shape p_1 ... p_t * q, t >= 1 or the t given, with q a residue mod every p_i, a pass at a time.
 
     A pass takes _BLOCK values n = 3 + 8k and yields its survivors, ascending,
-    and their primes, one row per n in increasing order and padded with 1.
+    their primes, one row per n in increasing order and padded with 0, and
+    r8(-n) of each (_residue_test).
     An odd prime p divides n iff k = -3/8 (mod p), so each p <= sqrt(limit)
     hits the pass's n along one progression.  An n is dropped at a hit where
     p^2 | n or p = 5, 7 (mod 8); the hits divided out leave 1 or a prime
-    above sqrt(limit), the last factor; then n needs t >= 1 and one prime
-    = 3 (mod 8).  Memory is one pass and the primes up to sqrt(limit).
+    above sqrt(limit), the last factor; then n needs t >= 1, or the t
+    asked for, and one prime = 3 (mod 8).  Memory is one pass and the primes
+    up to sqrt(limit).
     """
     p = np.flatnonzero(_prime_sieve(isqrt(limit)))[1:]
     root = -3 * (((p + 1) >> 1) ** 3 % p) % p  # 1/2 = (p + 1)/2 (mod p)
     last = (limit - 3) // 8
     for k in range(0, last + 1, _BLOCK):
-        yield _filter_pass(k, min(k + _BLOCK, last + 1), p, root)
+        yield _filter_pass(k, min(k + _BLOCK, last + 1), p, root, t)
 
 
-def _filter_pass(k0: int, k1: int, p: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of _shape_candidates, n = 8k + 3 for k0 <= k < k1: its survivors and their primes.
+def _filter_pass(k0: int, k1: int, p: np.ndarray, root: np.ndarray, t: Optional[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass of _shape_candidates, n = 8k + 3 for k0 <= k < k1: its survivors, their primes and r8(-n).
 
     p holds the odd sieving primes and root each one's -3/8 (mod p).  The
     pass's temporaries end with the call, so between passes the generator
@@ -191,7 +181,8 @@ def _filter_pass(k0: int, k1: int, p: np.ndarray, root: np.ndarray) -> tuple[np.
     np.floor_divide.at(rest, hit, hp)
     big = rest > 1
     threes = np.bincount(hit[hp & 7 == 3], minlength=ns.size) + (big & (rest & 7 == 3))
-    ok &= (threes == 1) & (np.bincount(hit, minlength=ns.size) + big >= 2)
+    size = np.bincount(hit, minlength=ns.size) + big  # t + 1 where n survives
+    ok &= (threes == 1) & (size >= 2) & (t is None or size == t + 1)
     # the survivors' hits by n, each n's primes ascending, its big prime last
     kept = ok[hit]
     at = np.concatenate([hit[kept], np.flatnonzero(ok & big)])
@@ -199,19 +190,35 @@ def _filter_pass(k0: int, k1: int, p: np.ndarray, root: np.ndarray) -> tuple[np.
     at, factor = at[order], np.concatenate([hp[kept], rest[ok & big]])[order]
     col = np.arange(at.size) - np.searchsorted(at, at)
     survivors = np.flatnonzero(ok)
-    primes = np.ones((survivors.size, col.max(initial=0) + 1), dtype=np.int64)
+    primes = np.zeros((survivors.size, col.max(initial=0) + 1), dtype=np.int64)
     primes[np.searchsorted(survivors, at), col] = factor
-    keep = _non_residues(primes, 2) == 0
-    return ns[survivors][keep], primes[keep]
+    keep, r8_n = _residue_test(primes)
+    return ns[survivors][keep], primes[keep], r8_n[keep]
 
 
-def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Scan:
+def _residue_test(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of _shape_candidates' primes: whether q is a residue mod every p_i, and r8(-n) if it is.
+
+    One power x = q^((p_i-1)/4) (mod p_i) per pair (q, p_i), all pairs at
+    once: x^2 is (q/p_i) by Euler's criterion, so q is a residue iff x = +-1,
+    and then x = (q/p_i)_4.  r8(-n) = 1 iff the quartic symbol (q/n_q)_4 is +1,
+    i.e. x = -1 at an even number of p_i.  The scan's p_i are below 2^31, so
+    the products stay in int64.
+    """
+    rows, cols = np.nonzero(primes & 7 == 1)
+    p = primes[rows, cols].astype(np.int64)
+    x = _pow_mod(_q(primes)[rows] % p, (p - 1) >> 2, p)
+    count = functools.partial(np.bincount, minlength=primes.shape[0])
+    return count(rows[(x != 1) & (x != p - 1)]) == 0, count(rows[x == p - 1]) % 2 == 0
+
+
+def scan(limit: int, t_filter: Optional[int] = None) -> Scan:
     """Every hypothesis n <= limit as a Scan: iterated, the ScanRow of each in increasing n.
 
     The limit is checked here, at the call; the sieve and the table are built
-    when the first row is asked for.  Computation errors abort the offending
-    row via on_error (default: stderr note) and the scan continues; invariant
-    violations propagate, loudly.
+    when the first row is asked for.  A row that meets a computation error is
+    left out, noted on stderr and kept in the Scan's skipped, and the scan
+    continues; invariant violations propagate, loudly.
     """
     if limit < 3:
         raise ValueError(f"need limit >= 3, got {limit}")
@@ -221,9 +228,7 @@ def scan(limit: int, t_filter: Optional[int] = None, on_error=None) -> Scan:
             " int16 table a checked maximum, and memory about limit/2 bytes of table, limit/6 of class-1 sums and one chunk"
             " while a class is built"
         )
-    if on_error is None:
-        on_error = lambda n, exc: print(f"scan: n = {n} skipped: {exc}", file=sys.stderr)
-    return Scan(limit, t_filter, on_error)
+    return Scan(limit, t_filter)
 
 
 class Scan:
@@ -231,10 +236,13 @@ class Scan:
 
     Iterating yields ScanRow; passes() yields the same rows as the columns of
     one filter pass at a time, which emit writes to CSV without a ScanRow.
+    skipped holds the (n, error) of each row the last iteration left out on
+    an error, in increasing n.
     """
 
-    def __init__(self, limit: int, t_filter: Optional[int], on_error: Callable[[int, Exception], None]):
-        self.limit, self.t_filter, self.on_error = limit, t_filter, on_error
+    def __init__(self, limit: int, t_filter: Optional[int]):
+        self.limit, self.t_filter = limit, t_filter
+        self.skipped: list[tuple[int, Exception]] = []
 
     def __iter__(self) -> Iterator[ScanRow]:
         for columns in self.passes():
@@ -242,19 +250,19 @@ class Scan:
 
     def passes(self) -> Iterator[tuple[list, ...]]:
         """The rows of each filter pass as _pass_columns returns them, the passes in increasing n."""
+        self.skipped = []
         table = TunnellTable(self.limit)
-
-        def of_t(ns, primes):
-            wanted = slice(None) if self.t_filter is None else (primes > 1).sum(axis=1) - 1 == self.t_filter
-            return ns[wanted], primes[wanted]
-
-        candidates = itertools.starmap(of_t, _shape_candidates(self.limit))
+        candidates = _shape_candidates(self.limit, self.t_filter)
         # the passes of one window of _WINDOW values n = 8k + 3, whose sums the table gives at their k in one call
         while held := list(itertools.islice(candidates, _WINDOW // _BLOCK)):
-            sums = table.sums_at(np.concatenate([ns for ns, _ in held]) >> 3)  # n = 8k + 3
-            starts = itertools.accumulate((ns.size for ns, _ in held), initial=0)
-            for (ns, primes), lo in zip(held, starts):
-                yield _pass_columns(ns, primes, sums[:, lo : lo + ns.size], table.t1, self.on_error)
+            sums = table.sums_at(np.concatenate([ns for ns, _, _ in held]) >> 3)  # n = 8k + 3
+            starts = itertools.accumulate((ns.size for ns, _, _ in held), initial=0)
+            for (ns, primes, r8_n), lo in zip(held, starts):
+                columns, skipped = _pass_columns(ns, primes, r8_n, sums[:, lo : lo + ns.size], table.t1)
+                for n, exc in skipped:
+                    print(f"scan: n = {n} skipped: {exc}", file=sys.stderr)
+                self.skipped += skipped
+                yield columns
 
 
 def _octic(ps: np.ndarray) -> np.ndarray:
@@ -269,7 +277,7 @@ def _octic(ps: np.ndarray) -> np.ndarray:
 def _rank_step(n: int, primes: list[int]) -> Union[tuple[tuple[int, ...], int], None, Exception]:
     """The Legendre triple and r8(-n_q) of a t >= 2 candidate, None if rank A_n != t - 1, or the error that stopped it."""
     try:
-        h = hypothesis_from_factored(FactoredSquarefree(n, tuple(p for p in primes if p > 1)))
+        h = hypothesis_from_factored(FactoredSquarefree(n, tuple(filter(None, primes))))
         return (_legendre_triple(h), eight_rank_neg_nq(h)) if h.rank_condition else None
     except (ValueError, ArithmeticError) as exc:
         return exc
@@ -279,62 +287,55 @@ _LABELS = (Classification.NON_CONGRUENT_UNCONDITIONAL.value, Classification.CONG
 _VERDICTS = (Verdict.NON_CONGRUENT_CERTIFICATE.value, Verdict.CONSISTENT_WITH_CONGRUENT.value)
 
 
-def _pass_columns(ns: np.ndarray, primes: np.ndarray, sums: np.ndarray, t1: np.ndarray, on_error) -> tuple[list, ...]:
-    """The rows of one filter pass, whatever their t: ten lists in ScanRow's field order, in increasing n.
+def _pass_columns(
+    ns: np.ndarray, primes: np.ndarray, r8_n: np.ndarray, sums: np.ndarray, t1: np.ndarray
+) -> tuple[tuple[list, ...], list[tuple[int, Exception]]]:
+    """The rows of one filter pass, whatever their t, and the (n, error) of each row skipped, both in increasing n.
 
-    sums holds the rows T, c8 and c32 of TunnellTable.sums_at at the pass's
-    n = 8k + 3, a column per n, and t1 is TunnellTable.t1.  The filter has proved
-    (q/p_i) = 1 for every p_i, so the hypothesis holds iff rank A_n = t - 1:
-    always for t = 1, where A_n is the 1 x 1 zero matrix and the triple is
-    (1), and tested by _rank_step for t >= 2.  The modulus is 2^(t+2), h(-n) = T(n)/24 and h(-4 n_q) = T(n_q)/4; r8(-n) = 1 iff the
-    quartic symbol (q/n_q)_4 is +1, i.e. q is a quartic non-residue mod an
-    even number of p_i.  r8(-n_q) is _octic for t = 1 and eight_rank_neg_nq
-    for t >= 2.  The laws of check_invariant_laws are checked once on the
-    rows returned; then each row whose T is not divisible or whose _rank_step
-    failed goes to on_error, and is left out.
+    The rows are ten lists in ScanRow's field order.  ns, primes and r8_n are
+    a pass of _shape_candidates; sums holds the rows T, c8 and c32 of
+    TunnellTable.sums_at at its n = 8k + 3, a column per n, and t1 is
+    TunnellTable.t1.  The filter has proved (q/p_i) = 1 for every p_i, so the
+    hypothesis holds iff rank A_n = t - 1: always for t = 1, where A_n is the
+    1 x 1 zero matrix and the triple is (1), and tested by _rank_step for
+    t >= 2.  The modulus is 2^(t+2), h(-n) = T(n)/24 and h(-4 n_q) = T(n_q)/4;
+    r8(-n_q) is _octic for t = 1 and eight_rank_neg_nq for t >= 2.  One mask
+    drops the rows whose rank condition fails and the skipped ones, whose
+    T(n) or T(n_q) is not divisible or whose _rank_step raised; the laws of
+    check_invariant_laws are checked once on the rest.
     """
-    t = (primes > 1).sum(axis=1) - 1
-    multi = np.flatnonzero(t >= 2)
-    steps = [_rank_step(n, row) for n, row in zip(ns[multi].tolist(), primes[multi].tolist())]
-    held = np.ones(ns.size, dtype=bool)
-    held[multi] = [step is not None for step in steps]
-    ns, primes, t, sums = ns[held], primes[held], t[held], sums[:, held]
-    # the row index of each t >= 2 row left, to its triple and r8(-n_q) or to the error that stopped it
-    steps = dict(zip(np.flatnonzero(t >= 2).tolist(), (step for step in steps if step is not None)))
+    t = np.count_nonzero(primes, axis=1) - 1
     qs = _q(primes)
     nqs = ns // qs
-    failed, r8_nq = np.zeros((2, ns.size), dtype=bool)
-    triples = {}
-    for i, step in steps.items():
-        if isinstance(step, Exception):
-            failed[i] = True
+    r8_nq = np.zeros(ns.size, dtype=bool)
+    r8_nq[t == 1] = _octic(nqs[t == 1])
+    keep = np.ones(ns.size, dtype=bool)
+    triples, errors = {}, {}
+    multi = np.flatnonzero(t >= 2)
+    for i, n, row in zip(multi.tolist(), ns[multi].tolist(), primes[multi].tolist()):
+        step = _rank_step(n, row)
+        if step is None:
+            keep[i] = False
+        elif isinstance(step, Exception):
+            errors[i] = step
         else:
             triples[i], r8_nq[i] = step[0], step[1] == 1
-    r8_nq[t == 1] = _octic(nqs[t == 1])
     t_n, c8, c32 = sums
     t_nq = t1[nqs >> 3]  # n_q = 8k + 1
-    ok = (t_n % 24 == 0) & (t_nq % 4 == 0) & ~failed
+    for i in np.flatnonzero(keep & ((t_n % 24 != 0) | (t_nq % 4 != 0))).tolist():
+        errors[i] = NotDivisible(int(ns[i]), int(t_n[i]), 24) if t_n[i] % 24 else NotDivisible(int(nqs[i]), int(t_nq[i]), 4)
+    keep[list(errors)] = False
     h_n, h_nq, modulus = t_n // 24, t_nq // 4, 4 << t
     congruence = (h_n - h_nq) % modulus == 0
-    r8_n = _non_residues(primes, 4) % 2 == 0
     bsd = congruent_under_bsd(c8, c32)
     laws = (ns, ~congruence, bsd, modulus, h_n, h_nq, congruence, r8_n, r8_nq)
-    check_invariant_laws(*(column[ok] for column in laws))
-    for i in np.flatnonzero(~ok).tolist():
-        n, tn, tnq = int(ns[i]), int(t_n[i]), int(t_nq[i])
-        if tn % 24:
-            on_error(n, NotDivisible(n, tn, 24))
-        elif tnq % 4:
-            on_error(n, NotDivisible(int(nqs[i]), tnq, 4))
-        else:
-            on_error(n, steps[i])
-    good = np.flatnonzero(ok)
-    p_cols = np.where((primes & 7 == 1) & (primes > 1), primes, 0)[good]
+    check_invariant_laws(*(column[keep] for column in laws))
+    good = np.flatnonzero(keep)
     congruence = congruence[good].tolist()
-    return (
+    columns = (
         ns[good].tolist(),
         qs[good].tolist(),
-        [tuple(filter(None, ps)) for ps in p_cols.tolist()],
+        [tuple(filter(None, ps)) for ps in np.where(primes & 7 == 1, primes, 0)[good].tolist()],
         [triples.get(i, (1,)) for i in good.tolist()],
         h_n[good].tolist(),
         h_nq[good].tolist(),
@@ -343,6 +344,7 @@ def _pass_columns(ns: np.ndarray, primes: np.ndarray, sums: np.ndarray, t1: np.n
         [_LABELS[label] for label in bsd[good].tolist()],
         [_VERDICTS[holds] for holds in congruence],
     )
+    return columns, [(int(ns[i]), errors[i]) for i in sorted(errors)]
 
 
 def emit(rows: Iterable[ScanRow], fmt: str, target) -> int:

@@ -1,6 +1,8 @@
 """Tests for the scanner, the CSV/JSON round-trip, and the CLI."""
 
+import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -18,7 +20,7 @@ import congruent.arith
 import congruent.classgroup
 import congruent.criteria
 import congruent.tunnell
-from congruent.arith import FactoredSquarefree, _prime_sieve, is_prime, legendre
+from congruent.arith import FactoredSquarefree, _prime_sieve, is_prime, legendre, quartic_symbol
 from congruent.cli import main
 from congruent.scan import (
     _BLOCK,
@@ -27,7 +29,7 @@ from congruent.scan import (
     ScanRow,
     _csv_records,
     _legendre_triple,
-    _non_residues,
+    _residue_test,
     _row_values,
     _shape_candidates,
     emit,
@@ -117,7 +119,7 @@ def test_scan_t_filter_and_t1():
 
 
 def test_scan_rejects_small_limit():
-    # scan returns a generator, but its limit is checked at the call, before any row is asked for
+    # scan returns a Scan, which runs when iterated, but its limit is checked at the call
     for limit in (2, 10**9 + 1):
         with pytest.raises(ValueError):
             scan(limit)
@@ -298,10 +300,10 @@ def test_block_filter_matches_the_python_walk(monkeypatch, walked, block):
         passes = list(_shape_candidates(limit))
         # one pass per block of the filter, its n all in that block
         assert len(passes) == (limit - 3) // span + 1, limit
-        for i, (ns, _) in enumerate(passes):
+        for i, (ns, _, _) in enumerate(passes):
             assert ((ns - 3) // span == i).all(), limit
         found = [
-            (n, tuple(p for p in row if p > 1)) for ns, primes in passes for n, row in zip(ns.tolist(), primes.tolist())
+            (n, tuple(filter(None, row))) for ns, primes, _ in passes for n, row in zip(ns.tolist(), primes.tolist())
         ]
         assert found == [(c.value, c.primes) for c, qr in walked if c.value <= limit and qr], limit
 
@@ -311,19 +313,43 @@ def test_residue_reject_matches_the_hypothesis(monkeypatch, walked):
     scan_mod = importlib.import_module("congruent.scan")
     shaped = []
 
-    def non_residues(primes, k):
+    def residue_test(primes):
         shaped.append(primes)
-        return _non_residues(primes, k)
+        return _residue_test(primes)
 
-    monkeypatch.setattr(scan_mod, "_non_residues", non_residues)
+    monkeypatch.setattr(scan_mod, "_residue_test", residue_test)
     passes = list(_shape_candidates(200_000))
-    rows = [tuple(p for p in row if p > 1) for primes in shaped for row in primes.tolist()]
+    rows = [tuple(filter(None, row)) for primes in shaped for row in primes.tolist()]
     assert [prod(row) for row in rows] == [c.value for c, _ in walked]
     assert rows == [c.primes for c, _ in walked]
-    residue = np.concatenate([_non_residues(primes, 2) == 0 for primes in shaped])
+    residue = np.concatenate([_residue_test(primes)[0] for primes in shaped])
     assert residue.tolist() == [qr for _, qr in walked]
     assert 0 < residue.sum() < residue.size
-    assert [n for ns, _ in passes for n in ns.tolist()] == [c.value for c, qr in walked if qr]
+    assert [n for ns, _, _ in passes for n in ns.tolist()] == [c.value for c, qr in walked if qr]
+
+
+def test_filter_r8_matches_the_quartic_symbol(walked):
+    # the filter's one power per (q, p_i) gives r8(-n) = 1 iff (q/n_q)_4 = +1,
+    # the scalar symbol criteria.evaluate reads
+    r8_n = [r8 for _, _, r8s in _shape_candidates(200_000) for r8 in r8s.tolist()]
+    expected = []
+    for c, qr in walked:
+        if qr:
+            q = next(p for p in c.primes if p % 8 == 3)
+            n_q = FactoredSquarefree(c.value // q, tuple(p for p in c.primes if p != q))
+            expected.append(quartic_symbol(q, n_q) == 1)
+    assert r8_n == expected
+    assert 0 < sum(r8_n) < len(r8_n)
+
+
+def test_filter_of_one_t_keeps_the_walk_of_that_t(walked):
+    # a scan of one t drops the n of every other t in the filter, before the residue powers and the sums
+    for t in (0, 1, 2, 3):
+        found = [
+            (n, tuple(filter(None, row))) for ns, primes, _ in _shape_candidates(200_000, t) for n, row in zip(ns.tolist(), primes.tolist())
+        ]
+        assert found == [(c.value, c.primes) for c, qr in walked if qr and len(c.primes) == t + 1], t
+        assert (found != []) == (t in (1, 2)), t
 
 
 @pytest.mark.parametrize("block", [27, None])
@@ -339,7 +365,7 @@ def test_filter_matches_the_python_walk_where_the_sieving_primes_step(monkeypatc
     cofactors = set()
     for limit in limits + [17 * 19, 41 * 43, 137 * 139, 281 * 283]:
         found = [
-            (n, tuple(f for f in row if f > 1)) for ns, primes in _shape_candidates(limit) for n, row in zip(ns.tolist(), primes.tolist())
+            (n, tuple(filter(None, row))) for ns, primes, _ in _shape_candidates(limit) for n, row in zip(ns.tolist(), primes.tolist())
         ]
         assert found == [(c.value, c.primes) for c, qr in walked if c.value <= limit and qr], limit
         cofactors.update(primes[-1] % 8 for _, primes in found if primes[-1] > isqrt(limit))
@@ -367,7 +393,8 @@ def test_filter_holds_only_the_sieving_primes_between_passes():
     try:
         before = tracemalloc.get_traced_memory()[0]
         held = [
-            tracemalloc.get_traced_memory()[0] - before - ns.nbytes - primes.nbytes for ns, primes in _shape_candidates(limit)
+            tracemalloc.get_traced_memory()[0] - before - ns.nbytes - primes.nbytes - r8_n.nbytes
+            for ns, primes, r8_n in _shape_candidates(limit)
         ]
     finally:
         tracemalloc.stop()
@@ -422,9 +449,25 @@ def test_json_emit_holds_one_pass_not_every_row(tmp_path):
     assert peaks["json"] < peaks["csv"] + 2**20, peaks
 
 
+def test_scan_to_stdout_holds_no_more_than_to_a_file(tmp_path):
+    # stdout gets the rows only once the scan is done, from a temporary file;
+    # a string buffer of them, then its copy, took about 2.2 MB more here
+    peaks = {}
+    for name, argv in (("out", ["--out", str(tmp_path / "out.csv")]), ("stdout", [])):
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "stdout.csv", "w", encoding="utf-8", newline="") as fh, contextlib.redirect_stdout(fh):
+                assert main(["scan", "--max", "2000000", *argv]) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "stdout.csv").read_bytes() == (tmp_path / "out.csv").read_bytes()
+    assert peaks["stdout"] < peaks["out"] + 2**20, peaks
+
+
 def test_residue_reject_at_the_largest_scan_primes():
     # a scan to its bound 1,000,000,000 meets p_i up to 333,333,333, where p^2
-    # is near 2^57; Euler's criterion must stay exact in int64 there
+    # is near 2^57; Euler's criterion and the quartic symbol must stay exact in int64 there
     assert MAX_SCAN_LIMIT // 3 == 333_333_333
     rng = random.Random(11)
     large_q = [q for q in range(320_000_003, 320_010_000, 8) if is_prime(q)]
@@ -433,10 +476,14 @@ def test_residue_reject_at_the_largest_scan_primes():
         p = rng.randrange(300_000_001, 333_333_333, 8)
         if is_prime(p):
             pairs.append((rng.choice((3, 11, 19, rng.choice(large_q))), p))
-    residue = _non_residues(np.array([sorted(pair) for pair in pairs], dtype=np.int32), 2) == 0
+    residue, r8_n = _residue_test(np.array([sorted(pair) for pair in pairs], dtype=np.int32))
     expected = [legendre(q, p) == 1 for q, p in pairs]
     assert residue.tolist() == expected
     assert 0 < residue.sum() < residue.size
+    # with one p_i, r8(-n) = 0 exactly where x = q^((p-1)/4) = -1 (mod p)
+    minus_one = [pow(q, (p - 1) // 4, p) == p - 1 for q, p in pairs]
+    assert (~r8_n).tolist() == minus_one
+    assert 0 < sum(minus_one) < residue.sum()
 
 
 def test_scan_factors_nothing_beyond_the_sieve(monkeypatch):
@@ -773,8 +820,9 @@ def _fail_42267(monkeypatch):
 
 def test_scan_row_errors_do_not_abort(monkeypatch):
     _fail_42267(monkeypatch)
-    seen = []
-    rows = list(scan(60000, t_filter=2, on_error=lambda n, exc: seen.append(n)))
+    found = scan(60000, t_filter=2)
+    rows = list(found)
+    seen = [n for n, _ in found.skipped]
     assert seen == [42267]
     assert 52779 in {r.n for r in rows} and 42267 not in {r.n for r in rows}
 
@@ -788,6 +836,51 @@ def test_cli_scan_exit_code_2_on_skipped_rows(monkeypatch, capsys, tmp_path):
     assert "scan: 1 rows skipped" in err
     # every good row is still written
     assert [r.n for r in read_rows(out, "csv")] == [23579, 29971, 41123, 52779, 57851]
+
+
+def test_scan_keeps_the_rows_it_skipped(monkeypatch, capsys, tmp_path):
+    # T(219) off by 1 skips a t = 1 row; an error in the rank step of 42267 = 3 * 73 * 193 a t = 2 row
+    _fail_42267(monkeypatch)
+    scan_mod = importlib.import_module("congruent.scan")
+
+    class Skewed(congruent.tunnell.TunnellTable):
+        def sums_at(self, ks):
+            rows = super().sums_at(ks)
+            rows[0, ks == 219 >> 3] += 1
+            return rows
+
+    monkeypatch.setattr(scan_mod, "TunnellTable", Skewed)
+    found = scan(60000)
+    assert found.skipped == []
+    rows = list(found)
+    skipped = [(n, type(exc), str(exc)) for n, exc in found.skipped]
+    assert skipped == [
+        (219, congruent.tunnell.NotDivisible, "T(219) = 97 is not divisible by 24"),
+        (42267, ArithmeticError, "injected"),
+    ]
+    assert capsys.readouterr().err == "".join(f"scan: n = {n} skipped: {exc}\n" for n, exc in found.skipped)
+    # a second run gives the same rows and starts its list afresh
+    assert list(found) == rows and 219 not in {r.n for r in rows} and 42267 not in {r.n for r in rows}
+    assert [(n, type(exc), str(exc)) for n, exc in found.skipped] == skipped
+    capsys.readouterr()
+    assert main(["scan", "--max", "60000", "--out", str(tmp_path / "rows.csv")]) == 2
+    assert capsys.readouterr().err.endswith("scan: n = 42267 skipped: injected\nscan: 2 rows skipped\n")
+    assert read_rows(str(tmp_path / "rows.csv"), "csv") == rows
+
+
+# md5 of what `congruent scan --max 2000000` prints with each --t and format
+T_FILTER_MD5 = {
+    ("2", "csv"): "584194473da5012d71560518ab95bdb1",
+    ("1", "json"): "93921b2ba7969a07d1badbd72e8141d7",
+}
+
+
+@pytest.mark.parametrize("t, fmt", sorted(T_FILTER_MD5))
+def test_cli_scan_of_one_t_is_byte_identical(capsys, t, fmt):
+    assert main(["scan", "--max", "2000000", "--t", t, "--format", fmt]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert hashlib.md5(printed.out.encode("utf-8")).hexdigest() == T_FILTER_MD5[t, fmt]
 
 
 def _skew_sums(monkeypatch):
@@ -820,8 +913,9 @@ def test_scan_t1_errors_do_not_abort(monkeypatch):
     expected = list(scan(60000))
     assert [r.n for r in expected if r.p_list == (97,)] == N_97Q
     _skew_sums(monkeypatch)
-    seen = []
-    rows = list(scan(60000, on_error=lambda n, exc: seen.append((n, type(exc), str(exc)))))
+    found = scan(60000)
+    rows = list(found)
+    seen = [(n, type(exc), str(exc)) for n, exc in found.skipped]
     # in increasing n, the t = 2 row between the n = 97 q
     skew_97 = [(n, congruent.tunnell.NotDivisible, "T(97) = 18 is not divisible by 4") for n in N_97Q]
     skew_42267 = (42267, congruent.tunnell.NotDivisible, "T(42267) = 577 is not divisible by 24")
@@ -900,9 +994,9 @@ def test_scan_rows_at_the_window_edges(t_filter):
     edge = 8 * _WINDOW
     wider = list(scan(540_000, t_filter=t_filter))
     for limit in (edge + 11, 524_339):
-        errors = []
-        rows = list(scan(limit, t_filter=t_filter, on_error=lambda n, exc: errors.append(n)))
-        assert errors == [] and rows == [r for r in wider if r.n <= limit], limit
+        found = scan(limit, t_filter=t_filter)
+        rows = list(found)
+        assert found.skipped == [] and rows == [r for r in wider if r.n <= limit], limit
         late = [r for r in rows if r.n > edge - 8 * _BLOCK]
         assert late and all(t_filter in (None, len(r.p_list)) for r in late)
         assert late == [row_from_report(evaluate_hypothesis(build_hypothesis(r.n))) for r in late], limit
