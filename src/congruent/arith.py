@@ -11,9 +11,9 @@ and each product before the next, so none passes mod^2 < 2^63.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,20 +22,28 @@ class NotSquarefree(ValueError):
     """A repeated prime factor was found where a squarefree integer is required."""
 
 
-@dataclass(frozen=True)
-class FactoredSquarefree:
-    """A squarefree positive integer with its sorted prime factorization."""
-
+class _Factored(NamedTuple):
     value: int
     primes: tuple[int, ...]
 
-    def __post_init__(self):
-        if prod(self.primes) != self.value:
-            raise ValueError(f"primes {self.primes} do not multiply to {self.value}")
-        if any(self.primes[i] >= self.primes[i + 1] for i in range(len(self.primes) - 1)):
+
+class FactoredSquarefree(_Factored):
+    """A squarefree positive integer with its sorted prime factorization, checked when made."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):  # the base's _make, which _replace calls, would skip the checks
+        return cls(*iterable)
+
+    def __new__(cls, value: int, primes: tuple[int, ...]):
+        if prod(primes) != value:
+            raise ValueError(f"primes {primes} do not multiply to {value}")
+        if any(primes[i] >= primes[i + 1] for i in range(len(primes) - 1)):
             raise ValueError("primes must be strictly increasing")
-        if any(not is_prime(p) for p in self.primes):
-            raise ValueError(f"non-prime entry in {self.primes}")
+        if any(not is_prime(p) for p in primes):
+            raise ValueError(f"non-prime entry in {primes}")
+        return super().__new__(cls, value, primes)
 
 
 # Witnesses giving a deterministic strong-pseudoprime test for n < 3.3e24.

@@ -11,8 +11,7 @@ Tunnell label is evidence shown next to the verdict, never folded into it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,8 +28,7 @@ class Verdict(enum.Enum):
     HYPOTHESIS_FAILED = "hypothesis_failed"
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     n: int
     verdict: Verdict
     reason: Optional[str] = None

@@ -10,7 +10,6 @@ verifies that extension exhaustively instead of trusting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
@@ -30,8 +29,7 @@ class DivisorPair(NamedTuple):
     b: int
 
 
-@dataclass(frozen=True)
-class TorsorWitness:
+class TorsorWitness(NamedTuple):
     pair: DivisorPair
     x: int
     y: int

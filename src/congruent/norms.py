@@ -13,9 +13,9 @@ fundamental unit 1 + sqrt(2) then walks the solution to minimal f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import FactoredSquarefree, is_square, jacobi, sqrt_mod_prime
 
@@ -24,8 +24,7 @@ class NoRepresentation(ValueError):
     """P is not representable; only possible when a precondition is violated."""
 
 
-@dataclass(frozen=True)
-class NormRepresentation:
+class NormRepresentation(NamedTuple):
     P: FactoredSquarefree
     u: int
     v: int

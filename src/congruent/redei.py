@@ -10,7 +10,7 @@ the Hilbert-symbol matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import FactoredSquarefree, factor_squarefree, hilbert, jacobi, legendre, quartic_symbol
 from .gf2 import pack, rank_f2
@@ -33,8 +33,7 @@ class HypothesisNotMet(ValueError):
     """An operation was called on a HypothesisN whose conditions fail."""
 
 
-@dataclass(frozen=True)
-class HypothesisN:
+class HypothesisN(NamedTuple):
     n: FactoredSquarefree
     q: int
     p_list: tuple[int, ...]

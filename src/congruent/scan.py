@@ -29,13 +29,17 @@ are fixed or a power residue mod p.  It returns the rows it skipped on an
 error with the rest, and the Scan notes them on stderr and keeps them.
 
 scan() returns a Scan.  Iterated, it yields a ScanRow per row, the form
-library callers and read_rows use; its passes() give the same rows as plain
-lists, one pass at a time, and emit writes a Scan's CSV from those lists
-with no ScanRow.  Every CSV line, from a Scan or from any iterable of ScanRow, comes
-from one formatter, _csv_records, and the csv module's quoting.  CSV is the
-7-bit machine format (prime product joined by "*"); the pretty printer uses
-the dot separator.  emit writes a path through a new file beside it, moved
-into place only once every row is written, and returns the row count.
+library callers and read_rows use: a NamedTuple whose fields are the CSV
+columns in order, with the primes and the triple as tuples.  Its passes()
+give the same rows as plain lists, one pass at a time, and emit writes a
+Scan's CSV from those lists with no ScanRow.  Every CSV line, from a Scan or
+from any iterable of ScanRow, comes from one formatter, _csv_lines: one %
+format of the row's ten cells, the bytes csv.writer writes.  Only a triple
+of two or more symbols holds a comma, and it alone is quoted, as the csv
+module quotes it; the csv module only reads (read_rows).  CSV is the 7-bit
+machine format (prime product joined by "*"); the pretty printer uses the
+dot separator.  emit writes a path through a new file beside it, moved into
+place only once every row is written, and returns the row count.
 """
 
 from __future__ import annotations
@@ -45,12 +49,10 @@ import csv
 import functools
 import itertools
 import json
-import operator
 import os
 import sys
-from dataclasses import dataclass, fields
 from math import isqrt
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -73,8 +75,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     n: int
     q: int
     p_list: tuple[int, ...]
@@ -111,10 +112,6 @@ class ScanRow:
 
     def to_dict(self) -> dict:
         return dict(zip(CSV_COLUMNS, self.cells()))
-
-
-# a ScanRow's values in field order, which is CSV_COLUMNS order
-_row_values = operator.attrgetter(*(field.name for field in fields(ScanRow)))
 
 
 def _p_product(p_list: tuple[int, ...]) -> str:
@@ -386,7 +383,7 @@ def _replacing(path):
 def _emit_to(rows: Iterable[ScanRow], fmt: str, fh: TextIO) -> int:
     # a Scan by filter pass; any other iterable in batches of up to _BLOCK rows, from one iterator until islice gives none
     rest = iter(rows)
-    batches = rows.passes() if isinstance(rows, Scan) else iter(lambda: tuple(zip(*map(_row_values, itertools.islice(rest, _BLOCK)))), ())
+    batches = rows.passes() if isinstance(rows, Scan) else iter(lambda: tuple(zip(*itertools.islice(rest, _BLOCK))), ())
     count = 0
     if fmt == "json":  # json.dump's bytes for the list of every row's dict with indent=2, a batch at a time
         for columns in batches:
@@ -396,22 +393,31 @@ def _emit_to(rows: Iterable[ScanRow], fmt: str, fh: TextIO) -> int:
                 count += len(columns[0])
         fh.write("\n]\n" if count else "[]\n")
         return count
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    fh.write(",".join(CSV_COLUMNS) + "\n")
     for columns in batches:
-        writer.writerows(_csv_records(columns))
+        fh.write("".join(_csv_lines(columns)))
         count += len(columns[0])
     return count
 
 
 _WORDS = ("false", "true")  # booleans as the lowercase words JSON uses
 
+# a row's ten cells as csv.writer writes them with lineterminator="\n": only a
+# triple of more than one symbol holds the delimiter, and _csv_triple quotes it
+_CSV_LINE = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
 
-def _csv_records(columns: tuple) -> Iterator[tuple]:
-    """The CSV cells of rows given as columns in ScanRow's field order, one tuple per row: the one CSV line format."""
+
+@functools.lru_cache(maxsize=256)
+def _csv_triple(triple: tuple[int, ...]) -> str:
+    text = _triple_str(triple)
+    return f'"{text}"' if "," in text else text
+
+
+def _csv_lines(columns: tuple) -> Iterator[str]:
+    """The CSV line of each row given as columns in ScanRow's field order: the one CSV line format."""
     n, q, p_lists, triples, h_n, h_nq, modulus, congruence, labels, verdicts = columns
-    words = map(_WORDS.__getitem__, congruence)
-    return zip(n, q, map(_p_product, p_lists), map(_triple_str, triples), h_n, h_nq, modulus, words, labels, verdicts)
+    cells = zip(n, q, map(_p_product, p_lists), map(_csv_triple, triples), h_n, h_nq, modulus, map(_WORDS.__getitem__, congruence), labels, verdicts)
+    return map(_CSV_LINE.__mod__, cells)
 
 
 def _row_from_dict(d: dict) -> ScanRow:

@@ -8,14 +8,13 @@ nothing downstream needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import FactoredSquarefree, legendre
 from .gf2 import pack, rank_f2
 
 
-@dataclass(frozen=True)
-class MonskyDecomposition:
+class MonskyDecomposition(NamedTuple):
     m: FactoredSquarefree
     M: tuple[int, ...]
     s: int

@@ -18,7 +18,8 @@ a line m - 2z^2 is live at every z (m = 3 mod 8), at even z (1), at odd z
 m = 1, 3 (mod 8) up to a limit, a contiguous array per class built a chunk
 of k at a time, a quarter of the range, and serves a scan: its sums_at sums
 the lines of the n = 3 (mod 8) a scan asks for, a window of n at a time, by
-contiguous slice adds into one int32 accumulator, and its t1 holds T of
+contiguous slice adds, summed in int16 a run of slices at a time and each run
+into one int32 accumulator, and its t1 holds T of
 every m = 1 (mod 8) up to limit/3, each n_q's class number.  divisor_lines
 sums the lines of a batch of checked centres, deduplicated as a sorted set,
 in int64 into rows T, c8 and c32 with a column per centre, taking r at the
@@ -41,9 +42,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from math import isqrt
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class Classification(enum.Enum):
     CONGRUENT_UNDER_BSD = "congruent_under_bsd"
 
 
-@dataclass(frozen=True)
-class ThetaCounts:
+class ThetaCounts(NamedTuple):
     n: int
     c32: int
     c8: int
@@ -151,6 +150,9 @@ _WINDOW = 1 << 16
 # chunks repeat the loop over u more often, larger ones hold more (BENCH_scan.json)
 _CHUNK = 1 << 18
 
+# the largest r a table holds, and the largest sum of a run of _add_shifted
+_INT16_MAX = int(np.iinfo(np.int16).max)
+
 
 def _chunk_counts(residue: int, k0: int, k1: int) -> np.ndarray:
     """r(8k + residue) = #{2x^2 + y^2 = 8k + residue} for k0 <= k < k1, residue 1 or 3, as int32, column k - k0.
@@ -175,8 +177,8 @@ def _chunk_counts(residue: int, k0: int, k1: int) -> np.ndarray:
     return r
 
 
-def _class_counts(limit: int, residue: int) -> np.ndarray:
-    """r(8k + residue) for k = 0..(limit - residue) // 8, residue 1 or 3, as int16, counted _CHUNK values of k at a time.
+def _class_counts(limit: int, residue: int) -> tuple[np.ndarray, int]:
+    """r(8k + residue) for k = 0..(limit - residue) // 8, residue 1 or 3, as int16, counted _CHUNK values of k at a time, and its maximum.
 
     Each chunk is counted in int32 by _chunk_counts and written into the
     int16 class once its maximum is checked, so the build holds the class
@@ -184,25 +186,35 @@ def _class_counts(limit: int, residue: int) -> np.ndarray:
     """
     size = max(0, (limit - residue) // 8 + 1)
     r = np.empty(size, dtype=np.int16)
-    bound = int(np.iinfo(np.int16).max)
+    top = 0
     for k0 in range(0, size, _CHUNK):
         chunk = _chunk_counts(residue, k0, min(k0 + _CHUNK, size))
-        if chunk.max() > bound:
-            top = int(chunk.argmax())
-            raise OverflowError(f"r({8 * (k0 + top) + residue}) = {chunk[top]} exceeds the table bound {bound} of int16")
+        if (chunk_top := int(chunk.max())) > _INT16_MAX:
+            at = int(chunk.argmax())
+            raise OverflowError(f"r({8 * (k0 + at) + residue}) = {chunk_top} exceeds the table bound {_INT16_MAX} of int16")
         r[k0 : k0 + chunk.size] = chunk
+        top = max(top, chunk_top)
         del chunk  # before the next chunk is counted
-    return r
+    return r, top
 
 
-def _add_shifted(out: np.ndarray, r: np.ndarray, k0: int, shifts: list[int]) -> None:
-    """out[k - k0] += r[k - s] for each s of the ascending shifts and each k >= s of k0..k0 + len(out) - 1: one slice per s."""
+def _add_shifted(out: np.ndarray, r: np.ndarray, k0: int, shifts: list[int], group: int) -> None:
+    """out[k - k0] += r[k - s] for each s of the ascending shifts and each k >= s of k0..k0 + len(out) - 1: one slice per s.
+
+    Each run of group slices is summed in a row of r's dtype, exact while
+    group * max r fits it, and the row is added into out once per run.
+    """
     k1 = k0 + out.size
-    for s in shifts:
-        if s >= k1:
-            break
-        lo = max(k0, s)
-        out[lo - k0 :] += r[lo - s : k1 - s]
+    shifts = [s for s in shifts if s < k1]
+    row = np.empty(out.size, dtype=r.dtype)
+    for i in range(0, len(shifts), group):
+        first, *rest = shifts[i : i + group]
+        lo = max(k0, first)  # the run's shifts ascend, so the first's slice is the longest
+        np.copyto(row[lo - k0 :], r[lo - first : k1 - first])
+        for s in rest:
+            at = max(k0, s)
+            row[at - k0 :] += r[at - s : k1 - s]
+        out[lo - k0 :] += row[lo - k0 :]
 
 
 class TunnellTable:
@@ -216,7 +228,8 @@ class TunnellTable:
     chunk into the class once its maximum is checked, so the build holds at
     most the table and one int32 chunk.  The check is a guard, not a live limit: r(m) =
     2 sum_{d | m} (-8/d) <= 2 tau(m), so r stays far below 2^15 (its
-    maximum up to 10^7 is 144).
+    maximum up to 10^7 is 144).  top keeps the largest r the check saw, and
+    group = 32,767 // top is how many slices _add_shifted sums in int16.
 
     t1[k] = T(8k + 1) in int32 for every 8k + 1 <= limit/3, which an n_q = n/q
     of a scan row is: its line is live at even z = 2j only, where it reads
@@ -226,13 +239,19 @@ class TunnellTable:
     def __init__(self, limit: int):
         if limit < 1:
             raise ValueError("limit must be positive")
-        self.r1, self.r3 = (_class_counts(limit, residue) for residue in (1, 3))
+        (self.r1, top1), (self.r3, top3) = (_class_counts(limit, residue) for residue in (1, 3))
+        self.top = max(top1, top3)
         self.t1 = np.zeros((limit // 3 - 1) // 8 + 1, dtype=np.int32)
         squares = [j * j for j in range(isqrt(self.t1.size) + 1)]
         for k0 in range(0, self.t1.size, _WINDOW):
-            _add_shifted(self.t1[k0 : k0 + _WINDOW], self.r1, k0, squares)
+            _add_shifted(self.t1[k0 : k0 + _WINDOW], self.r1, k0, squares, self.group)
         self.t1 *= 2  # T = 2 sum_j r1[k - j^2] - r1[k], in place
         self.t1 -= self.r1[: self.t1.size]
+
+    @property
+    def group(self) -> int:
+        """The shifts _add_shifted sums in int16 before each add into int32: the most whose sum of r cannot exceed 32,767."""
+        return _INT16_MAX // self.top
 
     def sums_at(self, ks: np.ndarray) -> np.ndarray:
         """Rows T, c8 and c32 in int32 of the table's n = 8k + 3 at the ascending k of ks alone, column i for ks[i].
@@ -246,8 +265,12 @@ class TunnellTable:
         r3[k] and T = 2 (e0 + e1 + o) - r3[k], each gathered at the k once its
         part is added.  int32 cannot wrap: 2 acc <= T + r3[k], T <= 2 max r
         (isqrt(limit // 2) + 1), and the checked max r <= 32,767 keeps their
-        sum below 2^31 for every limit up to 2 * 10^9.  ValueError names the
-        first k out of order or outside 0..len(r3) - 1.
+        sum below 2^31 for every limit up to 2 * 10^9.  int16 cannot wrap
+        either: _add_shifted sums group slices at a time in an int16 row
+        before each add into acc, and group * max r <= 32,767, with group >=
+        12 at every limit a scan admits, as r(m) <= 2 tau(m) <= 2 * 1,344
+        below 10^9.  ValueError names the first k out of order or outside
+        0..len(r3) - 1.
         """
         ks = np.asarray(ks, dtype=np.int64)
         bad = (ks < 0) | (ks >= self.r3.size)
@@ -262,7 +285,7 @@ class TunnellTable:
             squares = [j * j for j in range(isqrt(k1) + 1)]
             parts = ((self.r3, squares[::2]), (self.r3, squares[1::2]), (self.r1, [square + j for j, square in enumerate(squares)]))
             for row, (r, shifts) in zip(rows[::-1], parts):  # c32, c8, T
-                _add_shifted(acc, r, k0, shifts)
+                _add_shifted(acc, r, k0, shifts, self.group)
                 np.subtract(2 * acc[at], r3, out=row[lo:hi])
         return rows
 

@@ -97,12 +97,7 @@ def test_evaluate_prime_pair_rejections():
 
 def test_invariant_checker_fires_on_forged_report():
     good = evaluate(42267)
-    forged = type(good)(
-        **{
-            **{f: getattr(good, f) for f in good.__dataclass_fields__},
-            "tunnell_label": Classification.CONGRUENT_UNDER_BSD,
-        }
-    )
+    forged = good._replace(tunnell_label=Classification.CONGRUENT_UNDER_BSD)
     with pytest.raises(InvariantViolation):
         check_report_invariants(forged)
 

@@ -15,6 +15,8 @@ from math import isqrt, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import congruent.arith
 import congruent.classgroup
@@ -24,13 +26,14 @@ from congruent.arith import FactoredSquarefree, _prime_sieve, is_prime, legendre
 from congruent.cli import main
 from congruent.scan import (
     _BLOCK,
+    _LABELS,
+    _VERDICTS,
     CSV_COLUMNS,
     MAX_SCAN_LIMIT,
     ScanRow,
-    _csv_records,
+    _csv_lines,
     _legendre_triple,
     _residue_test,
-    _row_values,
     _shape_candidates,
     emit,
     read_rows,
@@ -160,8 +163,32 @@ def test_csv_line_format_matches_the_csv_module():
     assert emit([t1, t3], "csv", by_row) == 2
     by_pass = io.StringIO()
     by_pass.write(",".join(CSV_COLUMNS) + "\n")
-    csv.writer(by_pass, lineterminator="\n").writerows(_csv_records(tuple(zip(_row_values(t1), _row_values(t3)))))
+    by_pass.writelines(_csv_lines(tuple(zip(t1, t3))))
     assert by_row.getvalue() == by_pass.getvalue() == expected.getvalue()
+
+
+@st.composite
+def scan_rows(draw):
+    # t = 1..4 with their p_i, a triple of t + t(t - 1)/2 signs (no comma at t = 1), both booleans, both labels and verdicts
+    t = draw(st.integers(min_value=1, max_value=4))
+    primes = draw(st.lists(st.integers(min_value=17, max_value=10**9), min_size=t, max_size=t, unique=True))
+    triple = draw(st.lists(st.sampled_from((1, -1)), min_size=t + t * (t - 1) // 2, max_size=t + t * (t - 1) // 2))
+    numbers = draw(st.tuples(*[st.integers(min_value=1, max_value=10**9)] * 5))
+    n, q, h_n, h_nq, modulus = numbers
+    label, verdict = draw(st.sampled_from(_LABELS)), draw(st.sampled_from(_VERDICTS))
+    return ScanRow(n, q, tuple(sorted(primes)), tuple(triple), h_n, h_nq, modulus, draw(st.booleans()), label, verdict)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(scan_rows(), min_size=1, max_size=6))
+def test_csv_lines_match_the_csv_module(rows):
+    # the one % format per row gives csv.writer's bytes, quoting only a triple that holds a comma
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    for r in rows:
+        cells = (r.n, r.q, r.p_product, r.triple_str, r.h_n, r.h_nq, r.modulus, str(r.congruence_holds).lower())
+        writer.writerow(cells + (r.tunnell_label, r.verdict))
+    assert "".join(_csv_lines(tuple(zip(*rows)))) == expected.getvalue()
 
 
 def test_emit_rejects_unknown_format():

@@ -20,6 +20,7 @@ from congruent.tunnell import (
     ThetaCounts,
     MAX_PER_N,
     TunnellTable,
+    _add_shifted,
     _line_divisor_sums,
     _live_sums,
     _sieving_primes,
@@ -446,17 +447,59 @@ def test_lines_with_no_live_point_sum_to_zero():
 def test_table_sums_are_exact_int32_on_a_line_of_large_r():
     # r = 30,000 at every point of the line of 999,995, near int16's top: the
     # sums, up to 30,000 * (2 * 708 - 1), need an int32 accumulator.  The
-    # centre is 3 (mod 8), so its even z read r3 and its odd z read r1
+    # centre is 3 (mod 8), so its even z read r3 and its odd z read r1.  The
+    # table's max r, which _class_counts checked, is set to the new one, so
+    # no two of its values are summed in int16
     table = TunnellTable(1_000_000)
     m, k = 999_995, 999_995 >> 3
     j = np.arange(isqrt(k) + 1)
     table.r3[k - j * j] = 30_000
     odd = j[j * (j + 1) <= k]
     table.r1[k - odd * (odd + 1)] = 30_000
+    table.top = 30_000
+    assert table.group == 1
     sums = table.sums_at(np.arange(k - 5, k + 1))[:, 5]
     assert sums.dtype == np.int32
     assert sums.tolist() == [30_000 * (2 * len(range(0, isqrt(m // 2) + 1, step)) - 1) for step in (1, 2, 4)]
     assert sums[0] == 42_450_000
+
+
+@pytest.mark.parametrize("group", [12, 170])
+def test_int16_runs_sum_as_single_shifts(group):
+    # r = 32,767 // group everywhere: a run of group shifts sums to at most
+    # 32,767 in its int16 row, so the sums equal those at group 1, where every
+    # shift adds into int32 alone, and the count of shifts s <= k times r.  A
+    # run of group + 1 shifts passes 32,767 and wraps.  12 is the least group
+    # below the scan bound, where r(m) <= 2 tau(m) <= 2 * 1,344, and 170 the
+    # group at 10^8, whose max r is 192
+    assert 32_767 // (2 * 1_344) == 12 and 32_767 // 192 == 170
+    value = 32_767 // group
+    r = np.full(5000, value, dtype=np.int16)
+    shifts = sorted(random.Random(group).sample(range(6000), 600))  # some beyond each window, some within it
+    for k0, size in ((0, 3000), (1500, 2000), (4999, 1)):
+        exact = np.zeros(size, dtype=np.int32)
+        _add_shifted(exact, r, k0, shifts, 1)
+        assert exact.tolist() == (value * np.searchsorted(shifts, np.arange(k0, k0 + size), side="right")).tolist()
+        grouped, wrapped = np.zeros(size, dtype=np.int32), np.zeros(size, dtype=np.int32)
+        _add_shifted(grouped, r, k0, shifts, group)
+        assert np.array_equal(grouped, exact)
+        _add_shifted(wrapped, r, k0, shifts, group + 1)
+        assert not np.array_equal(wrapped, exact)
+
+
+def test_table_sums_at_its_group_equal_single_shifts():
+    # a real table sums its windows and t1 in int16 runs of its group; at
+    # group 1 every shift adds into int32 alone, and both give the same sums
+    table = TunnellTable(2_000_000)
+    assert table.top == max(table.r1.max(), table.r3.max()) and table.group == 32_767 // table.top > 12
+    ks = np.arange(table.r3.size)
+    grouped = table.sums_at(ks)
+    table.top = 32_767
+    assert table.group == 1
+    assert np.array_equal(table.sums_at(ks), grouped)
+    t1 = np.zeros(table.t1.size, dtype=np.int32)
+    _add_shifted(t1, table.r1, 0, [j * j for j in range(isqrt(t1.size) + 1)], 1)
+    assert np.array_equal(2 * t1 - table.r1[: t1.size], table.t1)
 
 
 def test_window_rows_fit_int32_up_to_the_scan_bound():
