@@ -211,35 +211,6 @@ def hilbert(a: int, b: int, p: int) -> int:
     return sign
 
 
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of a modulo odd prime p (Tonelli-Shanks).  Requires (a/p) = 1."""
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c = s, pow(z, q, p)
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """base^exp mod mod elementwise (numpy broadcasting), for int64 arrays with 0 <= base < mod and mod^2 < 2^63.
 

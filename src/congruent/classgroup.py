@@ -13,11 +13,10 @@ the theta sums are tested against.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Union
 
 import numpy as np
 
-from .arith import FactoredSquarefree, factor_squarefree
+from .arith import factor_squarefree
 
 
 # |D| above this is refused before anything is allocated: the reduced-form
@@ -26,19 +25,17 @@ from .arith import FactoredSquarefree, factor_squarefree
 MAX_ABS_DISCRIMINANT = 10**8
 
 
-def fundamental_discriminant(m: Union[int, FactoredSquarefree]) -> int:
+def fundamental_discriminant(m: int) -> int:
     """D = -m when -m = 1 (mod 4), else -4m, for |D| <= MAX_ABS_DISCRIMINANT.
 
-    A D beyond the bound is refused first; then an int m is factored:
+    A D beyond the bound is refused first; then m is factored:
     NotSquarefree if it is not.
     """
-    value = m.value if isinstance(m, FactoredSquarefree) else m
-    if value < 1:
-        raise ValueError(f"expected positive m, got {value}")
-    D = -value if (-value) % 4 == 1 else -4 * value
+    if m < 1:
+        raise ValueError(f"expected positive m, got {m}")
+    D = -m if (-m) % 4 == 1 else -4 * m
     _refuse_beyond_bound(D)
-    if not isinstance(m, FactoredSquarefree):
-        factor_squarefree(m)
+    factor_squarefree(m)
     return D
 
 

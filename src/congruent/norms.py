@@ -5,10 +5,16 @@ Q(sqrt(-2)) and Q(sqrt(2)), both of class number one.  The normalization makes
 u, e, f odd and v even, all positive; u and f are the smallest over all
 representations, which pins a deterministic answer for composite P.
 
-u^2 + 2v^2: square roots of -2 mod P (one per prime, combined by CRT) feed a
-Cornacchia descent.  2e^2 - f^2: square roots of +2 mod P seed an indefinite
-binary-form reduction of discriminant 8 down to the principal form, and the
-fundamental unit 1 + sqrt(2) then walks the solution to minimal f.
+Square roots of -2 and +2 mod each prime p come from one primitive 8th root of
+unity: c = d^((p-1)/8) for a non-residue d has c^4 = -1, so
+(c + c^3)^2 = -2 and (c - c^3)^2 = (c + c^7)^2 = 2.  CRT combines them mod P.
+
+u^2 + 2v^2: each root of -2 feeds a Cornacchia descent.  2e^2 - f^2: for each
+root r of +2, Euclid in Z[sqrt(2)] gives f + e sqrt(2) = gcd(P, r + sqrt(2)),
+of norm f^2 - 2e^2 = +-P; one factor of the unit 1 + sqrt(2) (norm -1) fixes
+the sign, and 3 - 2 sqrt(2) then walks the solution to minimal f.  Euclid ends
+because rounding each coordinate of the quotient leaves an error x + y sqrt(2)
+with |x|, |y| <= 1/2, so |N(rem)| <= |N(divisor)| / 2.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from itertools import product
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .arith import FactoredSquarefree, is_square, jacobi, sqrt_mod_prime
+from .arith import FactoredSquarefree, is_square, jacobi, legendre
 
 
 class NoRepresentation(ValueError):
@@ -40,10 +46,20 @@ def _check_domain(P: FactoredSquarefree) -> None:
         raise NoRepresentation(f"prime factors {bad} of {P.value} are not 1 (mod 8)")
 
 
+def _root_pm2(p: int, square: int) -> int:
+    """A square root of square = +-2 mod a prime p = 1 (mod 8), as c -+ c^3 with c^4 = -1."""
+    d = 3  # 2 is a residue mod p
+    while legendre(d, p) != -1:
+        d += 1
+    c = pow(d, (p - 1) // 8, p)
+    c3 = c * c * c % p
+    return (c - c3) % p if square == 2 else (c + c3) % p
+
+
 def _crt_roots(P: FactoredSquarefree, square: int) -> list[int]:
-    """All square roots of `square` mod P.value, one per sign pattern, up to negation."""
+    """All square roots of `square` = +-2 mod P.value, one per sign pattern, up to negation."""
     n = P.value
-    prime_roots = [sqrt_mod_prime(square, p) for p in P.primes]
+    prime_roots = [_root_pm2(p, square) for p in P.primes]
     roots = []
     # fix the first prime's sign; varying it only negates the combined root
     for signs in product((1, -1), repeat=len(P.primes) - 1):
@@ -79,34 +95,24 @@ def rep_u2_2v2(P: FactoredSquarefree) -> tuple[int, int]:
     return best
 
 
-def _reduce_disc8(a: int, b: int, c: int) -> tuple[int, int]:
-    """Walk the form (a, b, c) of discriminant 8 to x^2 + 2xy - y^2.
+def _gcd_sqrt2(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """A gcd in Z[sqrt(2)] of a = a0 + a1 sqrt(2) and b, by Euclid (pairs (x, y) stand for x + y sqrt(2)).
 
-    Returns (x, y) with x^2 + 2xy - y^2 equal to the original form's value at
-    (1, 0).  The reduced cycle of discriminant 8 is {(1,2,-1), (-1,2,1)}, so
-    the loop always terminates on the principal form.
+    The quotient a/b = a * conj(b) / N(b) is rounded coordinatewise, so
+    |N(rem)| <= |N(b)| / 2 and the loop ends; a step that does not halve the
+    norm raises ArithmeticError.  N(b) = 0 only at b = 0, as sqrt(2) is irrational.
     """
-    # each step maps (a, b, c) -> (c, b', *) via (x, y) -> (-y, x + s*y),
-    # with b' = 2cs - b placed in the classical reduction window
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    for _ in range(10000):
-        if (a, b, c) == (1, 2, -1):
-            # first column of the accumulated transform's inverse
-            return m11, -m10
-        if c == 0:
-            raise ArithmeticError("form became degenerate")
-        two_c = 2 * abs(c)
-        if abs(c) >= 3:  # |c| > sqrt(8): want b' in (-|c|, |c|]
-            b_new = (-b) % two_c
-            if b_new > abs(c):
-                b_new -= two_c
-        else:  # want b' in (sqrt(8) - 2|c|, sqrt(8)), i.e. [3 - 2|c|, 2]
-            lo = 3 - two_c
-            b_new = lo + (-b - lo) % two_c
-        s = (b_new + b) // (2 * c)
-        a, b, c = c, b_new, a - b * s + c * s * s
-        m00, m01, m10, m11 = m01, -m00 + m01 * s, m11, -m10 + m11 * s
-    raise ArithmeticError("form reduction did not converge")
+    nb = b[0] * b[0] - 2 * b[1] * b[1]
+    while nb:
+        (a0, a1), (b0, b1) = a, b
+        # floor(x / nb + 1/2) for either sign of nb
+        q0 = (2 * (a0 * b0 - 2 * a1 * b1) + nb) // (2 * nb)
+        q1 = (2 * (a1 * b0 - a0 * b1) + nb) // (2 * nb)
+        a, b = b, (a0 - q0 * b0 - 2 * q1 * b1, a1 - q0 * b1 - q1 * b0)
+        last, nb = nb, b[0] * b[0] - 2 * b[1] * b[1]
+        if 2 * abs(nb) > abs(last):
+            raise ArithmeticError(f"Euclid in Z[sqrt(2)] did not halve the norm {last}")
+    return a
 
 
 def rep_2e2_f2(P: FactoredSquarefree) -> tuple[int, int]:
@@ -115,12 +121,12 @@ def rep_2e2_f2(P: FactoredSquarefree) -> tuple[int, int]:
     n = P.value
     best = None
     for r in _crt_roots(P, 2):
-        # (n, 2r, (r^2-2)/n) has discriminant 8 and represents n at (1, 0)
-        x, y = _reduce_disc8(n, 2 * r, (r * r - 2) // n)
-        if x * x + 2 * x * y - y * y != n:
-            raise ArithmeticError(f"form reduction produced a bad point for {n}")
-        big_x, big_y = x + y, y  # X^2 - 2Y^2 = n
-        f, e = big_x + 2 * big_y, big_x + big_y  # now f^2 - 2e^2 = -n
+        # (n, r + sqrt(2)) is an ideal of norm n, and Z[sqrt(2)] is a PID
+        f, e = _gcd_sqrt2((n, 0), (r, 1))
+        if f * f - 2 * e * e == n:
+            f, e = f + 2 * e, f + e  # times 1 + sqrt(2), of norm -1
+        if f * f - 2 * e * e != -n:
+            raise ArithmeticError(f"Euclid in Z[sqrt(2)] produced a bad gcd for {n}")
         f, e = abs(f), abs(e)
         while True:
             f2, e2 = abs(3 * f - 4 * e), abs(3 * e - 2 * f)

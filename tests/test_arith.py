@@ -15,7 +15,6 @@ from congruent.arith import (
     jacobi,
     legendre,
     quartic_symbol,
-    sqrt_mod_prime,
 )
 
 
@@ -197,15 +196,6 @@ def test_is_prime_small_and_carmichael():
     assert [n for n in range(25) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23]
     assert not is_prime(561)  # Carmichael
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
-
-
-def test_sqrt_mod_prime():
-    rng = random.Random(8)
-    for p in odd_primes_below(500):
-        for _ in range(5):
-            x = rng.randrange(1, p)
-            r = sqrt_mod_prime(x * x % p, p)
-            assert r * r % p == x * x % p
 
 
 def test_pow_mod_matches_python_pow():

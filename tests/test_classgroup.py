@@ -6,7 +6,7 @@ import pytest
 
 import congruent.arith
 import congruent.classgroup
-from congruent.arith import NotSquarefree, factor_squarefree
+from congruent.arith import NotSquarefree
 from congruent.classgroup import MAX_ABS_DISCRIMINANT, class_number, fundamental_discriminant, genus_two_rank
 from congruent.cli import main
 
@@ -54,7 +54,6 @@ def test_fundamental_discriminant_values():
     assert fundamental_discriminant(52779) == -52779
     assert fundamental_discriminant(1) == -4
     assert fundamental_discriminant(3) == -3
-    assert fundamental_discriminant(factor_squarefree(17593)) == -70372
     with pytest.raises(NotSquarefree):
         fundamental_discriminant(12)
 

@@ -1,11 +1,20 @@
 """Tests for the two norm-form representations and their parity relation."""
 
+import random
 from math import gcd, isqrt
 
 import pytest
 
-from congruent.arith import factor_squarefree, jacobi
-from congruent.norms import NoRepresentation, parity_criterion, rep_2e2_f2, rep_u2_2v2, represent
+from congruent.arith import factor_squarefree, is_prime, jacobi
+from congruent.norms import (
+    NoRepresentation,
+    _crt_roots,
+    _gcd_sqrt2,
+    parity_criterion,
+    rep_2e2_f2,
+    rep_u2_2v2,
+    represent,
+)
 
 
 def all_u_reps(P):
@@ -68,7 +77,7 @@ def test_rejects_out_of_domain():
 def test_rep_2e2_f2_rejects_a_bad_reduction(monkeypatch):
     import congruent.norms as norms_mod
 
-    monkeypatch.setattr(norms_mod, "_reduce_disc8", lambda a, b, c: (1, 1))
+    monkeypatch.setattr(norms_mod, "_gcd_sqrt2", lambda a, b: (1, 1))
     with pytest.raises(ArithmeticError):
         rep_2e2_f2(factor_squarefree(17))
 
@@ -84,10 +93,42 @@ def test_reconstruction_parity_and_primitivity():
 
 
 def test_returned_rep_is_exhaustive_minimum():
-    for fp in eligible_p(20000):
-        assert rep_u2_2v2(fp) == all_u_reps(fp.value)[0]
+    # every P < 20,000 has one or two primes; below 400,000 every three-prime P
+    # (four CRT roots) and a seeded sample of the two-prime P are checked too
+    every = eligible_p(400000)
+    small = [fp for fp in every if fp.value < 20000]
+    three = [fp for fp in every if len(fp.primes) == 3]
+    two = [fp for fp in every if len(fp.primes) == 2 and fp.value >= 20000]
+    assert len(three) == 48 and three[0].value == 50881
+    sample = small + three + random.Random(33).sample(two, 150)
+    for fp in sample:
+        assert rep_u2_2v2(fp) == all_u_reps(fp.value)[0], fp.value
         e, f = rep_2e2_f2(fp)
-        assert (e, f) == all_ef_reps(fp.value)[0]
+        assert (e, f) == all_ef_reps(fp.value)[0], fp.value
+
+
+def test_crt_roots_of_pm2_mod_primes():
+    # each prime's root is c -+ c^3 for an 8th root of unity c, for +2 and -2
+    primes = [p for p in range(17, 10**5, 8) if is_prime(p)]
+    assert len(primes) == 2384
+    for p in primes:
+        fp = factor_squarefree(p)
+        for square in (2, -2):
+            (r,) = _crt_roots(fp, square)
+            assert (r * r - square) % p == 0, (p, square)
+
+
+def test_gcd_sqrt2_norm_takes_both_signs():
+    # the gcd's norm is +-P, and both signs occur, so the 1 + sqrt(2) step runs
+    signs = {1: 0, -1: 0}
+    for fp in eligible_p(20000):
+        n = fp.value
+        for r in _crt_roots(fp, 2):
+            f, e = _gcd_sqrt2((n, 0), (r, 1))
+            norm = f * f - 2 * e * e
+            assert abs(norm) == n, (n, r)
+            signs[norm // n] += 1
+    assert signs[1] > 0 and signs[-1] > 0, signs
 
 
 def test_parity_relation_all_representations_small():

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from math import isqrt, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,10 +255,10 @@ def test_json_round_trip(tmp_path):
 
 
 def test_scan_deterministic(tmp_path):
-    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    emit(scan(30000), "csv", a)
-    emit(scan(30000), "csv", b)
-    assert open(a).read() == open(b).read()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    emit(scan(30000), "csv", str(a))
+    emit(scan(30000), "csv", str(b))
+    assert a.read_text() == b.read_text()
 
 
 def reference_smallest_prime_factors(limit):
@@ -705,7 +706,7 @@ def test_cli_subcommands_smoke(capsys):
 
 
 def test_readme_examples_match_cli(capsys):
-    readme = open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")).read()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     check_block = readme.split("`congruent check -n 52779` prints:\n\n```\n", 1)[1].split("```", 1)[0]
     assert main(["check", "-n", "52779"]) == 0
     assert capsys.readouterr().out == check_block
@@ -745,16 +746,16 @@ def test_cli_scan_csv_matches_emit_of_the_rows(monkeypatch, capsys, tmp_path, t)
 
 
 def test_cli_scan_cache_option_is_ignored(tmp_path, capsys):
-    plain, cached = str(tmp_path / "plain.csv"), str(tmp_path / "cached.csv")
-    assert main(["scan", "--max", "60000", "--t", "2", "--out", plain]) == 0
+    plain, cached = tmp_path / "plain.csv", tmp_path / "cached.csv"
+    assert main(["scan", "--max", "60000", "--t", "2", "--out", str(plain)]) == 0
     assert capsys.readouterr().err == ""
     kept = tmp_path / "h.cache"
     kept.write_bytes(b"-3 1\n-4 1\n-7")
     absent = tmp_path / "absent.cache"
     for cache in (kept, absent):
-        assert main(["scan", "--max", "60000", "--t", "2", "--out", cached, "--cache", str(cache)]) == 0
+        assert main(["scan", "--max", "60000", "--t", "2", "--out", str(cached), "--cache", str(cache)]) == 0
         assert capsys.readouterr().err == "scan: --cache is ignored: class numbers come from the theta table\n"
-        assert open(cached).read() == open(plain).read()
+        assert cached.read_text() == plain.read_text()
     assert kept.read_bytes() == b"-3 1\n-4 1\n-7"
     assert not absent.exists()
 
