@@ -1,21 +1,32 @@
 """Exact integer kernel: primality, squarefree factorization, residue symbols, modular powers, the prime sieve.
 
-Everything here is pure integer arithmetic (no floats), safe for concurrent
-use, and deterministic for inputs below 2**63.  _pow_mod is the one modular
+Everything here is pure integer arithmetic (no floats) and safe for
+concurrent use; factor_squarefree takes n up to the per-n bound MAX_PER_N
+and is_prime is deterministic below PSI_12.  _pow_mod is the one modular
 power over numpy arrays, _prime_sieve the one prime sieve and _progressions
 the one expansion of arithmetic progressions into their terms; the scan's
-segmented candidate filter and residue tests and the divisor sums' live
-points, primes and square roots all use them.  _pow_mod reduces each square
-and each product before the next, so none passes mod^2 < 2^63.
+segmented candidate filter and residue tests, the divisor sums' live points,
+primes and square roots, and _factor's trial divisors all use them.  _pow_mod
+reduces each square and each product before the next, so none passes
+mod^2 < 2^63.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 from typing import NamedTuple
 
 import numpy as np
+
+
+# n above this is refused before it is factored or counted: every point n - c z^2
+# of tunnell's lines stays far inside int64, every sieving prime p <= 10^5 has
+# p^2 < 2^63, and trial division by the primes up to sqrt(n) sieves at most
+# 10^5 entries.  On a 2-core machine the counts of one check take about 1.4 ms
+# near 10^7, 6.6 ms near 10^9 and 25 ms near the bound, whose check process
+# peaks near 38 MiB.
+MAX_PER_N = 10**10
 
 
 class NotSquarefree(ValueError):
@@ -46,15 +57,21 @@ class FactoredSquarefree(_Factored):
         return super().__new__(cls, value, primes)
 
 
-# Witnesses giving a deterministic strong-pseudoprime test for n < 3.3e24.
+# The first 12 primes as witnesses give a deterministic strong-pseudoprime test
+# for n < PSI_12, the least strong pseudoprime to all of them, 399165290221 *
+# 798330580441 (Sorenson and Webster, Strong pseudoprimes to twelve prime
+# bases, Math. Comp. 86 (2017)).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI_12 = 318665857834031151167461
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n < 3.3e24 (fixed Miller-Rabin witnesses)."""
+    """Deterministic primality for n < PSI_12 (fixed Miller-Rabin witnesses); ValueError for n >= PSI_12."""
+    if n >= PSI_12:
+        raise ValueError(f"is_prime is deterministic only below {PSI_12}, got {n}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -77,59 +94,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int) -> int:
-    """Find a nontrivial factor of composite odd n.  Deterministic parameter sweep."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        x, y, d = 2, 2, 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed to split {n}")
-
-
-_TRIAL_LIMIT = 10**6
+def refuse_beyond_per_n_bound(n: int) -> None:
+    """ValueError for an n above MAX_PER_N; called before n is factored or counted."""
+    if n > MAX_PER_N:
+        raise ValueError(f"n = {n} exceeds the per-n bound {MAX_PER_N}")
 
 
 def _factor(v: int) -> list[int]:
-    """Prime factors of v with multiplicity, ascending."""
+    """Prime factors of v with multiplicity, ascending; trial division by the primes up to sqrt(v) leaves 1 or a prime."""
+    p = np.flatnonzero(_prime_sieve(isqrt(v)))
     factors = []
-    for p in (2, 3, 5):
-        while v % p == 0:
-            factors.append(p)
-            v //= p
-    p = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # gaps between integers coprime to 30
-    i = 0
-    while p * p <= v and p <= _TRIAL_LIMIT:
-        while v % p == 0:
-            factors.append(p)
-            v //= p
-        p += wheel[i]
-        i = (i + 1) % 8
+    for d in p[v % p == 0].tolist():
+        while v % d == 0:
+            factors.append(d)
+            v //= d
     if v > 1:
-        stack = [v]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                factors.append(m)
-            else:
-                d = _brent_rho(m)
-                stack.append(d)
-                stack.append(m // d)
-    factors.sort()
+        factors.append(v)
     return factors
 
 
 def factor_squarefree(v: int) -> FactoredSquarefree:
-    """Factor v completely; raise NotSquarefree if any prime divides it twice."""
+    """Factor v completely; ValueError for v > MAX_PER_N before any work, NotSquarefree if a prime divides v twice."""
     if v < 1:
         raise ValueError(f"expected a positive integer, got {v}")
+    refuse_beyond_per_n_bound(v)
     factors = _factor(v)
     for i in range(len(factors) - 1):
         if factors[i] == factors[i + 1]:

@@ -18,7 +18,7 @@ import numpy as np
 from .arith import NotSquarefree, is_prime
 from .redei import HypothesisN, WrongResidueShape, build_hypothesis, eight_rank_neg_n, eight_rank_neg_nq, four_rank
 from .selmer import selmer_rank
-from .tunnell import Classification, ThetaCounts, classify, divisor_lines, refuse_beyond_per_n_bound
+from .tunnell import Classification, ThetaCounts, classify, divisor_lines
 from .tunnell import class_number as theta_class_number
 
 
@@ -80,7 +80,6 @@ def evaluate(v: int) -> CriterionReport:
     """
     if v < 3:
         raise ValueError(f"need v >= 3, got {v}")
-    refuse_beyond_per_n_bound(v)
     try:
         h = build_hypothesis(v)
     except NotSquarefree as exc:

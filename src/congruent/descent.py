@@ -61,20 +61,13 @@ def phi_p(pair: DivisorPair, p: int, m: FactoredSquarefree) -> tuple[int, int]:
     a, b = pair
     if m.value % a != 0 or m.value % b != 0:
         raise ValueError(f"pair {pair} is not a divisor pair of {m.value}")
-    mv = m.value
     pa, pb = a % p == 0, b % p == 0
-    if not pa and not pb:
-        return _phi_coprime(a, b, p)
-    anchor_1m = (legendre(2, p), legendre(-2, p))
-    anchor_m1 = (legendre(2, p), legendre(2, p))
-    if pa and pb:
-        s1, s2 = _phi_coprime(star(a, mv), star(b, mv), p)
-        return (s1 * anchor_m1[0] * anchor_1m[0], s2 * anchor_m1[1] * anchor_1m[1])
-    if pa:
-        s1, s2 = _phi_coprime(star(a, mv), b, p)
-        return (s1 * anchor_m1[0], s2 * anchor_m1[1])
-    s1, s2 = _phi_coprime(a, star(b, mv), p)
-    return (s1 * anchor_1m[0], s2 * anchor_1m[1])
+    s1, s2 = _phi_coprime(star(a, m.value) if pa else a, star(b, m.value) if pb else b, p)
+    if pa:  # the anchor (m, 1) has signs ((2/p), (2/p))
+        s1, s2 = s1 * legendre(2, p), s2 * legendre(2, p)
+    if pb:  # the anchor (1, m) has signs ((2/p), (-2/p))
+        s1, s2 = s1 * legendre(2, p), s2 * legendre(-2, p)
+    return s1, s2
 
 
 def _in_kernel(pair: DivisorPair, m: FactoredSquarefree) -> bool:

@@ -84,7 +84,7 @@ def hypothesis_from_factored(n: FactoredSquarefree) -> HypothesisN:
 
 
 def build_hypothesis(v: int) -> HypothesisN:
-    """Factor v, then hypothesis_from_factored; NotSquarefree if v is not squarefree."""
+    """Factor v, then hypothesis_from_factored; NotSquarefree if v is not squarefree, ValueError if v > MAX_PER_N."""
     if v < 3:
         raise ValueError(f"need v >= 3, got {v}")
     return hypothesis_from_factored(factor_squarefree(v))

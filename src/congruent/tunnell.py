@@ -47,14 +47,8 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .arith import FactoredSquarefree, _pow_mod, _prime_sieve, _progressions, factor_squarefree
+from .arith import MAX_PER_N, FactoredSquarefree, _pow_mod, _prime_sieve, _progressions, factor_squarefree, refuse_beyond_per_n_bound
 from .classgroup import MAX_ABS_DISCRIMINANT
-
-# n above this is refused before any per-n count: every point n - c z^2 stays
-# far inside int64 and every sieving prime p <= 10^5 has p^2 < 2^63.  On a
-# 2-core machine the counts of one check take about 1.4 ms near 10^7, 6.6 ms
-# near 10^9 and 25 ms near the bound, whose check process peaks near 38 MiB.
-MAX_PER_N = 10**10
 
 
 class Classification(enum.Enum):
@@ -288,12 +282,6 @@ class TunnellTable:
                 _add_shifted(acc, r, k0, shifts, self.group)
                 np.subtract(2 * acc[at], r3, out=row[lo:hi])
         return rows
-
-
-def refuse_beyond_per_n_bound(n: int) -> None:
-    """ValueError for an n above MAX_PER_N; called before n is factored or counted."""
-    if n > MAX_PER_N:
-        raise ValueError(f"n = {n} exceeds the per-n bound {MAX_PER_N}")
 
 
 # row j: whether a z = j (mod 4) enters the sum over every z, over the even z and over the z = 0 (mod 4)

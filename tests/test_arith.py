@@ -4,8 +4,12 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 
+import congruent.arith
 from congruent.arith import (
+    MAX_PER_N,
+    PSI_12,
     FactoredSquarefree,
     NotSquarefree,
     _pow_mod,
@@ -173,12 +177,22 @@ def test_factor_squarefree_values():
         factor_squarefree(0)
 
 
-def test_factor_squarefree_beyond_trial_division():
-    p, q = 1000003, 1000033
-    assert is_prime(p) and is_prime(q)
-    assert factor_squarefree(p * q).primes == (p, q)
-    with pytest.raises(NotSquarefree):
-        factor_squarefree(p * p)
+def test_factor_squarefree_at_the_top_of_the_range(monkeypatch):
+    # 99991 and 100003 are the primes next to sqrt(MAX_PER_N) = 10^5, 9999999967 the largest prime below MAX_PER_N
+    assert factor_squarefree(99991 * 100003).primes == (99991, 100003)
+    with pytest.raises(NotSquarefree, match=f"^99991\\^2 divides {99991**2}$"):
+        factor_squarefree(99991**2)
+    assert factor_squarefree(9999999967).primes == (9999999967,)
+    with pytest.raises(NotSquarefree, match="^2\\^2 divides 10000000000$"):
+        factor_squarefree(MAX_PER_N)
+
+    def no_factoring(v):
+        raise AssertionError(f"{v} factored")
+
+    monkeypatch.setattr(congruent.arith, "_factor", no_factoring)
+    for v in (MAX_PER_N + 1, 1000003 * 1000033):
+        with pytest.raises(ValueError, match=f"^n = {v} exceeds the per-n bound {MAX_PER_N}$"):
+            factor_squarefree(v)
 
 
 def test_factored_squarefree_validation():
@@ -196,6 +210,21 @@ def test_is_prime_small_and_carmichael():
     assert [n for n in range(25) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23]
     assert not is_prime(561)  # Carmichael
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+def test_is_prime_refuses_from_psi_12():
+    # PSI_12 = 399165290221 * 798330580441 is a strong pseudoprime to all 12 witnesses
+    assert PSI_12 == 318665857834031151167461 == 399165290221 * 798330580441
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert is_prime(sympy.prevprime(PSI_12))
+    bound = f"deterministic only below {PSI_12}"
+    for n in (PSI_12, PSI_12 + 2):
+        with pytest.raises(ValueError, match=bound):
+            is_prime(n)
+    with pytest.raises(ValueError, match=bound):
+        FactoredSquarefree(PSI_12, (PSI_12,))
+    with pytest.raises(ValueError, match=bound):
+        legendre(3, PSI_12)
 
 
 def test_pow_mod_matches_python_pow():

@@ -57,8 +57,16 @@ def test_jacobi_matches_sympy(a, m):
 
 
 @SETTINGS
-@given(st.integers(min_value=1, max_value=10**12))
+@given(st.one_of(st.integers(min_value=1, max_value=MAX_PER_N), st.integers(min_value=MAX_PER_N + 1, max_value=10**12)))
+@example(MAX_PER_N)
+@example(MAX_PER_N + 1)
 def test_factor_squarefree_matches_sympy(v):
+    # v is drawn below and above the per-n bound about as often, up to 10^12: a match with
+    # sympy up to the bound, the bound's ValueError above it
+    if v > MAX_PER_N:
+        with pytest.raises(ValueError, match=f"^n = {v} exceeds the per-n bound {MAX_PER_N}$"):
+            factor_squarefree(v)
+        return
     factors = sympy.factorint(v)
     if any(e > 1 for e in factors.values()):
         with pytest.raises(NotSquarefree):

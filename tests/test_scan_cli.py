@@ -661,6 +661,21 @@ def test_cli_refuses_an_out_of_range_n_before_factoring(monkeypatch, capsys):
     assert f"error: |D| = {big} exceeds the supported bound 100000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [("check", "-n"), ("tunnell", "-n"), ("monsky", "-m"), ("redei", "-n"), ("ranks", "-n"), ("represent", "-P"), ("descent", "-m")],
+)
+def test_every_per_n_command_refuses_beyond_the_bound(monkeypatch, capsys, command, option):
+    def no_factoring(v):
+        raise AssertionError(f"{v} factored")
+
+    monkeypatch.setattr(congruent.arith, "_factor", no_factoring)
+    assert main([command, option, "10000000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n = 10000000001 exceeds the per-n bound 10000000000\n"
+
+
 def test_cli_main_keeps_no_options_between_calls(capsys):
     # main builds its parser once; a second call must not see the first call's --json
     assert main(["check", "-n", "219", "--json"]) == 0
